@@ -32,7 +32,6 @@ from .driftfactor import (
 from .errors import (
     CorrelationMatrixNotPSD,
     DegenerateDenominator,
-    DegenerateParameters,
     DomainError,
     FwdVolError,
     InvalidModelParams,
@@ -72,7 +71,6 @@ from .pricing import (
     black76_price,
     black76_vega,
     call_price,
-    deterministic_total_variance,
     implied_vol,
     price,
     put_price,
@@ -100,7 +98,6 @@ __all__ = [
     "k_sq_numeric",
     "CorrelationMatrixNotPSD",
     "DegenerateDenominator",
-    "DegenerateParameters",
     "DomainError",
     "FwdVolError",
     "InvalidModelParams",
@@ -137,7 +134,6 @@ __all__ = [
     "black76_price",
     "black76_vega",
     "call_price",
-    "deterministic_total_variance",
     "implied_vol",
     "price",
     "put_price",

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .calibration import VolQuote, fit
+from .charfn import default_ab_steps
 from .driftfactor import drift_factor_result
 from .errors import FwdVolError, NoArbitrageViolation, NumericalError
 from .mc import McConfig, PayoffSpec, drift_error_study, price_payoff
@@ -148,7 +149,7 @@ def _cmd_price(args) -> int:
     print(f"implied_vol = {vol!r}")
     print(
         "quadrature: theta_max=%g panels=%d nodes_per_panel=%d ode_steps=%d"
-        % (q.theta_max, panels, q.n_nodes, q.ab_steps(spec.t_e))
+        % (q.theta_max, panels, q.n_nodes, default_ab_steps(spec.t_e))
     )
     _emit_json(
         args,

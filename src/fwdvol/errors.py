@@ -22,7 +22,6 @@ __all__ = [
     "NoArbitrageViolation",
     "MissingSettlement",
     "DegenerateDenominator",
-    "DegenerateParameters",
 ]
 
 
@@ -82,7 +81,3 @@ class MissingSettlement(FwdVolError, KeyError):
 
 class DegenerateDenominator(NumericalError):
     """A ratio is 0/0 at these inputs; the caller must use the documented fallback."""
-
-
-class DegenerateParameters(NumericalError):
-    """Closed-form denominators vanish (or lose precision) at these parameters."""

@@ -303,10 +303,6 @@ class CorrelationFactorization:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    def correlate(self, normals: np.ndarray) -> np.ndarray:
-        """Map independent standard normals (3, ...) to correlated ones."""
-        return self.matrix @ normals
-
 
 def factorize_correlation(p: ModelParams) -> CorrelationFactorization:
     """PSD-tolerant Cholesky factorization of the 3x3 correlation matrix.

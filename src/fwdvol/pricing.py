@@ -23,7 +23,7 @@ from scipy.stats import norm
 
 from .charfn import integrate_ab
 from .errors import DomainError, NoArbitrageViolation, QuadratureTailError
-from .model import MarketCurves, ModelParams, integrated_variance
+from .model import MarketCurves, ModelParams
 
 __all__ = [
     "OptionSpec",
@@ -67,19 +67,19 @@ class OptionSpec:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Quadrature and ODE discretization settings for the Fourier pricer.
+    """Quadrature settings for the Fourier pricer.
 
     The transform integral is truncated at ``theta_max`` and evaluated with
     ``n_nodes`` Gauss-Legendre nodes on each panel of width ``panel_width``.
     The final panel's contribution must stay below ``tail_tolerance`` or the
-    truncation is rejected.
+    truncation is rejected.  The Riccati ODEs behind each node take
+    ``charfn.default_ab_steps(t_e)`` RK4 steps.
     """
 
     theta_max: float = 200.0
     n_nodes: int = 64
     tail_tolerance: float = 1e-10
     panel_width: float = 10.0
-    ode_steps_per_year: int = 200
 
     def __post_init__(self):
         if self.theta_max <= 0.0:
@@ -90,11 +90,6 @@ class QuadratureConfig:
             raise DomainError("tail_tolerance must be > 0")
         if self.panel_width <= 0.0:
             raise DomainError("panel_width must be > 0")
-        if self.ode_steps_per_year < 1:
-            raise DomainError("ode_steps_per_year must be >= 1")
-
-    def ab_steps(self, t_e: float) -> int:
-        return max(50, int(math.ceil(self.ode_steps_per_year * t_e)))
 
 
 def black76_price(F: float, K: float, total_variance: float, D: float, kind: str = "call") -> float:
@@ -204,8 +199,8 @@ def _theta_grid(q: QuadratureConfig):
     return nodes, weights, tail
 
 
-def _charfn_on_grid(thetas: np.ndarray, t_e: float, T: float, p: ModelParams, q: QuadratureConfig):
-    a_val, b_val = integrate_ab(thetas, t_e, T, p, n_steps=q.ab_steps(t_e))
+def _charfn_on_grid(thetas: np.ndarray, t_e: float, T: float, p: ModelParams):
+    a_val, b_val = integrate_ab(thetas, t_e, T, p)
     return np.exp(a_val + b_val * p.v0)
 
 
@@ -221,7 +216,7 @@ def _call_prices_batch(
     F = curves.forward(T)
     D = curves.discount(T)
     thetas, weights, tail = _theta_grid(q)
-    f_vals = _charfn_on_grid(thetas, t_e, T, p, q)
+    f_vals = _charfn_on_grid(thetas, t_e, T, p)
     log_m = np.log(np.asarray(strikes, dtype=float) / F)
     phase = np.exp(-1j * np.outer(thetas, log_m))
     kernel = (f_vals / (thetas**2 + 1j * thetas))[:, None] * phase
@@ -339,8 +334,3 @@ def smile_slice(
 ):
     """Implied volatility per strike at one (t_e, T), as (K, vol) pairs."""
     return [(K, vol) for _, _, K, _, vol in smile_table(strikes, t_e, T, curves, p, q)]
-
-
-def deterministic_total_variance(t_e: float, T: float, p: ModelParams) -> float:
-    """Total log variance of the alpha = 0 limit: integral of sigma_F^2 to t_e."""
-    return integrated_variance(0.0, t_e, T, p)

@@ -1,16 +1,16 @@
 """Centered-variance covariance kernel, the quadrature oracle for k^2,
-the closed form with its degeneracy guards, and the dispatcher."""
+the divided-difference closed form, and the dispatcher."""
 
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fwdvol import (
     DegenerateDenominator,
-    DegenerateParameters,
     DomainError,
+    NumericalError,
     integrated_variance,
     variance_rate,
 )
@@ -118,41 +118,73 @@ class TestClosedFormKsq:
         numeric = k_sq_numeric(1.0, 2.0, p)
         assert closed == pytest.approx(numeric, rel=1e-6)
 
-    def test_degenerate_at_zero_variance_reversion(self):
-        # beta = 0 makes the prefactor denominator vanish.
-        with pytest.raises(DegenerateParameters):
-            k_sq_closed_form(1.0, 2.0, make5())
+    @pytest.mark.parametrize(
+        "t, T, p",
+        [
+            pytest.param(1.0, 2.0, make5(), id="zero_variance_reversion"),
+            pytest.param(1.0, 2.0, make5(beta=0.5, beta1=0.0, beta2=0.0), id="zero_curve_rates"),
+            pytest.param(1.0, 2.0, make5(beta=2.0, beta2=1.0), id="rates_collide"),
+            pytest.param(1.0, 2.0, make(beta=0.2), id="beta_twice_beta1"),
+            pytest.param(1.0, 2.0, make(beta=0.2 + 1e-9), id="beta_near_twice_beta1"),
+            pytest.param(1.0, 2.0, make(beta=1e-13), id="tiny_beta"),
+            pytest.param(1e-3, 2.0, make(), id="tiny_t"),
+            pytest.param(5.0, 10.0, make(), id="long_settlement"),
+        ],
+    )
+    def test_agrees_with_numeric_at_edge_cases(self, t, T, p):
+        # Divided-difference nodes that coincide or nearly do (beta = 0,
+        # beta = 2 beta_k, beta1 = beta2 = 0, tiny beta or t), and large
+        # exponents at a long settlement.
+        assert k_sq_closed_form(t, T, p) == pytest.approx(k_sq_numeric(t, T, p), rel=1e-10)
 
-    def test_degenerate_at_zero_curve_rates(self):
-        with pytest.raises(DegenerateParameters):
-            k_sq_closed_form(1.0, 2.0, make5(beta=0.5, beta1=0.0, beta2=0.0))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        sigma=st.floats(0.1, 1.0),
+        beta1=st.just(0.0) | st.floats(0.0, 1.0),
+        beta2=st.just(0.0) | st.floats(0.0, 2.0),
+        R=st.floats(-1.5, 1.5),
+        rho=st.floats(-0.6, 0.6),
+        beta=st.just(0.0) | st.floats(0.0, 2.0),
+        alpha=st.floats(0.1, 3.0),
+        t=st.floats(0.1, 2.0),
+    )
+    def test_agrees_with_numeric(self, sigma, beta1, beta2, R, rho, beta, alpha, t):
+        assume(beta1 > 0.0 or beta2 > 0.0)  # beta1 = beta2 = 0 is a dispatcher limit
+        p = make(sigma=sigma, beta1=beta1, beta2=beta2, R=R, rho=rho,
+                 beta=beta, alpha=alpha, rho1=0.0, rho2=0.0)
+        closed = k_sq_closed_form(t, t + 1.0, p)
+        assert math.isfinite(closed)
+        assert closed == pytest.approx(k_sq_numeric(t, t + 1.0, p), rel=1e-10)
 
-    def test_degenerate_when_rates_collide(self):
-        # beta = 2 beta2 sits on a vanishing linear combination.
-        with pytest.raises(DegenerateParameters):
-            k_sq_closed_form(1.0, 2.0, make5(beta=2.0, beta2=1.0))
+    def test_overflow_is_a_typed_error(self):
+        # A node spread of 4 beta2 t = 1600 puts exp[...] beyond a double.
+        with pytest.raises(NumericalError):
+            k_sq_closed_form(400.0, 400.0, make())
 
 
 class TestDispatcher:
     def test_time_zero_is_spot_rate_squared(self):
         p = make5()
         res = drift_factor_result(0.0, 2.0, p)
+        assert res.method == "limit"
         assert res.k_sq == variance_rate(0.0, 2.0, p) ** 2
 
     def test_without_vol_of_vol_is_time_average(self):
         p = make5(alpha=0.0)
         res = drift_factor_result(1.0, 2.0, p)
         expected = (integrated_variance(0.0, 1.0, 2.0, p) / 1.0) ** 2
+        assert res.method == "limit"
         assert res.k_sq == pytest.approx(expected, rel=1e-14)
 
     def test_flat_rate_collapses_exactly(self):
         p = make5(beta1=0.0, beta2=0.0)
         expected = p.sigma**2 * (1.0 + p.R**2 + 2.0 * p.rho * p.R)
+        assert drift_factor_result(1.0, 2.0, p).method == "limit"
         assert drift_factor(1.0, 2.0, p) == pytest.approx(expected, rel=1e-15)
 
-    def test_study_set_falls_back_to_numeric(self):
+    def test_study_set_takes_closed_form(self):
         res = drift_factor_result(1.0, 2.0, make5())
-        assert res.method == "numeric"
+        assert res.method == "closed_form"
         assert res.k_sq == pytest.approx(k_sq_numeric(1.0, 2.0, make5()), rel=1e-12)
 
     def test_closed_form_preferred_when_valid(self):
