@@ -18,7 +18,7 @@ the least-squares fit; ``cli`` the command-line harness.
 __version__ = "0.1.0"
 
 from .calibration import CalibrationResult, VolQuote, fit, objective
-from .charfn import charfn_value, default_ab_steps, integrate_ab
+from .charfn import charfn_value, default_ab_steps, integrate_ab, integrate_ab_snapshots
 from .driftfactor import (
     ClosedFormReport,
     DriftFactorResult,
@@ -71,6 +71,7 @@ from .pricing import (
     black76_price,
     black76_vega,
     call_price,
+    call_prices,
     implied_vol,
     price,
     put_price,
@@ -88,6 +89,7 @@ __all__ = [
     "charfn_value",
     "default_ab_steps",
     "integrate_ab",
+    "integrate_ab_snapshots",
     "ClosedFormReport",
     "DriftFactorResult",
     "centered_variance_cov",
@@ -134,6 +136,7 @@ __all__ = [
     "black76_price",
     "black76_vega",
     "call_price",
+    "call_prices",
     "implied_vol",
     "price",
     "put_price",

@@ -18,7 +18,7 @@ from scipy.optimize import minimize
 
 from .errors import DomainError, FwdVolError
 from .model import MarketCurves, ModelParams, validate_params
-from .pricing import QuadratureConfig, smile_table
+from .pricing import QuadratureConfig, call_prices, implied_vol
 
 __all__ = ["VolQuote", "CalibrationResult", "objective", "fit"]
 
@@ -139,7 +139,9 @@ def objective(
 
     Quotes that cannot be priced (parameter validation failure, Riccati
     overflow, quadrature tail failure, no-arbitrage violations) each add
-    a flat penalty of 1e3 instead of aborting the evaluation.
+    a flat penalty of 1e3 instead of aborting the evaluation.  Failures
+    stay per (t_e, T) slice, while every slice is priced from one
+    `call_prices` call.
     """
     if not quotes:
         raise DomainError("quotes must be nonempty")
@@ -153,15 +155,20 @@ def objective(
     for quote in quotes:
         groups.setdefault((quote.t_e, quote.T), []).append(quote)
 
+    slices = [(t_e, T, [quote.strike for quote in group]) for (t_e, T), group in groups.items()]
     total = 0.0
-    for (t_e, T), group in groups.items():
-        strikes = [quote.strike for quote in group]
+    for (t_e, T, strikes), group, prices in zip(
+        slices, groups.values(), call_prices(slices, curves, p, q)
+    ):
         try:
-            rows = smile_table(strikes, t_e, T, curves, p, q)
+            if isinstance(prices, FwdVolError):
+                raise prices
+            F, D = curves.forward(T), curves.discount(T)
+            vols = [implied_vol(float(px), F, K, t_e, D, "call") for K, px in zip(strikes, prices)]
         except (FwdVolError, ValueError, ArithmeticError):
             total += _FAILED_QUOTE_PENALTY * len(group)
             continue
-        for quote, (_, _, _, _, vol) in zip(group, rows):
+        for quote, vol in zip(group, vols):
             total += quote.weight * (vol - quote.market_vol) ** 2
     return total
 

@@ -9,20 +9,23 @@ integral representation
 where f is the characteristic function of ln(F(t_e,T)/F(0,T)) started from
 x = 0, v = 1.  The integrand decays rapidly and is smooth, so composite
 Gauss-Legendre panels with a hard truncation and a tail-size check are
-accurate and cheap.  Puts come from parity; implied volatilities invert the
-Black-76 formula with a bracketed Newton iteration.
+accurate and cheap.  Slices that share the lag T - t_e read their
+characteristic functions off one Riccati pass (`call_prices`).  Puts come
+from parity; implied volatilities invert the Black-76 formula with a
+bracketed Newton iteration.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
-from .charfn import integrate_ab
-from .errors import DomainError, NoArbitrageViolation, QuadratureTailError
+# integrate_ab stays reachable as ``fwdvol.pricing.integrate_ab``.
+from .charfn import default_ab_steps, integrate_ab, integrate_ab_snapshots  # noqa: F401
+from .errors import DomainError, FwdVolError, NoArbitrageViolation, QuadratureTailError
 from .model import MarketCurves, ModelParams
 
 __all__ = [
@@ -32,6 +35,7 @@ __all__ = [
     "black76_vega",
     "implied_vol",
     "call_price",
+    "call_prices",
     "put_price",
     "atm_term_structure",
     "smile_slice",
@@ -40,6 +44,12 @@ __all__ = [
 ]
 
 _VOL_BRACKET = (1e-6, 10.0)
+_SQRT2 = math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def _norm_cdf(x: float) -> float:
+    return 0.5 * math.erfc(-x / _SQRT2)
 
 
 @dataclass(frozen=True)
@@ -109,14 +119,14 @@ def black76_price(F: float, K: float, total_variance: float, D: float, kind: str
     d1 = math.log(F / K) / s + 0.5 * s
     d2 = d1 - s
     if kind == "call":
-        return D * (F * norm.cdf(d1) - K * norm.cdf(d2))
-    return D * (K * norm.cdf(-d2) - F * norm.cdf(-d1))
+        return D * (F * _norm_cdf(d1) - K * _norm_cdf(d2))
+    return D * (K * _norm_cdf(-d2) - F * _norm_cdf(-d1))
 
 
 def black76_vega(F: float, K: float, t_e: float, vol: float, D: float) -> float:
     s = vol * math.sqrt(t_e)
     d1 = math.log(F / K) / s + 0.5 * s
-    return D * F * math.sqrt(t_e) * norm.pdf(d1)
+    return D * F * math.sqrt(t_e) * _INV_SQRT_2PI * math.exp(-0.5 * d1 * d1)
 
 
 def implied_vol(price: float, F: float, K: float, t_e: float, D: float, kind: str = "call") -> float:
@@ -181,8 +191,12 @@ def implied_vol(price: float, F: float, K: float, t_e: float, D: float, kind: st
     raise NoArbitrageViolation(f"implied volatility iteration failed for price {price}")
 
 
+@functools.lru_cache(maxsize=None)
 def _theta_grid(q: QuadratureConfig):
-    """Gauss-Legendre nodes and weights over (0, theta_max], plus the tail slice."""
+    """Gauss-Legendre nodes and weights over (0, theta_max], plus the tail slice.
+
+    Built once per config; the arrays are read-only because they are shared.
+    """
     base_x, base_w = np.polynomial.legendre.leggauss(q.n_nodes)
     edges = [0.0]
     while edges[-1] + q.panel_width < q.theta_max - 1e-12:
@@ -195,29 +209,27 @@ def _theta_grid(q: QuadratureConfig):
         weights.append(half * base_w)
     nodes = np.concatenate(nodes)
     weights = np.concatenate(weights)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
     tail = slice(len(nodes) - q.n_nodes, len(nodes))
     return nodes, weights, tail
 
 
-def _charfn_on_grid(thetas: np.ndarray, t_e: float, T: float, p: ModelParams):
-    a_val, b_val = integrate_ab(thetas, t_e, T, p)
-    return np.exp(a_val + b_val * p.v0)
-
-
-def _call_prices_batch(
+def _slice_call_prices(
     strikes: np.ndarray,
-    t_e: float,
+    snapshot,
     T: float,
     curves: MarketCurves,
     p: ModelParams,
     q: QuadratureConfig,
 ) -> np.ndarray:
-    """Price calls of several strikes off one characteristic-function pass."""
+    """Call prices of one slice's strikes from its (A, B) snapshot on the grid."""
     F = curves.forward(T)
     D = curves.discount(T)
     thetas, weights, tail = _theta_grid(q)
-    f_vals = _charfn_on_grid(thetas, t_e, T, p)
-    log_m = np.log(np.asarray(strikes, dtype=float) / F)
+    a_val, b_val = snapshot
+    f_vals = np.exp(a_val + b_val * p.v0)
+    log_m = np.log(strikes / F)
     phase = np.exp(-1j * np.outer(thetas, log_m))
     kernel = (f_vals / (thetas**2 + 1j * thetas))[:, None] * phase
     integrand = np.real(kernel)
@@ -229,10 +241,63 @@ def _call_prices_batch(
             f"last quadrature panel contributes {worst:.3e} > tail tolerance "
             f"{q.tail_tolerance:.3e}; increase theta_max"
         )
-    strikes = np.asarray(strikes, dtype=float)
     prices = D * (F - 0.5 * strikes - (strikes / math.pi) * integral)
     lower = D * np.maximum(F - strikes, 0.0)
     return np.clip(prices, lower, D * F)
+
+
+def call_prices(
+    slices,
+    curves: MarketCurves,
+    p: ModelParams,
+    q: QuadratureConfig | None = None,
+) -> list:
+    """Call prices for several (t_e, T, strikes) slices, one Riccati pass per lag.
+
+    Slices that share the lag T - t_e and the RK4 step
+    t_e / default_ab_steps(t_e) are snapshots of one
+    `integrate_ab_snapshots` pass; any other slice gets a pass of its own.
+    Each price is clamped to its static no-arbitrage band
+    [D max(F - K, 0), D F]; the clamp only ever absorbs quadrature residue
+    of the order of the tail tolerance.
+
+    Returns a list aligned with ``slices``: an array of call prices per
+    strike, or the `FwdVolError` that stopped that slice alone
+    (`NonConvergence` if B diverged before its expiry,
+    `QuadratureTailError` if its last panel is too large).
+    """
+    q = q or QuadratureConfig()
+    thetas = _theta_grid(q)[0]
+    slices = [(t_e, T, np.asarray(strikes, dtype=float)) for t_e, T, strikes in slices]
+    passes: dict[tuple[float, float], list[tuple[int, int]]] = {}
+    for index, (t_e, T, strikes) in enumerate(slices):
+        if not 0.0 < t_e <= T:
+            raise DomainError("call_prices requires 0 < t_e <= T")
+        if np.any(strikes <= 0.0):
+            raise DomainError("strikes must be > 0")
+        n_steps = default_ab_steps(t_e)
+        passes.setdefault((T - t_e, t_e / n_steps), []).append((index, n_steps))
+
+    out: list = [None] * len(slices)
+    for (lag, h), members in passes.items():
+        snapshots = integrate_ab_snapshots(thetas, lag, h, [n for _, n in members], p)
+        for (index, _), snapshot in zip(members, snapshots):
+            if isinstance(snapshot, FwdVolError):
+                out[index] = snapshot
+                continue
+            _, T, strikes = slices[index]
+            try:
+                out[index] = _slice_call_prices(strikes, snapshot, T, curves, p, q)
+            except QuadratureTailError as exc:
+                out[index] = exc
+    return out
+
+
+def _priced(result) -> np.ndarray:
+    """One `call_prices` entry, raising the slice's error if it failed."""
+    if isinstance(result, FwdVolError):
+        raise result
+    return result
 
 
 def call_price(
@@ -247,8 +312,8 @@ def call_price(
     [D max(F - K, 0), D F]; the clamp only ever absorbs quadrature residue
     of the order of the tail tolerance.
     """
-    q = q or QuadratureConfig()
-    return float(_call_prices_batch(np.array([spec.strike]), spec.t_e, spec.T, curves, p, q)[0])
+    (result,) = call_prices([(spec.t_e, spec.T, [spec.strike])], curves, p, q)
+    return float(_priced(result)[0])
 
 
 def put_price(
@@ -258,11 +323,9 @@ def put_price(
     q: QuadratureConfig | None = None,
 ) -> float:
     """European put value via put-call parity P = C - D (F - K)."""
-    q = q or QuadratureConfig()
     F = curves.forward(spec.T)
     D = curves.discount(spec.T)
-    call = _call_prices_batch(np.array([spec.strike]), spec.t_e, spec.T, curves, p, q)[0]
-    return float(call - D * (F - spec.strike))
+    return call_price(spec, curves, p, q) - D * (F - spec.strike)
 
 
 def price(spec: OptionSpec, curves: MarketCurves, p: ModelParams, q: QuadratureConfig | None = None) -> float:
@@ -279,14 +342,12 @@ def term_structure_table(
     q: QuadratureConfig | None = None,
 ):
     """At-the-money vanilla rows (t_e, T, K, price, implied_vol) per expiry."""
-    q = q or QuadratureConfig()
+    expiries = [float(t_e) for t_e in expiries]
+    slices = [(T, T, [curves.forward(T)]) for T in expiries]
     rows = []
-    for t_e in expiries:
-        T = float(t_e)
-        F = curves.forward(T)
-        D = curves.discount(T)
-        px = float(_call_prices_batch(np.array([F]), T, T, curves, p, q)[0])
-        vol = implied_vol(px, F, F, T, D, "call")
+    for (T, _, (F,)), result in zip(slices, call_prices(slices, curves, p, q)):
+        px = float(_priced(result)[0])
+        vol = implied_vol(px, F, F, T, curves.discount(T), "call")
         rows.append((T, T, F, px, vol))
     return rows
 
@@ -310,13 +371,11 @@ def smile_table(
     q: QuadratureConfig | None = None,
 ):
     """Smile rows (t_e, T, K, price, implied_vol) for one expiry/settlement."""
-    q = q or QuadratureConfig()
     strikes = np.asarray(strikes, dtype=float)
-    if np.any(strikes <= 0.0):
-        raise DomainError("strikes must be > 0")
+    (result,) = call_prices([(t_e, T, strikes)], curves, p, q)
+    prices = _priced(result)
     F = curves.forward(T)
     D = curves.discount(T)
-    prices = _call_prices_batch(strikes, t_e, T, curves, p, q)
     rows = []
     for K, px in zip(strikes, prices):
         vol = implied_vol(float(px), F, float(K), t_e, D, "call")

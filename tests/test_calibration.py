@@ -1,8 +1,12 @@
 """Quote validation, the weighted vol objective, and Nelder-Mead fitting
 in the transformed parameter space."""
 
+import numpy as np
 import pytest
 from dataclasses import replace
+
+import fwdvol.charfn
+import fwdvol.pricing
 
 from fwdvol import (
     DomainError,
@@ -14,6 +18,7 @@ from fwdvol import (
     validate_params,
 )
 
+from test_charfn import LATE_DIVERGENCE
 from test_model_core import make
 
 
@@ -64,6 +69,39 @@ class TestObjective:
         quotes = synthesize_quotes(p, curves, expiries=(1.0,))
         bad = replace(p, rho=-0.9, rho1=0.9, rho2=0.9)
         assert objective(bad, quotes, curves) == 1e3 * len(quotes)
+
+    def test_one_riccati_pass_per_evaluation(self, fig1, curves, monkeypatch):
+        quotes = synthesize_quotes(fig1, curves)
+        passes, rates = [], []
+        snapshots = fwdvol.pricing.integrate_ab_snapshots
+        rate = fwdvol.charfn.variance_rate
+
+        def counting_snapshots(theta, lag, h, stops, p):
+            passes.append(max(stops))
+            return snapshots(theta, lag, h, stops, p)
+
+        def counting_rate(t, T, p):
+            rates.append(np.size(t))
+            return rate(t, T, p)
+
+        monkeypatch.setattr(fwdvol.pricing, "integrate_ab_snapshots", counting_snapshots)
+        monkeypatch.setattr(fwdvol.charfn, "variance_rate", counting_rate)
+        assert objective(fig1, quotes, curves) <= 1e-11
+        # Expiries 0.5, 1 and 2 read off steps 100, 200 and 400 of one pass.
+        assert passes == [400]
+        assert rates == [801]
+
+    def test_divergent_slice_pays_alone(self, fig1, curves):
+        # B diverges at tau = 1.895: the 2y slice fails, 0.5y and 1y price.
+        p = replace(fig1, **LATE_DIVERGENCE)
+        quotes = synthesize_quotes(fig1, curves)
+        by_slice = [
+            objective(p, [quote for quote in quotes if quote.t_e == t_e], curves)
+            for t_e in (0.5, 1.0, 2.0)
+        ]
+        assert by_slice[2] == 1e3 * 4
+        assert max(by_slice[:2]) < 1.0
+        assert objective(p, quotes, curves) == pytest.approx(sum(by_slice), abs=1e-12)
 
     def test_requires_quotes(self, curves):
         with pytest.raises(DomainError):

@@ -3,15 +3,54 @@ characteristic-function evaluation."""
 
 import cmath
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fwdvol import NonConvergence, integrated_variance, variance_rate
-from fwdvol.charfn import ab_ode_rhs, charfn_value, default_ab_steps, integrate_ab
+from fwdvol import NonConvergence, QuadratureConfig, integrated_variance, variance_rate
+from fwdvol.charfn import (
+    ab_ode_rhs,
+    charfn_value,
+    default_ab_steps,
+    integrate_ab,
+    integrate_ab_snapshots,
+)
+from fwdvol.pricing import _theta_grid
 
 from test_model_core import make
+
+
+def reference_ab(theta, t_e, T, p, n_steps):
+    """Plain RK4 over `ab_ode_rhs`, one stage call at a time: the oracle."""
+    a_val = np.zeros(theta.shape, dtype=complex)
+    b_val = np.zeros(theta.shape, dtype=complex)
+    h = t_e / n_steps
+    tau = 0.0
+    for _ in range(n_steps):
+        da1, db1 = ab_ode_rhs(tau, a_val, b_val, theta, t_e, T, p)
+        da2, db2 = ab_ode_rhs(
+            tau + 0.5 * h, a_val + 0.5 * h * da1, b_val + 0.5 * h * db1, theta, t_e, T, p
+        )
+        da3, db3 = ab_ode_rhs(
+            tau + 0.5 * h, a_val + 0.5 * h * da2, b_val + 0.5 * h * db2, theta, t_e, T, p
+        )
+        da4, db4 = ab_ode_rhs(tau + h, a_val + h * da3, b_val + h * db3, theta, t_e, T, p)
+        a_val = a_val + (h / 6.0) * (da1 + 2.0 * da2 + 2.0 * da3 + da4)
+        b_val = b_val + (h / 6.0) * (db1 + 2.0 * db2 + 2.0 * db3 + db4)
+        tau += h
+    return a_val, b_val
+
+
+# Parameters whose Riccati pass on the pricing grid diverges at tau = 1.895:
+# the 0.5y and 1y snapshots of a 2y pass are still good.
+LATE_DIVERGENCE = dict(sigma=0.8, beta1=0.01, beta=0.0, alpha=4.0)
+
+
+def charfn_gap(ab, other):
+    return np.max(np.abs(np.exp(ab[0] + ab[1]) - np.exp(other[0] + other[1])))
 
 
 class TestOdeRhs:
@@ -70,10 +109,60 @@ class TestIntegrateAb:
         with pytest.raises(NonConvergence):
             integrate_ab(500.0, 1.0, 1.0, make(), n_steps=1)
 
+    @pytest.mark.parametrize("preset", ["fig1", "sec5"])
+    @pytest.mark.parametrize("t_e, T", [(0.5, 0.5), (1.0, 1.0), (2.0, 2.0), (1.0, 2.0)])
+    def test_matches_stagewise_oracle_on_pricing_grid(self, request, preset, t_e, T):
+        p = request.getfixturevalue(preset)
+        thetas = _theta_grid(QuadratureConfig())[0]
+        assert thetas.size == 1280
+        oracle = reference_ab(thetas, t_e, T, p, default_ab_steps(t_e))
+        assert charfn_gap(integrate_ab(thetas, t_e, T, p), oracle) <= 1e-14
+
     def test_default_step_count_floor(self):
         assert default_ab_steps(0.01) == 50
         assert default_ab_steps(1.0) == 200
         assert default_ab_steps(2.5) == 500
+
+
+class TestSnapshots:
+    def test_snapshot_matches_standalone_pass(self, fig1):
+        thetas = _theta_grid(QuadratureConfig())[0]
+        short, full = integrate_ab_snapshots(thetas, 0.0, 0.005, [100, 400], fig1)
+        assert charfn_gap(short, integrate_ab(thetas, 0.5, 0.5, fig1, n_steps=100)) <= 1e-14
+        assert charfn_gap(full, integrate_ab(thetas, 2.0, 2.0, fig1, n_steps=400)) <= 1e-14
+
+    def test_snapshots_follow_stops_order(self, fig1):
+        thetas = np.array([0.5, 3.0])
+        late, early, again = integrate_ab_snapshots(thetas, 1.0, 0.01, [50, 20, 50], fig1)
+        assert np.array_equal(again[0], late[0]) and np.array_equal(again[1], late[1])
+        assert charfn_gap(early, integrate_ab(thetas, 0.2, 1.2, fig1, n_steps=20)) <= 1e-15
+
+    def test_zero_stop_is_zero(self, fig1):
+        ((a_val, b_val),) = integrate_ab_snapshots(np.array([1.0, 2.0]), 0.0, 0.01, [0], fig1)
+        assert np.all(a_val == 0j) and np.all(b_val == 0j)
+
+    def test_divergence_fails_only_later_stops(self, fig1):
+        p = replace(fig1, **LATE_DIVERGENCE)
+        thetas = _theta_grid(QuadratureConfig())[0]
+        half, one, two = integrate_ab_snapshots(thetas, 0.0, 0.005, [100, 200, 400], p)
+        assert isinstance(two, NonConvergence)
+        with pytest.raises(NonConvergence):
+            integrate_ab(thetas, 2.0, 2.0, p)
+        assert charfn_gap(half, integrate_ab(thetas, 0.5, 0.5, p)) <= 1e-14
+        assert charfn_gap(one, integrate_ab(thetas, 1.0, 1.0, p)) <= 1e-14
+
+    def test_counts_one_vectorized_variance_rate_call(self, fig1, monkeypatch):
+        import fwdvol.charfn as charfn
+
+        calls = []
+
+        def counting(t, T, p):
+            calls.append(np.size(t))
+            return variance_rate(t, T, p)
+
+        monkeypatch.setattr(charfn, "variance_rate", counting)
+        integrate_ab_snapshots(np.array([1.0]), 0.0, 0.005, [100, 200, 400], fig1)
+        assert calls == [801]
 
 
 class TestCharfnValue:

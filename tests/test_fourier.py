@@ -2,7 +2,13 @@
 term structures, and smiles."""
 
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -10,19 +16,25 @@ from hypothesis import strategies as st
 from fwdvol import (
     DomainError,
     NoArbitrageViolation,
+    NonConvergence,
     OptionSpec,
     QuadratureConfig,
     atm_term_structure,
     black76_price,
+    black76_vega,
     call_price,
+    call_prices,
     flat_curves,
     implied_vol,
     integrated_variance,
     put_price,
     smile_slice,
+    smile_table,
     variance_rate,
 )
+from fwdvol.pricing import _theta_grid
 
+from test_charfn import LATE_DIVERGENCE
 from test_model_core import make
 
 
@@ -73,6 +85,31 @@ class TestBlack76:
         call = black76_price(F, K, tv, D, "call")
         put = black76_price(F, K, tv, D, "put")
         assert call - put == pytest.approx(D * (F - K), abs=1e-12)
+
+    def test_matches_scipy_normal_oracle(self):
+        from scipy.stats import norm
+
+        rng = np.random.default_rng(5)
+        for K, t_e, vol in zip(
+            rng.uniform(0.3, 3.0, 200), rng.uniform(0.01, 10.0, 200), rng.uniform(0.01, 2.0, 200)
+        ):
+            s = vol * math.sqrt(t_e)
+            d1 = math.log(1.0 / K) / s + 0.5 * s
+            call = norm.cdf(d1) - K * norm.cdf(d1 - s)
+            put = K * norm.cdf(s - d1) - norm.cdf(-d1)
+            assert abs(black76_price(1.0, K, s * s, 1.0, "call") - call) <= 1e-15
+            assert abs(black76_price(1.0, K, s * s, 1.0, "put") - put) <= 1e-15
+            vega = math.sqrt(t_e) * norm.pdf(d1)
+            assert abs(black76_vega(1.0, K, t_e, vol, 1.0) - vega) <= 1e-15
+
+    def test_import_leaves_scipy_stats_out(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, fwdvol; print('scipy.stats' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestImpliedVol:
@@ -139,6 +176,51 @@ class TestCallPrice:
         early = call_price(OptionSpec(0.5, 2.0, 1.0, "call"), curves, p, quad)
         late = call_price(OptionSpec(1.0, 2.0, 1.0, "call"), curves, p, quad)
         assert early <= late + 1e-8
+
+
+class TestCallPrices:
+    SLICES = [
+        (0.5, 0.5, [0.8, 1.0, 1.4]),
+        (2.0, 2.0, [0.9, 1.0, 1.3]),
+        (0.3, 1.7, [0.7, 1.0, 1.2]),
+        (1.0, 1.0, [1.0]),
+        (1.0, 2.0, [0.8, 1.1]),
+        (1.3, 2.3, [1.05]),
+    ]
+
+    def test_together_equals_one_by_one(self, curves, fig1, quad):
+        together = call_prices(self.SLICES, curves, fig1, quad)
+        for slice_, prices in zip(self.SLICES, together):
+            (alone,) = call_prices([slice_], curves, fig1, quad)
+            assert np.max(np.abs(prices - alone)) <= 1e-14
+
+    def test_failures_stay_per_slice(self, curves, fig1, quad):
+        p = replace(fig1, **LATE_DIVERGENCE)
+        half, one, two, lagged = call_prices(
+            [(0.5, 0.5, [1.0]), (1.0, 1.0, [1.0]), (2.0, 2.0, [1.0]), (0.3, 1.7, [1.0])],
+            curves, p, quad,
+        )
+        assert isinstance(two, NonConvergence)
+        with pytest.raises(NonConvergence):
+            smile_table([1.0], 2.0, 2.0, curves, p, quad)
+        for t_e, T, prices in ((0.5, 0.5, half), (1.0, 1.0, one), (0.3, 1.7, lagged)):
+            assert prices[0] == pytest.approx(
+                smile_table([1.0], t_e, T, curves, p, quad)[0][3], abs=1e-15
+            )
+
+    def test_rejects_bad_slices(self, curves, fig1):
+        with pytest.raises(DomainError):
+            call_prices([(1.0, 1.0, [1.0]), (2.0, 1.0, [1.0])], curves, fig1)
+        with pytest.raises(DomainError):
+            call_prices([(1.0, 1.0, [1.0, 0.0])], curves, fig1)
+
+    def test_theta_grid_is_built_once_and_read_only(self):
+        nodes, weights, _ = _theta_grid(QuadratureConfig())
+        assert _theta_grid(QuadratureConfig())[0] is nodes
+        with pytest.raises(ValueError):
+            nodes[0] = 1.0
+        with pytest.raises(ValueError):
+            weights[0] = 1.0
 
 
 class TestPutPrice:
