@@ -67,6 +67,7 @@ from .presets import DRIFT_STUDY_SET, PRESETS, TERM_STRUCTURE_SET, flat_curves
 from .pricing import (
     OptionSpec,
     QuadratureConfig,
+    SliceResult,
     atm_term_structure,
     black76_price,
     black76_vega,
@@ -74,6 +75,7 @@ from .pricing import (
     call_prices,
     implied_vol,
     price,
+    price_slices,
     put_price,
     smile_slice,
     smile_table,
@@ -132,6 +134,7 @@ __all__ = [
     "flat_curves",
     "OptionSpec",
     "QuadratureConfig",
+    "SliceResult",
     "atm_term_structure",
     "black76_price",
     "black76_vega",
@@ -139,6 +142,7 @@ __all__ = [
     "call_prices",
     "implied_vol",
     "price",
+    "price_slices",
     "put_price",
     "smile_slice",
     "smile_table",

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DomainError, FwdVolError
 from .model import MarketCurves, ModelParams, validate_params
@@ -192,6 +191,9 @@ def fit(
     budget returns that best point with ``converged`` false.  ``bounds``
     optionally clamps named parameters to closed intervals.
     """
+    # Imported here: scipy.optimize is most of the cost of `import fwdvol`.
+    from scipy.optimize import minimize
+
     if budget < 1:
         raise DomainError("budget must be >= 1")
     validate_params(initial)

@@ -15,6 +15,13 @@ integrated here with a fixed-step classical Runge-Kutta scheme, vectorized
 over theta so a whole quadrature grid is advanced in one pass.  The system
 sees tau only through T - t_e + tau, so one pass per lag T - t_e, read off
 after each expiry's step count, serves every expiry with that lag.
+
+The step size comes from the inputs (`default_ab_steps`): an accuracy
+term per year of expiry plus a stability term.  Near its equilibrium the
+Jacobian of the B equation has modulus up to about
+theta alpha sigma_F + beta, so the step that RK4 can take shrinks as the
+largest node theta grows; a grid that stops at a lower theta needs fewer
+steps.
 """
 
 from __future__ import annotations
@@ -38,13 +45,62 @@ __all__ = [
 # Diverging Riccati iterates trip this bound long before overflow.
 _B_OVERFLOW = 1e12
 
-_STEPS_PER_YEAR = 200
-_MIN_STEPS = 50
+# Steps a year for the time dependence of sigma_F^2 and the cross term.
+# At alpha = 0 RK4 integrates A + B by Simpson's rule on the variance
+# rate; 60 a year holds that exponent within 6e-9 at theta = 50 on fig1
+# (acceptance criterion 2 asks 1e-8; 52 a year reads 1.4e-8).  With the
+# stability term, both presets at alpha 0, 1 and 2 and expiries 0.1-10
+# price within 2.6e-10 D F of the 1280-node, 200-steps-a-year grid
+# (tests/test_fourier.py).
+_ACCURACY_STEPS_PER_YEAR = 60
+# Simpson's error there grows as (2 beta_i h)^4, so factors that revert
+# faster than 5 a year take 12 steps a year per unit of the larger of
+# beta1 and beta2: fig1 with beta2 = 10 then prices within 2.3e-10 D F
+# of that grid, against 1.4e-9 at 60 a year.
+_STEPS_PER_YEAR_PER_REVERSION = 12
+# Steps a year per unit of the Jacobian bound: h |J| <= 2, inside RK4's
+# stability interval [-2.785, 0] with room for the complex transient.
+_STEPS_PER_JACOBIAN = 0.5
+# Steps a year round up to a multiple of 4, so that quarterly expiries
+# with one lag share a step size and hence one pass.
+_STEPS_PER_YEAR_QUANTUM = 4
+# Short expiries put weight on large theta, where the error per step is
+# largest: with a floor of 20 steps the sweep above reads 4.9e-10 D F.
+_MIN_STEPS = 30
 
 
-def default_ab_steps(t_e: float) -> int:
-    """Default Runge-Kutta step count for an expiry of t_e years."""
-    return max(_MIN_STEPS, int(math.ceil(_STEPS_PER_YEAR * t_e)))
+def _vol_bound(lag: float, p: ModelParams) -> float:
+    """Upper bound of sigma_F(t, T) over every t with T - t >= lag.
+
+    Each term of `variance_rate` decays with the distance to settlement
+    once a negative cross term is dropped, so the bound is their value
+    at ``lag``.
+    """
+    e1 = math.exp(-p.beta1 * lag)
+    e2 = abs(p.R) * math.exp(-p.beta2 * lag)
+    cross = max(p.rho * math.copysign(1.0, p.R), 0.0)
+    return p.sigma * math.sqrt(e1 * e1 + e2 * e2 + 2.0 * cross * e1 * e2)
+
+
+def default_ab_steps(
+    t_e: float, p: ModelParams | None = None, theta_top: float = 0.0, lag: float = 0.0
+) -> int:
+    """RK4 step count for an expiry of t_e years on nodes up to ``theta_top``.
+
+    Steps a year are max(60, 12 max(beta1, beta2)) for accuracy plus
+    (theta_top alpha max sigma_F + beta) / 2 for stability, with max sigma_F
+    bounded over distances to settlement >= ``lag``; without ``p`` only
+    the 60 a year apply.  Steps a year round up to a multiple of 4, and no
+    expiry takes fewer than 30 steps.
+    """
+    rate = float(_ACCURACY_STEPS_PER_YEAR)
+    if p is not None:
+        rate = max(rate, _STEPS_PER_YEAR_PER_REVERSION * max(p.beta1, p.beta2))
+        jacobian = theta_top * p.alpha * _vol_bound(lag, p) + p.beta
+        rate += _STEPS_PER_JACOBIAN * jacobian
+    rate = _STEPS_PER_YEAR_QUANTUM * math.ceil(rate / _STEPS_PER_YEAR_QUANTUM)
+    # Rounding keeps t_e * rate = 40.000000000000004 at 40 steps.
+    return max(_MIN_STEPS, math.ceil(round(t_e * rate, 9)))
 
 
 def ab_ode_rhs(tau, a_val, b_val, theta, t_e: float, T: float, p: ModelParams):
@@ -121,30 +177,38 @@ def integrate_ab_snapshots(theta, lag: float, h: float, stops, p: ModelParams):
     cross = p.alpha * p.sigma * (
         p.rho1 * np.exp(-p.beta1 * dist) + p.R * p.rho2 * np.exp(-p.beta2 * dist)
     )
+    # A Python float times an array costs less than a numpy scalar does.
+    rate, cross = rate.tolist(), cross.tolist()
     q = -0.5 * (theta**2 + 1j * theta)
     i_theta = 1j * theta
     half_alpha_sq = 0.5 * p.alpha**2
-    a_scale = p.beta * h / 6.0
+    half_h, sixth_h = 0.5 * h, h / 6.0
 
     b_val = np.zeros(theta.shape, dtype=complex)
-    b_sum = b_val  # running sum of the stage values B1 + 2 B2 + 2 B3 + B4
+    # B1 + 2 B2 + 2 B3 + B4 = 6 B + h (D1 + D2 + D3), so A after n steps is
+    # beta h (sum of B) + beta h^2 / 6 (sum of D1 + D2 + D3).
+    b_total = np.zeros_like(b_val)
+    d_total = np.zeros_like(b_val)
     for index in wanted.get(0, ()):
         out[index] = (np.zeros_like(b_val), b_val)
-    linear_end = i_theta * cross[0] - p.beta
+    forcing_end, linear_end = rate[0] * q, i_theta * cross[0] - p.beta
     for step in range(n_steps):
         k = 2 * step
-        linear_start, linear_mid = linear_end, i_theta * cross[k + 1] - p.beta
-        linear_end = i_theta * cross[k + 2] - p.beta
-        b1 = b_val
-        d1 = rate[k] * q + b1 * (half_alpha_sq * b1 + linear_start)
-        b2 = b_val + (0.5 * h) * d1
-        d2 = rate[k + 1] * q + b2 * (half_alpha_sq * b2 + linear_mid)
-        b3 = b_val + (0.5 * h) * d2
-        d3 = rate[k + 1] * q + b3 * (half_alpha_sq * b3 + linear_mid)
+        forcing_start, linear_start = forcing_end, linear_end
+        forcing_mid, linear_mid = rate[k + 1] * q, i_theta * cross[k + 1] - p.beta
+        forcing_end, linear_end = rate[k + 2] * q, i_theta * cross[k + 2] - p.beta
+        d1 = forcing_start + b_val * (half_alpha_sq * b_val + linear_start)
+        b2 = b_val + half_h * d1
+        d2 = forcing_mid + b2 * (half_alpha_sq * b2 + linear_mid)
+        b3 = b_val + half_h * d2
+        d3 = forcing_mid + b3 * (half_alpha_sq * b3 + linear_mid)
         b4 = b_val + h * d3
-        d4 = rate[k + 2] * q + b4 * (half_alpha_sq * b4 + linear_end)
-        b_sum = b_sum + (b1 + 2.0 * (b2 + b3) + b4)
-        b_val = b_val + (h / 6.0) * (d1 + 2.0 * (d2 + d3) + d4)
+        d4 = forcing_end + b4 * (half_alpha_sq * b4 + linear_end)
+        d_mid = d2 + d3
+        d_head = d1 + d_mid
+        b_total += b_val
+        d_total += d_head
+        b_val = b_val + sixth_h * (d_head + d_mid + d4)
         # NaN fails the comparison too.
         if not np.abs(b_val).max(initial=0.0) <= _B_OVERFLOW:
             error = NonConvergence(
@@ -156,7 +220,8 @@ def integrate_ab_snapshots(theta, lag: float, h: float, stops, p: ModelParams):
                     out[index] = error
             return out
         for index in wanted.get(step + 1, ()):
-            out[index] = (a_scale * b_sum, b_val)
+            a_val = (p.beta * h) * b_total + (p.beta * h * sixth_h) * d_total
+            out[index] = (a_val, b_val)
     return out
 
 
@@ -172,7 +237,8 @@ def integrate_ab(theta, t_e: float, T: float, p: ModelParams, n_steps: int | Non
     t_e, T : float
         Option expiry and settlement of the forward, 0 <= t_e <= T.
     n_steps : int, optional
-        Fixed Runge-Kutta step count; defaults to ``default_ab_steps(t_e)``.
+        Fixed Runge-Kutta step count; defaults to
+        ``default_ab_steps(t_e, p, max |theta|, T - t_e)``.
 
     Returns
     -------
@@ -193,7 +259,7 @@ def integrate_ab(theta, t_e: float, T: float, p: ModelParams, n_steps: int | Non
         a_val = b_val = np.zeros(theta_arr.shape, dtype=complex)
     else:
         if n_steps is None:
-            n_steps = default_ab_steps(t_e)
+            n_steps = default_ab_steps(t_e, p, float(np.abs(theta_arr).max()), T - t_e)
         if n_steps < 1:
             raise DomainError("n_steps must be >= 1")
         (snapshot,) = integrate_ab_snapshots(theta_arr, T - t_e, t_e / n_steps, [n_steps], p)

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import __version__
 from .calibration import VolQuote, fit
-from .charfn import default_ab_steps
 from .driftfactor import drift_factor_result
 from .errors import FwdVolError, NoArbitrageViolation, NumericalError
 from .mc import McConfig, PayoffSpec, drift_error_study, price_payoff
@@ -31,7 +30,7 @@ from .pricing import (
     OptionSpec,
     QuadratureConfig,
     implied_vol,
-    price,
+    price_slices,
     smile_table,
     term_structure_table,
 )
@@ -138,18 +137,24 @@ def _cmd_price(args) -> int:
     q = QuadratureConfig(theta_max=args.theta_max, n_nodes=args.panel_nodes)
     T = args.T if args.T is not None else args.t_e
     spec = OptionSpec(t_e=args.t_e, T=T, strike=args.strike, kind=args.option)
-    value = price(spec, curves, p, q)
+    (result,) = price_slices([(spec.t_e, spec.T, [spec.strike])], curves, p, q)
+    if isinstance(result.prices, FwdVolError):
+        raise result.prices
     F = curves.forward(T)
     D = curves.discount(T)
+    value = float(result.prices[0])
+    if spec.kind == "put":
+        value -= D * (F - spec.strike)
     vol = implied_vol(value, F, spec.strike, spec.t_e, D, spec.kind)
     style = "vanilla" if spec.t_e == spec.T else "early_exercise"
-    panels = -(-int(q.theta_max) // int(q.panel_width))
     print(f"{style} {spec.kind} t_e={spec.t_e} T={spec.T} K={spec.strike}")
     print(f"price = {value!r}")
     print(f"implied_vol = {vol!r}")
+    # What the pricer used: where this slice's theta integral stopped, and
+    # the RK4 steps of each block pass.
     print(
-        "quadrature: theta_max=%g panels=%d nodes_per_panel=%d ode_steps=%d"
-        % (q.theta_max, panels, q.n_nodes, default_ab_steps(spec.t_e))
+        "quadrature: theta_stop=%g theta_max=%g nodes_per_panel=%d ode_steps=%s"
+        % (result.theta_stop, q.theta_max, q.n_nodes, "+".join(map(str, result.steps)))
     )
     _emit_json(
         args,

@@ -447,9 +447,9 @@ def price_payoff(
 ) -> McEstimate:
     """Discounted Monte Carlo price of ``payoff`` with its standard error.
 
-    The option expiry is inserted into the time grid exactly; Asian
-    fixing dates are snapped to their nearest grid node.  With
-    antithetic sampling the standard error is computed over pair means.
+    The option expiry and every Asian fixing date are inserted into the
+    time grid exactly.  With antithetic sampling the standard error is
+    computed over pair means.
     """
     validate_params(p)
     tol = 1e-9 * max(1.0, cfg.horizon)
@@ -464,12 +464,9 @@ def price_payoff(
                     f"settlement T={T} is not in exact_settlements"
                 )
 
-    if payoff.kind == "asian_prompt":
-        times = _uniform_grid(cfg)
-        fixing_nodes = [(_nearest_node(times, t), T) for t, T in payoff.fixings]
-    else:
-        times = _grid_with_inserted(cfg, (payoff.t_e,))
-        fixing_nodes = [(_nearest_node(times, payoff.t_e), payoff.T)]
+    fixings = payoff.fixings if payoff.kind == "asian_prompt" else ((payoff.t_e, payoff.T),)
+    times = _grid_with_inserted(cfg, tuple(t for t, _ in fixings))
+    fixing_nodes = [(_nearest_node(times, t), T) for t, T in fixings]
     obs_nodes = tuple(sorted({node for node, _ in fixing_nodes}))
 
     states = _simulate(cfg, p, times, obs_nodes, exact)

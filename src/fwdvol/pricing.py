@@ -8,11 +8,14 @@ integral representation
 
 where f is the characteristic function of ln(F(t_e,T)/F(0,T)) started from
 x = 0, v = 1.  The integrand decays rapidly and is smooth, so composite
-Gauss-Legendre panels with a hard truncation and a tail-size check are
-accurate and cheap.  Slices that share the lag T - t_e read their
-characteristic functions off one Riccati pass (`call_prices`).  Puts come
-from parity; implied volatilities invert the Black-76 formula with a
-bracketed Newton iteration.
+Gauss-Legendre panels are accurate and cheap.  Each slice integrates them
+block by block outward from theta = 0 and stops at the first block whose
+last panel passes a tail test, so short expiries, whose characteristic
+function decays slowly, reach further than long ones.  Within a block,
+slices that share the lag T - t_e read their characteristic functions off
+one Riccati pass (`price_slices`).  Puts come from parity; implied
+volatilities invert the Black-76 formula with a bracketed Newton
+iteration.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ __all__ = [
     "implied_vol",
     "call_price",
     "call_prices",
+    "price_slices",
+    "SliceResult",
     "put_price",
     "atm_term_structure",
     "smile_slice",
@@ -44,6 +49,10 @@ __all__ = [
 ]
 
 _VOL_BRACKET = (1e-6, 10.0)
+# Panels per block of the theta grid.  At the presets' alpha every slice
+# with t_e >= 0.25 stops after the first block (theta <= 60 at the
+# default panel width); each further block costs one more Riccati pass.
+_PANELS_PER_BLOCK = 6
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -79,11 +88,15 @@ class OptionSpec:
 class QuadratureConfig:
     """Quadrature settings for the Fourier pricer.
 
-    The transform integral is truncated at ``theta_max`` and evaluated with
-    ``n_nodes`` Gauss-Legendre nodes on each panel of width ``panel_width``.
-    The final panel's contribution must stay below ``tail_tolerance`` or the
-    truncation is rejected.  The Riccati ODEs behind each node take
-    ``charfn.default_ab_steps(t_e)`` RK4 steps.
+    The transform integral is evaluated with ``n_nodes`` Gauss-Legendre
+    nodes on each panel of width ``panel_width``, in blocks of six panels
+    from theta = 0.  A slice stops after the first block whose last panel
+    passes the tail test: the integral of |f(theta) / (theta^2 + i theta)|
+    over that panel, which bounds its contribution at every strike, must
+    stay below ``tail_tolerance``.  ``theta_max`` caps the grid; a slice
+    whose last panel still fails there raises `QuadratureTailError`.  The
+    Riccati pass of each block takes ``charfn.default_ab_steps`` RK4 steps
+    for the block's top theta.
     """
 
     theta_max: float = 200.0
@@ -193,9 +206,11 @@ def implied_vol(price: float, F: float, K: float, t_e: float, D: float, kind: st
 
 @functools.lru_cache(maxsize=None)
 def _theta_grid(q: QuadratureConfig):
-    """Gauss-Legendre nodes and weights over (0, theta_max], plus the tail slice.
+    """Gauss-Legendre nodes and weights over (0, theta_max], and its blocks.
 
-    Built once per config; the arrays are read-only because they are shared.
+    Each block is (node slice, top theta) for `_PANELS_PER_BLOCK` panels;
+    the last block ends at theta_max.  Built once per config; the arrays
+    are read-only because they are shared.
     """
     base_x, base_w = np.polynomial.legendre.leggauss(q.n_nodes)
     edges = [0.0]
@@ -211,39 +226,104 @@ def _theta_grid(q: QuadratureConfig):
     weights = np.concatenate(weights)
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    tail = slice(len(nodes) - q.n_nodes, len(nodes))
-    return nodes, weights, tail
+    n_panels = len(edges) - 1
+    blocks = tuple(
+        (
+            slice(first * q.n_nodes, min(first + _PANELS_PER_BLOCK, n_panels) * q.n_nodes),
+            edges[min(first + _PANELS_PER_BLOCK, n_panels)],
+        )
+        for first in range(0, n_panels, _PANELS_PER_BLOCK)
+    )
+    return nodes, weights, blocks
 
 
-def _slice_call_prices(
-    strikes: np.ndarray,
-    snapshot,
-    T: float,
+@dataclass(frozen=True)
+class SliceResult:
+    """One (t_e, T, strikes) slice as `price_slices` priced it.
+
+    ``prices`` holds a call price per strike, or the `FwdVolError` that
+    stopped the slice.  ``theta_stop`` is where its theta integral stopped
+    and ``steps`` the RK4 step count of each block pass it took.
+    """
+
+    prices: np.ndarray | FwdVolError
+    theta_stop: float
+    steps: tuple[int, ...]
+
+
+def price_slices(
+    slices,
     curves: MarketCurves,
     p: ModelParams,
-    q: QuadratureConfig,
-) -> np.ndarray:
-    """Call prices of one slice's strikes from its (A, B) snapshot on the grid."""
+    q: QuadratureConfig | None = None,
+) -> list[SliceResult]:
+    """Call prices for several (t_e, T, strikes) slices, block by block in theta.
+
+    Every open slice integrates the next block of the theta grid; within
+    a block, slices that share the lag T - t_e and the RK4 step
+    t_e / `default_ab_steps` are snapshots of one `integrate_ab_snapshots`
+    pass on that block's nodes.  A slice closes once the last panel of a
+    block passes the tail test (see `QuadratureConfig`), or with
+    `QuadratureTailError` when it still fails at ``q.theta_max``, or with
+    `NonConvergence` if B diverged before its expiry.  Each price is
+    clamped to its static no-arbitrage band [D max(F - K, 0), D F]; the
+    clamp only ever absorbs quadrature residue of the order of the tail
+    tolerance.
+
+    Returns a list of `SliceResult` aligned with ``slices``; a failure
+    stops its own slice alone.
+    """
+    q = q or QuadratureConfig()
+    thetas, weights, blocks = _theta_grid(q)
+    slices = [(t_e, T, np.asarray(strikes, dtype=float)) for t_e, T, strikes in slices]
+    for t_e, T, strikes in slices:
+        if not 0.0 < t_e <= T:
+            raise DomainError("price_slices requires 0 < t_e <= T")
+        if np.any(strikes <= 0.0):
+            raise DomainError("strikes must be > 0")
+
+    integrals = [np.zeros(strikes.shape) for _, _, strikes in slices]
+    steps: list[list[int]] = [[] for _ in slices]
+    out: list = [None] * len(slices)
+    for block, theta_top in blocks:
+        at_cap = theta_top == blocks[-1][1]
+        passes: dict[tuple[float, float], list[tuple[int, int]]] = {}
+        for index, (t_e, T, _) in enumerate(slices):
+            if out[index] is None:
+                n_steps = default_ab_steps(t_e, p, theta_top, T - t_e)
+                passes.setdefault((T - t_e, t_e / n_steps), []).append((index, n_steps))
+                steps[index].append(n_steps)
+        nodes, node_weights = thetas[block], weights[block]
+        last_panel = slice(len(nodes) - q.n_nodes, len(nodes))
+        for (lag, h), members in passes.items():
+            snapshots = integrate_ab_snapshots(nodes, lag, h, [n for _, n in members], p)
+            for (index, _), snapshot in zip(members, snapshots):
+                result = snapshot
+                if not isinstance(snapshot, FwdVolError):
+                    _, T, strikes = slices[index]
+                    a_val, b_val = snapshot
+                    kernel = np.exp(a_val + b_val * p.v0) / (nodes**2 + 1j * nodes)
+                    phase = np.exp(-1j * np.outer(nodes, np.log(strikes / curves.forward(T))))
+                    integrals[index] += node_weights @ np.real(kernel[:, None] * phase)
+                    tail = float(node_weights[last_panel] @ np.abs(kernel[last_panel]))
+                    if tail <= q.tail_tolerance:
+                        result = _prices_from_integral(strikes, integrals[index], T, curves)
+                    elif at_cap:
+                        result = QuadratureTailError(
+                            f"last quadrature panel contributes up to {tail:.3e} > tail "
+                            f"tolerance {q.tail_tolerance:.3e}; increase theta_max"
+                        )
+                    else:
+                        continue
+                out[index] = SliceResult(result, theta_top, tuple(steps[index]))
+    return out
+
+
+def _prices_from_integral(strikes, integral, T, curves: MarketCurves) -> np.ndarray:
     F = curves.forward(T)
     D = curves.discount(T)
-    thetas, weights, tail = _theta_grid(q)
-    a_val, b_val = snapshot
-    f_vals = np.exp(a_val + b_val * p.v0)
-    log_m = np.log(strikes / F)
-    phase = np.exp(-1j * np.outer(thetas, log_m))
-    kernel = (f_vals / (thetas**2 + 1j * thetas))[:, None] * phase
-    integrand = np.real(kernel)
-    integral = weights @ integrand
-    tail_part = np.abs(weights[tail] @ integrand[tail])
-    worst = float(np.max(tail_part))
-    if worst > q.tail_tolerance:
-        raise QuadratureTailError(
-            f"last quadrature panel contributes {worst:.3e} > tail tolerance "
-            f"{q.tail_tolerance:.3e}; increase theta_max"
-        )
     prices = D * (F - 0.5 * strikes - (strikes / math.pi) * integral)
-    lower = D * np.maximum(F - strikes, 0.0)
-    return np.clip(prices, lower, D * F)
+    return np.clip(prices, D * np.maximum(F - strikes, 0.0), D * F)
 
 
 def call_prices(
@@ -252,45 +332,15 @@ def call_prices(
     p: ModelParams,
     q: QuadratureConfig | None = None,
 ) -> list:
-    """Call prices for several (t_e, T, strikes) slices, one Riccati pass per lag.
-
-    Slices that share the lag T - t_e and the RK4 step
-    t_e / default_ab_steps(t_e) are snapshots of one
-    `integrate_ab_snapshots` pass; any other slice gets a pass of its own.
-    Each price is clamped to its static no-arbitrage band
-    [D max(F - K, 0), D F]; the clamp only ever absorbs quadrature residue
-    of the order of the tail tolerance.
+    """Call prices for several (t_e, T, strikes) slices; see `price_slices`.
 
     Returns a list aligned with ``slices``: an array of call prices per
     strike, or the `FwdVolError` that stopped that slice alone
     (`NonConvergence` if B diverged before its expiry,
-    `QuadratureTailError` if its last panel is too large).
+    `QuadratureTailError` if its last panel at ``q.theta_max`` is too
+    large).
     """
-    q = q or QuadratureConfig()
-    thetas = _theta_grid(q)[0]
-    slices = [(t_e, T, np.asarray(strikes, dtype=float)) for t_e, T, strikes in slices]
-    passes: dict[tuple[float, float], list[tuple[int, int]]] = {}
-    for index, (t_e, T, strikes) in enumerate(slices):
-        if not 0.0 < t_e <= T:
-            raise DomainError("call_prices requires 0 < t_e <= T")
-        if np.any(strikes <= 0.0):
-            raise DomainError("strikes must be > 0")
-        n_steps = default_ab_steps(t_e)
-        passes.setdefault((T - t_e, t_e / n_steps), []).append((index, n_steps))
-
-    out: list = [None] * len(slices)
-    for (lag, h), members in passes.items():
-        snapshots = integrate_ab_snapshots(thetas, lag, h, [n for _, n in members], p)
-        for (index, _), snapshot in zip(members, snapshots):
-            if isinstance(snapshot, FwdVolError):
-                out[index] = snapshot
-                continue
-            _, T, strikes = slices[index]
-            try:
-                out[index] = _slice_call_prices(strikes, snapshot, T, curves, p, q)
-            except QuadratureTailError as exc:
-                out[index] = exc
-    return out
+    return [result.prices for result in price_slices(slices, curves, p, q)]
 
 
 def _priced(result) -> np.ndarray:

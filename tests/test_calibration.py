@@ -18,7 +18,6 @@ from fwdvol import (
     validate_params,
 )
 
-from test_charfn import LATE_DIVERGENCE
 from test_model_core import make
 
 
@@ -77,7 +76,7 @@ class TestObjective:
         rate = fwdvol.charfn.variance_rate
 
         def counting_snapshots(theta, lag, h, stops, p):
-            passes.append(max(stops))
+            passes.append((np.size(theta), max(stops)))
             return snapshots(theta, lag, h, stops, p)
 
         def counting_rate(t, T, p):
@@ -87,21 +86,23 @@ class TestObjective:
         monkeypatch.setattr(fwdvol.pricing, "integrate_ab_snapshots", counting_snapshots)
         monkeypatch.setattr(fwdvol.charfn, "variance_rate", counting_rate)
         assert objective(fig1, quotes, curves) <= 1e-11
-        # Expiries 0.5, 1 and 2 read off steps 100, 200 and 400 of one pass.
-        assert passes == [400]
-        assert rates == [801]
+        # Expiries 0.5, 1 and 2 read off steps 38, 76 and 152 of one pass on
+        # the 384 nodes of the first block, theta <= 60.
+        assert passes == [(384, 152)]
+        assert rates == [305]
 
     def test_divergent_slice_pays_alone(self, fig1, curves):
-        # B diverges at tau = 1.895: the 2y slice fails, 0.5y and 1y price.
-        p = replace(fig1, **LATE_DIVERGENCE)
-        quotes = synthesize_quotes(fig1, curves)
+        # Capped at theta = 60 the 0.1y slice fails its tail test, while
+        # the 1y and 2y slices stop below the cap and price.
+        capped = QuadratureConfig(theta_max=60.0)
+        quotes = synthesize_quotes(fig1, curves, expiries=(0.1, 1.0, 2.0))
         by_slice = [
-            objective(p, [quote for quote in quotes if quote.t_e == t_e], curves)
-            for t_e in (0.5, 1.0, 2.0)
+            objective(fig1, [quote for quote in quotes if quote.t_e == t_e], curves, capped)
+            for t_e in (0.1, 1.0, 2.0)
         ]
-        assert by_slice[2] == 1e3 * 4
-        assert max(by_slice[:2]) < 1.0
-        assert objective(p, quotes, curves) == pytest.approx(sum(by_slice), abs=1e-12)
+        assert by_slice[0] == 1e3 * 4
+        assert max(by_slice[1:]) <= 1e-11
+        assert objective(fig1, quotes, curves, capped) == pytest.approx(sum(by_slice), abs=1e-12)
 
     def test_requires_quotes(self, curves):
         with pytest.raises(DomainError):

@@ -44,8 +44,9 @@ def reference_ab(theta, t_e, T, p, n_steps):
     return a_val, b_val
 
 
-# Parameters whose Riccati pass on the pricing grid diverges at tau = 1.895:
-# the 0.5y and 1y snapshots of a 2y pass are still good.
+# Parameters whose 400-step Riccati pass on all 1280 nodes of the pricing
+# grid diverges at tau = 1.895: the 0.5y and 1y snapshots of a 2y pass are
+# still good.  Steps sized from the grid's top theta do not diverge.
 LATE_DIVERGENCE = dict(sigma=0.8, beta1=0.01, beta=0.0, alpha=4.0)
 
 
@@ -115,13 +116,22 @@ class TestIntegrateAb:
         p = request.getfixturevalue(preset)
         thetas = _theta_grid(QuadratureConfig())[0]
         assert thetas.size == 1280
-        oracle = reference_ab(thetas, t_e, T, p, default_ab_steps(t_e))
+        n_steps = default_ab_steps(t_e, p, thetas.max(), T - t_e)
+        oracle = reference_ab(thetas, t_e, T, p, n_steps)
         assert charfn_gap(integrate_ab(thetas, t_e, T, p), oracle) <= 1e-14
 
-    def test_default_step_count_floor(self):
-        assert default_ab_steps(0.01) == 50
-        assert default_ab_steps(1.0) == 200
-        assert default_ab_steps(2.5) == 500
+    def test_default_step_count_floor(self, fig1):
+        # 60 a year, rounded up to a multiple of 4, and at least 30.
+        assert default_ab_steps(0.01) == 30
+        assert default_ab_steps(1.0) == 60
+        assert default_ab_steps(2.5) == 150
+        # Stability adds (theta_top alpha max sigma_F + beta) / 2 a year:
+        # 60 * 1 * 0.4 sqrt(1.25) + 0.5 = 27.3 on fig1 at lag 0.
+        assert default_ab_steps(1.0, fig1, 60.0) == 76
+        assert default_ab_steps(1.0, fig1, 200.0) == 108
+        assert default_ab_steps(1.0, replace(fig1, alpha=0.0), 200.0) == 64
+        # sigma_F decays with the lag, and so does the stability term.
+        assert default_ab_steps(1.0, fig1, 200.0, lag=10.0) < 108
 
 
 class TestSnapshots:
@@ -147,9 +157,12 @@ class TestSnapshots:
         half, one, two = integrate_ab_snapshots(thetas, 0.0, 0.005, [100, 200, 400], p)
         assert isinstance(two, NonConvergence)
         with pytest.raises(NonConvergence):
-            integrate_ab(thetas, 2.0, 2.0, p)
-        assert charfn_gap(half, integrate_ab(thetas, 0.5, 0.5, p)) <= 1e-14
-        assert charfn_gap(one, integrate_ab(thetas, 1.0, 1.0, p)) <= 1e-14
+            integrate_ab(thetas, 2.0, 2.0, p, n_steps=400)
+        assert charfn_gap(half, integrate_ab(thetas, 0.5, 0.5, p, n_steps=100)) <= 1e-14
+        assert charfn_gap(one, integrate_ab(thetas, 1.0, 1.0, p, n_steps=200)) <= 1e-14
+        # The default steps, sized from theta = 200, carry the pass through.
+        a_val, b_val = integrate_ab(thetas, 2.0, 2.0, p)
+        assert np.all(np.isfinite(b_val))
 
     def test_counts_one_vectorized_variance_rate_call(self, fig1, monkeypatch):
         import fwdvol.charfn as charfn

@@ -11,6 +11,7 @@ import pytest
 
 from fwdvol import QuadratureConfig, call_price, flat_curves, OptionSpec
 from fwdvol.cli import main
+from fwdvol.pricing import price_slices
 from fwdvol.driftfactor import drift_factor_result
 
 from test_model_core import FIG1, make
@@ -30,8 +31,20 @@ class TestPriceCommand:
         assert run(["price", "--t-e", 1, "--strike", 1]) == 0
         out = capsys.readouterr().out
         analytic = call_price(OptionSpec(1.0, 1.0, 1.0, "call"), curves, make(), quad)
-        assert f"{analytic:.10f}" in out
+        assert float(out.split("price =")[1].split()[0]) == analytic
         assert "implied_vol" in out
+
+    def test_quadrature_line_reports_what_ran(self, capsys, curves):
+        # The 1y slice stops after the first block (theta <= 60) with 76
+        # steps; the 0.1y slice needs a second block, each at the 30-step floor.
+        assert run(["price", "--t-e", 1, "--strike", 1]) == 0
+        assert ("quadrature: theta_stop=60 theta_max=200 nodes_per_panel=64 ode_steps=76"
+                in capsys.readouterr().out)
+        assert run(["price", "--t-e", 0.1, "--strike", 1, "--option", "put"]) == 0
+        assert ("quadrature: theta_stop=120 theta_max=200 nodes_per_panel=64 ode_steps=30+30"
+                in capsys.readouterr().out)
+        (result,) = price_slices([(0.1, 0.1, [1.0])], curves, make())
+        assert (result.theta_stop, result.steps) == (120.0, (30, 30))
 
     def test_tiny_strike_prices_the_forward(self, capsys):
         assert run(["price", "--t-e", 1, "--strike", 1e-8]) == 0

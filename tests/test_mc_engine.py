@@ -240,6 +240,20 @@ class TestPricePayoff:
         )
         assert abs(est.value - 1.0) <= 4.0 * est.std_error
 
+    def test_off_grid_asian_fixing_is_inserted_exactly(self, curves):
+        # 0.37 sits between the 0.36 and 0.38 nodes of the 50-step grid; a
+        # one-fixing average is then the vanilla on the same (t_e, T).
+        cfg = small_cfg()
+        asian = price_payoff(
+            PayoffSpec(kind="asian_prompt", strike=0.95, option="call", fixings=((0.37, 1.0),)),
+            cfg, curves, make(),
+        )
+        vanilla = price_payoff(
+            PayoffSpec(kind="early_exercise", strike=0.95, option="call", t_e=0.37, T=1.0),
+            cfg, curves, make(),
+        )
+        assert asian == vanilla
+
     def test_expiry_beyond_horizon_rejected(self, curves):
         with pytest.raises(DomainError):
             price_payoff(
