@@ -11,6 +11,8 @@ Normals are generated in fixed blocks of 8192 paths by a counter-based
 generator keyed on (seed, block index), so path i's draws are a pure
 function of (seed, i).  Estimates are therefore bit-identical across
 worker counts, and growing the path count never reshuffles earlier paths.
+A block's draw is shared by every parameter set simulated on it, so a
+study over several parameter sets pays for the normals once.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -350,12 +352,12 @@ def _simulate_block(
     block: int,
     n_cols: int,
     cfg: McConfig,
-    p: ModelParams,
+    ps: Sequence[ModelParams],
     times: np.ndarray,
     obs_nodes: tuple[int, ...],
     track_exact: bool,
-    transform: np.ndarray,
-) -> dict[int, PathState]:
+    transforms: tuple[np.ndarray, ...],
+) -> list[dict[int, PathState]]:
     n_steps = len(times) - 1
     base = _BLOCK // 2 if cfg.antithetic else _BLOCK
     rng = _block_philox(cfg.seed, block)
@@ -369,48 +371,34 @@ def _simulate_block(
     else:
         z_block = draws[:, :, :n_cols]
     settlements = cfg.exact_settlements if track_exact else ()
-    state = initial_state(n_cols, settlements)
     mode = "exact_per_T" if track_exact else "approximate"
-    snapshots: dict[int, PathState] = {}
-    for n in range(n_steps):
-        correlated = transform @ z_block[n]
-        state = evolve_step(state, float(times[n + 1] - times[n]), correlated, p, mode)
-        if n + 1 in obs_nodes:
-            snapshots[n + 1] = state
-    return snapshots
+    per_param = []
+    for p, transform in zip(ps, transforms):
+        state = initial_state(n_cols, settlements)
+        snapshots: dict[int, PathState] = {}
+        for n in range(n_steps):
+            correlated = transform @ z_block[n]
+            state = evolve_step(state, float(times[n + 1] - times[n]), correlated, p, mode)
+            if n + 1 in obs_nodes:
+                snapshots[n + 1] = state
+        per_param.append(snapshots)
+    return per_param
 
 
-def _simulate(
-    cfg: McConfig,
-    p: ModelParams,
-    times: np.ndarray,
+def _merge_blocks(
+    per_block: tuple[dict[int, PathState], ...],
     obs_nodes: tuple[int, ...],
-    track_exact: bool,
+    settlements: tuple[float, ...],
 ) -> dict[int, PathState]:
-    """Run all path blocks; return per-node states merged across blocks."""
-    transform = factorize_correlation(p).matrix
-    n_blocks = -(-cfg.n_paths // _BLOCK)
-    sizes = [min(_BLOCK, cfg.n_paths - b * _BLOCK) for b in range(n_blocks)]
-
-    def run(b: int) -> dict[int, PathState]:
-        return _simulate_block(
-            b, sizes[b], cfg, p, times, obs_nodes, track_exact, transform
-        )
-
-    if cfg.threads > 1 and n_blocks > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            per_block = list(pool.map(run, range(n_blocks)))
-    else:
-        per_block = [run(b) for b in range(n_blocks)]
-
+    """Concatenate one parameter set's per-block snapshots, node by node."""
     merged: dict[int, PathState] = {}
     for node in obs_nodes:
         pieces = [blk[node] for blk in per_block]
         drift = None
-        if track_exact:
+        if settlements:
             drift = {
                 T: np.concatenate([s.exact_drift[T] for s in pieces])
-                for T in cfg.exact_settlements
+                for T in settlements
             }
         merged[node] = PathState(
             t=pieces[0].t,
@@ -421,6 +409,59 @@ def _simulate(
             exact_drift=drift,
         )
     return merged
+
+
+def _simulate_many(
+    cfg: McConfig,
+    ps: Sequence[ModelParams],
+    times: np.ndarray,
+    obs_nodes: tuple[int, ...],
+    track_exact: bool,
+) -> list[dict[int, PathState]]:
+    """Run all path blocks once for every parameter set in ``ps``.
+
+    Each block draws its normals once and evolves every parameter set on
+    them in turn, so entry i of the result equals a separate run of
+    ``ps[i]``.  Returns one per-node state map, merged across blocks, per
+    parameter set; an empty ``ps`` draws nothing.
+    """
+    if not ps:
+        return []
+    transforms = tuple(factorize_correlation(p).matrix for p in ps)
+    n_blocks = -(-cfg.n_paths // _BLOCK)
+    sizes = [min(_BLOCK, cfg.n_paths - b * _BLOCK) for b in range(n_blocks)]
+
+    def run(b: int) -> list[dict[int, PathState]]:
+        return _simulate_block(
+            b, sizes[b], cfg, ps, times, obs_nodes, track_exact, transforms
+        )
+
+    if cfg.threads > 1 and n_blocks > 1:
+        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+            per_block = list(pool.map(run, range(n_blocks)))
+    else:
+        per_block = [run(b) for b in range(n_blocks)]
+
+    # Merge one parameter set at a time and let its per-block pieces go,
+    # so the pieces and the merged copy coexist for one set only.
+    per_param = list(zip(*per_block))
+    del per_block
+    settlements = cfg.exact_settlements if track_exact else ()
+    merged = []
+    while per_param:
+        merged.append(_merge_blocks(per_param.pop(0), obs_nodes, settlements))
+    return merged
+
+
+def _simulate(
+    cfg: McConfig,
+    p: ModelParams,
+    times: np.ndarray,
+    obs_nodes: tuple[int, ...],
+    track_exact: bool,
+) -> dict[int, PathState]:
+    """Run all path blocks; return per-node states merged across blocks."""
+    return _simulate_many(cfg, (p,), times, obs_nodes, track_exact)[0]
 
 
 def _mean_se(samples: np.ndarray, antithetic: bool) -> tuple[float, float]:
@@ -489,11 +530,14 @@ def drift_error_study(
 ) -> tuple[DriftStudyRow, ...]:
     """Paired exact-versus-approximate drift comparison across alphas.
 
-    Each alpha runs one simulation carrying both drift representations
-    on identical normals, expiring at the horizon on the single tracked
-    settlement date.  Strikes sit at the initial forward and at 1.4
-    times the initial forward.  Each mode's implied vol is backed out
-    against that mode's own simulated mean forward,
+    Every alpha is validated before anything is drawn.  All alphas then
+    share one simulation: each block draws its normals once and evolves
+    every alpha on them, carrying both drift representations, so each
+    row equals a study of that alpha alone.  Paths expire at the
+    horizon on the single tracked settlement date.  Strikes sit at the
+    initial forward and at 1.4 times the initial forward.  Each mode's
+    implied vol is backed out against that mode's own simulated mean
+    forward,
     vol_e = implied_vol(D pay_e, mean_e, K, ...), so the vol columns
     isolate the smile distortion from the forward-level error reported
     separately in basis points.
@@ -517,11 +561,12 @@ def drift_error_study(
     times = _grid_with_inserted(cfg, (t_e,))
     node = _nearest_node(times, t_e)
 
+    params = [validate_params(replace(p_base, alpha=float(alpha))) for alpha in alphas]
+    states = _simulate_many(cfg, params, times, (node,), True)
+
     rows = []
-    for alpha in alphas:
-        p = replace(p_base, alpha=float(alpha))
-        validate_params(p)
-        state = _simulate(cfg, p, times, (node,), True)[node]
+    for p, snapshots in zip(params, states):
+        state = snapshots[node]
         f_exact = forward_reconstruct(state, T, curves, p, "exact_per_T")
         f_approx = forward_reconstruct(state, T, curves, p, "approximate")
 
@@ -549,7 +594,7 @@ def drift_error_study(
             )
         rows.append(
             DriftStudyRow(
-                alpha=float(alpha),
+                alpha=p.alpha,
                 fwd_err_bp=fwd_err_bp,
                 fwd_stderr_bp=fwd_stderr_bp,
                 atm_vol_err_pct=vol_cols["atm"][0],

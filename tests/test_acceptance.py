@@ -85,6 +85,30 @@ def sd_rel_error(var: float, mu4: float, n: int) -> float:
     return math.sqrt(mu4 - var * var) / (2.0 * var * math.sqrt(n))
 
 
+def lognormal_stderr_clause(got: float, K: float, sec5):
+    """alpha=0 clause: the forward is lognormal, so the vol's delta-method
+    noise at strike K F0 has a closed form; the tolerance is the sampling
+    error of the residual's standard deviation, from its own closed-form
+    moments."""
+    s = math.sqrt(integrated_variance(0.0, STUDY_T_E, STUDY_T, replace(sec5, alpha=0.0)))
+    r1, r2, r3, r4 = (lognormal_residual_moment(j, K, s) for j in (1, 2, 3, 4))
+    var = r2 - r1 * r1
+    mu4 = r4 - 4.0 * r1 * r3 + 6.0 * r1 * r1 * r2 - 3.0 * r1**4
+    rel = sd_rel_error(var, mu4, STUDY_PATHS)
+    want = lognormal_vol_stderr(K, s, STUDY_T_E, STUDY_PATHS)
+    return (f"alpha=0 stderr {got:.3f} vs lognormal {want:.3f} within 3 x {100 * rel:.1f}%",
+            abs(got / want - 1.0) <= 3.0 * rel)
+
+
+def second_moment_explodes_clause(sec5):
+    """alpha=3 clause: E[F^2] explodes at tau ~ 1.0002, just past t_e = 1,
+    so a stderr has no finite target and any one seed's value only
+    reflects its largest paths.  Assert that cause instead of a value."""
+    log_m2 = forward_log_moment(2, replace(sec5, alpha=3.0), STUDY_T_E, STUDY_T)
+    return (f"alpha=3 ln E[(F/F0)^2] = {log_m2:.0f} > 100, stderr unbounded",
+            log_m2 > 100.0)
+
+
 def test_lognormal_limit_matches_black76(fig1, curves, quad):
     p = replace(fig1, alpha=0.0)
     worst = 0.0
@@ -168,12 +192,7 @@ def test_drift_study_forward_error(drift_study, sec5):
             f"alpha={alpha:g} stderr {got:.2f}bp vs model {want:.2f}bp "
             f"within 3 x {100 * rel:.1f}%",
             abs(got / want - 1.0) <= 3.0 * rel))
-    # At alpha=3 E[F^2] explodes at tau ~ 1.0002, just past t_e = 1, so
-    # the stderr has no finite target and any one seed's value only
-    # reflects its largest paths.  Assert that cause instead of a value.
-    log_m2 = forward_log_moment(2, replace(sec5, alpha=3.0), STUDY_T_E, STUDY_T)
-    clauses.append((f"alpha=3 ln E[(F/F0)^2] = {log_m2:.0f} > 100, stderr unbounded",
-                    log_m2 > 100.0))
+    clauses.append(second_moment_explodes_clause(sec5))
     check(5, "drift approximation, forward error", clauses)
 
 
@@ -187,20 +206,8 @@ def test_drift_study_atm_vol_error(drift_study, sec5, curves):
         (f"max |error| {worst:.4f} vol pts <= 0.01", worst <= 0.01),
         (f"alpha=0 stderr {se0:.3f} within 0.14 +/- 50% [0.07, 0.21]",
          0.07 <= se0 <= 0.21),
+        lognormal_stderr_clause(se0, 1.0, sec5),
     ]
-
-    # alpha=0: the forward is lognormal and the vol's delta-method noise
-    # has a closed form; the tolerance is the sampling error of the
-    # residual's standard deviation, from its own closed-form moments.
-    s = math.sqrt(integrated_variance(0.0, STUDY_T_E, STUDY_T, replace(sec5, alpha=0.0)))
-    r1, r2, r3, r4 = (lognormal_residual_moment(j, 1.0, s) for j in (1, 2, 3, 4))
-    var = r2 - r1 * r1
-    mu4 = r4 - 4.0 * r1 * r3 + 6.0 * r1 * r1 * r2 - 3.0 * r1**4
-    rel = sd_rel_error(var, mu4, STUDY_PATHS)
-    want = lognormal_vol_stderr(1.0, s, STUDY_T_E, STUDY_PATHS)
-    clauses.append((f"alpha=0 stderr {se0:.3f} vs lognormal {want:.3f} "
-                    f"within 3 x {100 * rel:.1f}%",
-                    abs(se0 / want - 1.0) <= 3.0 * rel))
 
     # alpha=1: rerun the fixture's paths and back the vol out of each of
     # 50 contiguous batches; the spread of the batch vols over sqrt(50)
@@ -232,15 +239,19 @@ def test_drift_study_atm_vol_error(drift_study, sec5, curves):
     check(6, "drift approximation, ATM implied-vol error", clauses)
 
 
-def test_drift_study_otm_vol_error(drift_study):
+def test_drift_study_otm_vol_error(drift_study, sec5):
+    rows = {row.alpha: row for row in drift_study}
     worst = max(abs(row.otm_vol_err_pct) for row in drift_study)
-    ses = [row.otm_vol_stderr_pct for row in drift_study]
-    se_text = ", ".join(f"{se:.2f}" for se in ses)
-    check(7, "drift approximation, OTM (1.4F) implied-vol error", [
-        (f"max |error| {worst:.4f} vol pts <= 0.02", worst <= 0.02),
-        (f"stderr {se_text} within [0.1, 0.8]",
-         all(0.1 <= se <= 0.8 for se in ses)),
-    ])
+    clauses = [(f"max |error| {worst:.4f} vol pts <= 0.02", worst <= 0.02)]
+    for alpha in (0.0, 1.0):
+        se = rows[alpha].otm_vol_stderr_pct
+        clauses.append((f"alpha={alpha:g} stderr {se:.3f} within [0.1, 0.8]",
+                        0.1 <= se <= 0.8))
+    clauses.append(lognormal_stderr_clause(rows[0.0].otm_vol_stderr_pct, 1.4, sec5))
+    # No stderr band at alpha=2 (E[F^3] is infinite there) and none at
+    # alpha=3, where the noise itself has no finite value.
+    clauses.append(second_moment_explodes_clause(sec5))
+    check(7, "drift approximation, OTM (1.4F) implied-vol error", clauses)
 
 
 def test_closed_form_drift_factor_verified(fig1):

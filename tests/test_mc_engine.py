@@ -2,7 +2,7 @@
 contract, and the paired drift comparison."""
 
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from scipy.stats import norm
 
 from fwdvol import (
     DomainError,
+    InvalidModelParams,
     McConfig,
     MissingSettlement,
     OptionSpec,
@@ -369,6 +370,50 @@ class TestDriftErrorStudy:
         for got, K in ((row.atm_vol_stderr_pct, 1.0), (row.otm_vol_stderr_pct, 1.4)):
             want = lognormal_vol_stderr(K, s, 1.0, cfg.n_paths, antithetic)
             assert got == pytest.approx(want, rel=0.1)
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_shared_draws_match_single_alpha_studies(self, curves, antithetic, threads):
+        # One study per alpha is the oracle: evolving every alpha on a
+        # block's one draw must not move a bit of any row.  10k paths
+        # leave the second block partial.
+        cfg = small_cfg(n_paths=10_000, n_steps=20, exact_settlements=(2.0,),
+                        antithetic=antithetic, threads=threads)
+        alphas = (0.0, 1.0, 2.0, 3.0)
+        shared = drift_error_study(alphas, cfg, curves, make5())
+        single = [row for alpha in alphas
+                  for row in drift_error_study((alpha,), replace(cfg, threads=1), curves, make5())]
+
+        def bits(rows):
+            return [tuple(float(x).hex() for x in astuple(row)) for row in rows]
+
+        assert bits(shared) == bits(single)
+
+    def test_each_block_draws_once_for_all_alphas(self, curves, monkeypatch):
+        import fwdvol.mc as mc
+
+        built = []
+        real = mc._block_philox
+
+        def counting(seed, block):
+            built.append(block)
+            return real(seed, block)
+
+        monkeypatch.setattr(mc, "_block_philox", counting)
+        cfg = small_cfg(n_paths=10_000, n_steps=5, exact_settlements=(2.0,))
+        drift_error_study((0.0, 1.0, 2.0, 3.0), cfg, curves, make5())
+        assert sorted(built) == [0, 1]
+
+        built.clear()
+        with pytest.raises(InvalidModelParams) as err:
+            drift_error_study((0.0, -1.0), cfg, curves, make5())
+        assert "NegativeRate" in err.value.codes()
+        assert drift_error_study((), cfg, curves, make5()) == ()
+        assert built == []
+
+        first, second = drift_error_study((1.0, 1.0), cfg, curves, make5())
+        assert first == second
+        assert sorted(built) == [0, 1]
 
     def test_requires_single_settlement(self, curves):
         cfg = small_cfg(exact_settlements=(1.5, 2.0))
