@@ -3,24 +3,30 @@
 The simulation carries four path quantities: the forward factors u1, u2,
 the variance factor v, and the running integral of w = v - 1.  Forwards at
 any settlement date are reconstructed from those factors on demand, either
-with a per-settlement exact drift accumulator or with the k(t, T)
-approximation; carrying int_w alone is what keeps the state dimension
-independent of how many settlement dates a payoff touches.
+with the exact drift accumulators, one row per tracked settlement, or with
+the k(t, T) approximation; carrying int_w alone is what keeps the state
+dimension independent of how many settlement dates a payoff touches.
 
 Normals are generated in fixed blocks of 8192 paths by a counter-based
 generator keyed on (seed, block index), so path i's draws are a pure
 function of (seed, i).  Estimates are therefore bit-identical across
 worker counts, and growing the path count never reshuffles earlier paths.
-A block's draw is shared by every parameter set simulated on it, so a
-study over several parameter sets pays for the normals once.
+A block draws each step's (3, 8192) normals as it takes the step, which
+continues one stream, and evolves every parameter set on them, so a study
+over several parameter sets pays for the normals once.  Each block
+reconstructs the forwards its caller observes as it passes their nodes and
+writes them into one shared (parameter set, observation, path) array; no
+path state outlives its block.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -60,8 +66,9 @@ class McConfig:
     """Simulation configuration.
 
     ``exact_settlements`` lists the settlement dates whose exact drift
-    accumulators are carried along the paths; it is required (nonempty)
-    in ``exact_per_T`` mode and ignored in ``approximate`` mode.
+    accumulators are carried along the paths, kept sorted and without
+    duplicates; it is required (nonempty) in ``exact_per_T`` mode and
+    ignored in ``approximate`` mode.
     ``threads`` splits path blocks across a thread pool; results do not
     depend on it.
     """
@@ -86,7 +93,7 @@ class McConfig:
             raise DomainError("seed must fit in 64 unsigned bits")
         if self.drift_mode not in _DRIFT_MODES:
             raise DomainError(f"drift_mode must be one of {_DRIFT_MODES}")
-        settlements = tuple(sorted(float(T) for T in self.exact_settlements))
+        settlements = tuple(sorted({float(T) for T in self.exact_settlements}))
         if self.drift_mode == "exact_per_T" and not settlements:
             raise DomainError("exact_per_T mode needs at least one settlement")
         if any(T <= 0.0 or not math.isfinite(T) for T in settlements):
@@ -104,8 +111,11 @@ class PathState:
 
     ``v_raw`` is the signed variance factor propagated by the truncation
     scheme; every coefficient evaluation uses the floored value exposed
-    as ``v``.  ``exact_drift`` maps each tracked settlement date to the
-    accumulated integral of v times the forward variance rate.
+    as ``v``.  ``exact_drift`` holds one row per date of the ascending
+    ``settlements``: the accumulated integral of v times that date's
+    forward variance rate, shape (n_settlements,) or (n_settlements,
+    n_paths).  The engine holds one state per block and parameter set,
+    at the current step only, and keeps the forwards read off it.
     """
 
     t: float
@@ -113,7 +123,8 @@ class PathState:
     u2: float | np.ndarray = 0.0
     v_raw: float | np.ndarray = 1.0
     int_w: float | np.ndarray = 0.0
-    exact_drift: Mapping[float, float | np.ndarray] | None = None
+    exact_drift: np.ndarray | None = None
+    settlements: tuple[float, ...] = ()
 
     @property
     def v(self) -> float | np.ndarray:
@@ -129,11 +140,13 @@ def initial_state(
     def zeros():
         return 0.0 if n_paths is None else np.zeros(n_paths)
 
+    settlements = tuple(sorted({float(T) for T in exact_settlements}))
     drift = None
-    if exact_settlements:
-        drift = {float(T): zeros() for T in exact_settlements}
+    if settlements:
+        drift = np.zeros((len(settlements),) + (() if n_paths is None else (n_paths,)))
     v0 = 1.0 if n_paths is None else np.ones(n_paths)
-    return PathState(t=0.0, u1=zeros(), u2=zeros(), v_raw=v0, int_w=zeros(), exact_drift=drift)
+    return PathState(t=0.0, u1=zeros(), u2=zeros(), v_raw=v0, int_w=zeros(),
+                     exact_drift=drift, settlements=settlements)
 
 
 def evolve_step(
@@ -151,7 +164,10 @@ def evolve_step(
     the drift accumulators.  The exact accumulators add the floored v
     times the step's exact variance-rate integral, so deterministic
     pieces carry no discretization error and the exactness limits of the
-    drift approximation survive to floating-point precision.
+    drift approximation survive to floating-point precision.  A
+    settlement's row stops moving once t reaches it.  The accumulator
+    array is updated in place and handed on to the new state, so the
+    input state's ``exact_drift`` moves with it; copy it first to keep it.
     """
     if dt <= 0.0:
         raise DomainError("dt must be > 0")
@@ -170,14 +186,14 @@ def evolve_step(
     int_w = state.int_w + (vp - 1.0) * dt
     drift = state.exact_drift
     if mode == "exact_per_T" and drift is not None:
-        updated = {}
-        for T, acc in drift.items():
-            upper = min(t + dt, T)
-            if upper > t:
-                acc = acc + vp * integrated_variance(t, upper, T, p)
-            updated[T] = acc
-        drift = updated
-    return PathState(t=t + dt, u1=u1, u2=u2, v_raw=v_raw, int_w=int_w, exact_drift=drift)
+        # Settlements ascend, so the rows still accruing (T > t) are a suffix.
+        first = bisect.bisect_right(state.settlements, t)
+        if first < len(state.settlements):
+            rates = [integrated_variance(t, min(t + dt, T), T, p)
+                     for T in state.settlements[first:]]
+            drift[first:] += np.multiply.outer(rates, vp)
+    return PathState(t=t + dt, u1=u1, u2=u2, v_raw=v_raw, int_w=int_w,
+                     exact_drift=drift, settlements=state.settlements)
 
 
 def forward_reconstruct(
@@ -186,25 +202,31 @@ def forward_reconstruct(
     curves: MarketCurves,
     p: ModelParams,
     mode: str = "exact_per_T",
+    *,
+    k: float | None = None,
 ) -> float | np.ndarray:
     """Forward F(t, T) implied by the factor state.
 
-    Exact mode reads the per-settlement drift accumulator; approximate
-    mode rebuilds the integrated drift from its deterministic part plus
-    k(t, T) times the integral of w.
+    Exact mode reads the settlement's row of the drift accumulator;
+    approximate mode rebuilds the integrated drift from its deterministic
+    part plus k(t, T) times the integral of w.  A caller that
+    reconstructs the same (t, T) block by block passes ``k``, evaluated
+    once, instead of asking for it again per block.
     """
     if T < state.t:
         raise DomainError("settlement must not precede the state time")
     if mode == "exact_per_T":
-        if state.exact_drift is None or T not in state.exact_drift:
+        if T not in state.settlements:
             raise MissingSettlement(
                 f"settlement T={T} has no exact drift accumulator"
             )
-        drift_integral = state.exact_drift[T]
+        drift_integral = state.exact_drift[state.settlements.index(T)]
     elif mode == "approximate":
         drift_integral = integrated_variance(0.0, state.t, T, p)
         if state.t > 0.0:
-            drift_integral = drift_integral + drift_factor(state.t, T, p) * state.int_w
+            if k is None:
+                k = drift_factor(state.t, T, p)
+            drift_integral = drift_integral + k * state.int_w
     else:
         raise DomainError(f"mode must be one of {_DRIFT_MODES}")
     decay1 = math.exp(-p.beta1 * T)
@@ -348,120 +370,79 @@ def _block_philox(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _simulate_block(
-    block: int,
-    n_cols: int,
+def _simulate_forwards(
     cfg: McConfig,
+    curves: MarketCurves,
     ps: Sequence[ModelParams],
     times: np.ndarray,
-    obs_nodes: tuple[int, ...],
-    track_exact: bool,
-    transforms: tuple[np.ndarray, ...],
-) -> list[dict[int, PathState]]:
-    n_steps = len(times) - 1
-    base = _BLOCK // 2 if cfg.antithetic else _BLOCK
-    rng = _block_philox(cfg.seed, block)
-    # Always draw the full block shape so a path's normals do not depend
-    # on how full the final block is.
-    draws = rng.standard_normal((n_steps, 3, base))
-    if cfg.antithetic:
-        cols = np.arange(n_cols)
-        signs = np.where(cols % 2 == 0, 1.0, -1.0)
-        z_block = draws[:, :, cols // 2] * signs
-    else:
-        z_block = draws[:, :, :n_cols]
-    settlements = cfg.exact_settlements if track_exact else ()
-    mode = "exact_per_T" if track_exact else "approximate"
-    per_param = []
-    for p, transform in zip(ps, transforms):
-        state = initial_state(n_cols, settlements)
-        snapshots: dict[int, PathState] = {}
-        for n in range(n_steps):
-            correlated = transform @ z_block[n]
-            state = evolve_step(state, float(times[n + 1] - times[n]), correlated, p, mode)
-            if n + 1 in obs_nodes:
-                snapshots[n + 1] = state
-        per_param.append(snapshots)
-    return per_param
-
-
-def _merge_blocks(
-    per_block: tuple[dict[int, PathState], ...],
-    obs_nodes: tuple[int, ...],
-    settlements: tuple[float, ...],
-) -> dict[int, PathState]:
-    """Concatenate one parameter set's per-block snapshots, node by node."""
-    merged: dict[int, PathState] = {}
-    for node in obs_nodes:
-        pieces = [blk[node] for blk in per_block]
-        drift = None
-        if settlements:
-            drift = {
-                T: np.concatenate([s.exact_drift[T] for s in pieces])
-                for T in settlements
-            }
-        merged[node] = PathState(
-            t=pieces[0].t,
-            u1=np.concatenate([s.u1 for s in pieces]),
-            u2=np.concatenate([s.u2 for s in pieces]),
-            v_raw=np.concatenate([s.v_raw for s in pieces]),
-            int_w=np.concatenate([s.int_w for s in pieces]),
-            exact_drift=drift,
-        )
-    return merged
-
-
-def _simulate_many(
-    cfg: McConfig,
-    ps: Sequence[ModelParams],
-    times: np.ndarray,
-    obs_nodes: tuple[int, ...],
-    track_exact: bool,
-) -> list[dict[int, PathState]]:
-    """Run all path blocks once for every parameter set in ``ps``.
+    observations: tuple[tuple[int, float, str], ...],
+) -> np.ndarray:
+    """Forwards at each (node, T, mode) observation for every set in ``ps``.
 
     Each block draws its normals once and evolves every parameter set on
     them in turn, so entry i of the result equals a separate run of
-    ``ps[i]``.  Returns one per-node state map, merged across blocks, per
-    parameter set; an empty ``ps`` draws nothing.
+    ``ps[i]``.  Returns an array of shape (len(ps), len(observations),
+    n_paths); an empty ``ps`` draws nothing.
     """
+    out = np.empty((len(ps), len(observations), cfg.n_paths))
     if not ps:
-        return []
+        return out
     transforms = tuple(factorize_correlation(p).matrix for p in ps)
+    track_exact = any(mode == "exact_per_T" for _, _, mode in observations)
+    step_mode = "exact_per_T" if track_exact else "approximate"
+    settlements = cfg.exact_settlements if track_exact else ()
+    at_node: dict[int, list[int]] = {}
+    for j, (node, _, _) in enumerate(observations):
+        at_node.setdefault(node, []).append(j)
+    dts = [float(dt) for dt in np.diff(times)]
+    # State times as evolve_step sums them, so k(t, T) is evaluated once
+    # per observation here rather than once per block in the workers.
+    state_t = list(itertools.accumulate(dts, initial=0.0))
+    ks = [
+        [drift_factor(state_t[node], T, p)
+         if mode == "approximate" and state_t[node] > 0.0 else None
+         for node, T, mode in observations]
+        for p in ps
+    ]
+    base = _BLOCK // 2 if cfg.antithetic else _BLOCK
+
+    def run(block: int) -> None:
+        n_cols = min(_BLOCK, cfg.n_paths - block * _BLOCK)
+        paths = slice(block * _BLOCK, block * _BLOCK + n_cols)
+        if cfg.antithetic:
+            cols = np.arange(n_cols)
+            pairs = cols // 2
+            signs = np.where(cols % 2 == 0, 1.0, -1.0)
+        rng = _block_philox(cfg.seed, block)
+        states = [initial_state(n_cols, settlements) for _ in ps]
+
+        def observe(node: int) -> None:
+            for j in at_node.get(node, ()):
+                _, T, mode = observations[j]
+                for i, (state, p) in enumerate(zip(states, ps)):
+                    out[i, j, paths] = forward_reconstruct(
+                        state, T, curves, p, mode, k=ks[i][j]
+                    )
+
+        observe(0)
+        for n, dt in enumerate(dts):
+            # Always draw the full (3, base) shape, so a path's normals do
+            # not depend on how full the final block is; per-step draws
+            # continue the stream one (n_steps, 3, base) draw would give.
+            draw = rng.standard_normal((3, base))
+            z = draw[:, pairs] * signs if cfg.antithetic else draw[:, :n_cols]
+            for i, (p, transform) in enumerate(zip(ps, transforms)):
+                states[i] = evolve_step(states[i], dt, transform @ z, p, step_mode)
+            observe(n + 1)
+
     n_blocks = -(-cfg.n_paths // _BLOCK)
-    sizes = [min(_BLOCK, cfg.n_paths - b * _BLOCK) for b in range(n_blocks)]
-
-    def run(b: int) -> list[dict[int, PathState]]:
-        return _simulate_block(
-            b, sizes[b], cfg, ps, times, obs_nodes, track_exact, transforms
-        )
-
     if cfg.threads > 1 and n_blocks > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            per_block = list(pool.map(run, range(n_blocks)))
+            list(pool.map(run, range(n_blocks)))
     else:
-        per_block = [run(b) for b in range(n_blocks)]
-
-    # Merge one parameter set at a time and let its per-block pieces go,
-    # so the pieces and the merged copy coexist for one set only.
-    per_param = list(zip(*per_block))
-    del per_block
-    settlements = cfg.exact_settlements if track_exact else ()
-    merged = []
-    while per_param:
-        merged.append(_merge_blocks(per_param.pop(0), obs_nodes, settlements))
-    return merged
-
-
-def _simulate(
-    cfg: McConfig,
-    p: ModelParams,
-    times: np.ndarray,
-    obs_nodes: tuple[int, ...],
-    track_exact: bool,
-) -> dict[int, PathState]:
-    """Run all path blocks; return per-node states merged across blocks."""
-    return _simulate_many(cfg, (p,), times, obs_nodes, track_exact)[0]
+        for b in range(n_blocks):
+            run(b)
+    return out
 
 
 def _mean_se(samples: np.ndarray, antithetic: bool) -> tuple[float, float]:
@@ -496,8 +477,7 @@ def price_payoff(
     tol = 1e-9 * max(1.0, cfg.horizon)
     if payoff.expiry > cfg.horizon + tol:
         raise DomainError("payoff expiry lies beyond the simulation horizon")
-    exact = cfg.drift_mode == "exact_per_T"
-    if exact:
+    if cfg.drift_mode == "exact_per_T":
         tracked = set(cfg.exact_settlements)
         for T in payoff.settlements():
             if T not in tracked:
@@ -507,16 +487,13 @@ def price_payoff(
 
     fixings = payoff.fixings if payoff.kind == "asian_prompt" else ((payoff.t_e, payoff.T),)
     times = _grid_with_inserted(cfg, tuple(t for t, _ in fixings))
-    fixing_nodes = [(_nearest_node(times, t), T) for t, T in fixings]
-    obs_nodes = tuple(sorted({node for node, _ in fixing_nodes}))
+    observations = tuple((_nearest_node(times, t), T, cfg.drift_mode) for t, T in fixings)
 
-    states = _simulate(cfg, p, times, obs_nodes, exact)
-    mode = cfg.drift_mode
-    total = None
-    for node, T in fixing_nodes:
-        forward = forward_reconstruct(states[node], T, curves, p, mode)
-        total = forward if total is None else total + forward
-    average = total / len(fixing_nodes)
+    (forwards,) = _simulate_forwards(cfg, curves, (p,), times, observations)
+    total = forwards[0]
+    for forward in forwards[1:]:
+        total = total + forward
+    average = total / len(forwards)
     discounted = curves.discount(payoff.payment_time) * _apply_option(average, payoff)
     value, std_error = _mean_se(discounted, cfg.antithetic)
     return McEstimate(value=value, std_error=std_error, n_paths=cfg.n_paths)
@@ -532,8 +509,9 @@ def drift_error_study(
 
     Every alpha is validated before anything is drawn.  All alphas then
     share one simulation: each block draws its normals once and evolves
-    every alpha on them, carrying both drift representations, so each
-    row equals a study of that alpha alone.  Paths expire at the
+    every alpha on them, carrying both drift representations, and keeps
+    only each alpha's exact and approximate forwards at the horizon, so
+    each row equals a study of that alpha alone.  Paths expire at the
     horizon on the single tracked settlement date.  Strikes sit at the
     initial forward and at 1.4 times the initial forward.  Each mode's
     implied vol is backed out against that mode's own simulated mean
@@ -562,13 +540,11 @@ def drift_error_study(
     node = _nearest_node(times, t_e)
 
     params = [validate_params(replace(p_base, alpha=float(alpha))) for alpha in alphas]
-    states = _simulate_many(cfg, params, times, (node,), True)
+    observations = ((node, T, "exact_per_T"), (node, T, "approximate"))
+    forwards = _simulate_forwards(cfg, curves, params, times, observations)
 
     rows = []
-    for p, snapshots in zip(params, states):
-        state = snapshots[node]
-        f_exact = forward_reconstruct(state, T, curves, p, "exact_per_T")
-        f_approx = forward_reconstruct(state, T, curves, p, "approximate")
+    for p, (f_exact, f_approx) in zip(params, forwards):
 
         mean_e, se_e = _mean_se(f_exact, cfg.antithetic)
         mean_a, _ = _mean_se(f_approx, cfg.antithetic)

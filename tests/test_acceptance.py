@@ -22,7 +22,6 @@ from fwdvol.driftfactor import closed_form_verification, drift_factor_result, k_
 from fwdvol.mc import (
     McConfig,
     PayoffSpec,
-    forward_reconstruct,
     price_payoff,
 )
 from fwdvol.model import integrated_variance, variance_rate
@@ -197,7 +196,7 @@ def test_drift_study_forward_error(drift_study, sec5):
 
 
 def test_drift_study_atm_vol_error(drift_study, sec5, curves):
-    from fwdvol.mc import _grid_with_inserted, _nearest_node, _simulate
+    from fwdvol.mc import _grid_with_inserted, _nearest_node, _simulate_forwards
 
     rows = {row.alpha: row for row in drift_study}
     worst = max(abs(row.atm_vol_err_pct) for row in drift_study)
@@ -218,8 +217,10 @@ def test_drift_study_atm_vol_error(drift_study, sec5, curves):
                    exact_settlements=(STUDY_T,))
     times = _grid_with_inserted(cfg, (STUDY_T_E,))
     node = _nearest_node(times, STUDY_T_E)
-    state = _simulate(cfg, p, times, (node,), True)[node]
-    batches = forward_reconstruct(state, STUDY_T, curves, p, "exact_per_T").reshape(50, -1)
+    ((exact,),) = _simulate_forwards(
+        cfg, curves, (p,), times, ((node, STUDY_T, "exact_per_T"),)
+    )
+    batches = exact.reshape(50, -1)
     K, D = curves.forward(STUDY_T), curves.discount(STUDY_T)
     vols = 100.0 * np.array([
         implied_vol(D * np.maximum(b - K, 0.0).mean(), b.mean(), K, STUDY_T_E, D)
@@ -269,7 +270,7 @@ def test_closed_form_drift_factor_verified(fig1):
 
 
 def test_drift_approximation_exact_limits(sec5, curves):
-    from fwdvol.mc import _grid_with_inserted, _nearest_node, _simulate
+    from fwdvol.mc import _grid_with_inserted, _nearest_node, _simulate_forwards
 
     worst = {}
     for label, p in (
@@ -285,9 +286,9 @@ def test_drift_approximation_exact_limits(sec5, curves):
         )
         times = _grid_with_inserted(cfg, (1.0,))
         node = _nearest_node(times, 1.0)
-        state = _simulate(cfg, p, times, (node,), True)[node]
-        exact = forward_reconstruct(state, 2.0, curves, p, "exact_per_T")
-        approx = forward_reconstruct(state, 2.0, curves, p, "approximate")
+        ((exact, approx),) = _simulate_forwards(
+            cfg, curves, (p,), times, ((node, 2.0, "exact_per_T"), (node, 2.0, "approximate"))
+        )
         worst[label] = float(np.max(np.abs(approx - exact) / exact))
     check(9, "per-path drift approximation exact in both limits",
           [(f"{label}: max rel diff {value:.2e} <= 1e-12", value <= 1e-12)

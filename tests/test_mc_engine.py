@@ -2,6 +2,7 @@
 contract, and the paired drift comparison."""
 
 import math
+import tracemalloc
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -19,13 +20,21 @@ from fwdvol import (
     flat_curves,
 )
 from fwdvol.mc import (
+    _BLOCK,
+    PathState,
+    _apply_option,
+    _block_philox,
+    _grid_with_inserted,
+    _mean_se,
+    _nearest_node,
+    _simulate_forwards,
     drift_error_study,
     evolve_step,
     forward_reconstruct,
     initial_state,
     price_payoff,
 )
-from fwdvol.model import integrated_variance
+from fwdvol.model import factorize_correlation, integrated_variance
 
 from test_model_core import make
 from test_drift_factor import make5
@@ -85,6 +94,110 @@ def small_cfg(**overrides) -> McConfig:
     return McConfig(**{**base, **overrides})
 
 
+# Twelve monthly fixings, each reading the forward that settles a month on.
+STRIP = tuple((m / 12, (m + 1) / 12) for m in range(1, 13))
+
+
+def reference_step(state, dt, normals, p, mode):
+    """The former `evolve_step`: the exact drift is a {T: accumulator}
+    dict rebuilt over every settlement at every step."""
+    z = np.asarray(normals, dtype=float)
+    t = state.t
+    vp = state.v
+    root_v = np.sqrt(vp)
+    root_dt = math.sqrt(dt)
+    u1 = state.u1 + root_v * math.exp(p.beta1 * t) * root_dt * z[0]
+    u2 = state.u2 + root_v * math.exp(p.beta2 * t) * root_dt * z[1]
+    v_raw = state.v_raw + p.beta * (1.0 - vp) * dt + p.alpha * root_v * root_dt * z[2]
+    int_w = state.int_w + (vp - 1.0) * dt
+    drift = state.exact_drift
+    if mode == "exact_per_T" and drift is not None:
+        updated = {}
+        for T, acc in drift.items():
+            upper = min(t + dt, T)
+            if upper > t:
+                acc = acc + vp * integrated_variance(t, upper, T, p)
+            updated[T] = acc
+        drift = updated
+    return PathState(t=t + dt, u1=u1, u2=u2, v_raw=v_raw, int_w=int_w, exact_drift=drift)
+
+
+def reference_simulate(cfg, p, times, obs_nodes, track_exact):
+    """The former engine, the oracle for the per-block forwards: each block
+    draws all its normals as one (n_steps, 3, base) array, steps with
+    `reference_step` and keeps its full state at every observed node; the
+    blocks' snapshots are then concatenated node by node."""
+    settlements = cfg.exact_settlements if track_exact else ()
+    mode = "exact_per_T" if track_exact else "approximate"
+    transform = factorize_correlation(p).matrix
+    base = _BLOCK // 2 if cfg.antithetic else _BLOCK
+    per_block = []
+    for b in range(-(-cfg.n_paths // _BLOCK)):
+        n_cols = min(_BLOCK, cfg.n_paths - b * _BLOCK)
+        draws = _block_philox(cfg.seed, b).standard_normal((len(times) - 1, 3, base))
+        if cfg.antithetic:
+            cols = np.arange(n_cols)
+            z_block = draws[:, :, cols // 2] * np.where(cols % 2 == 0, 1.0, -1.0)
+        else:
+            z_block = draws[:, :, :n_cols]
+        state = PathState(
+            t=0.0, u1=np.zeros(n_cols), u2=np.zeros(n_cols), v_raw=np.ones(n_cols),
+            int_w=np.zeros(n_cols),
+            exact_drift={T: np.zeros(n_cols) for T in settlements} if settlements else None,
+        )
+        snapshots = {}
+        for n in range(len(times) - 1):
+            state = reference_step(state, float(times[n + 1] - times[n]),
+                                   transform @ z_block[n], p, mode)
+            if n + 1 in obs_nodes:
+                snapshots[n + 1] = state
+        per_block.append(snapshots)
+
+    merged = {}
+    for node in obs_nodes:
+        pieces = [blk[node] for blk in per_block]
+
+        def cat(name):
+            return np.concatenate([getattr(s, name) for s in pieces])
+
+        drift = None
+        if settlements:
+            drift = np.stack([np.concatenate([s.exact_drift[T] for s in pieces])
+                              for T in settlements])
+        merged[node] = PathState(t=pieces[0].t, u1=cat("u1"), u2=cat("u2"),
+                                 v_raw=cat("v_raw"), int_w=cat("int_w"),
+                                 exact_drift=drift, settlements=settlements)
+    return merged
+
+
+def reference_price(payoff, cfg, curves, p):
+    """`price_payoff` on `reference_simulate`: (value, std_error) from
+    forwards reconstructed out of the merged snapshots."""
+    fixings = payoff.fixings if payoff.kind == "asian_prompt" else ((payoff.t_e, payoff.T),)
+    times = _grid_with_inserted(cfg, tuple(t for t, _ in fixings))
+    fixing_nodes = [(_nearest_node(times, t), T) for t, T in fixings]
+    obs_nodes = tuple(sorted({node for node, _ in fixing_nodes}))
+    states = reference_simulate(cfg, p, times, obs_nodes, cfg.drift_mode == "exact_per_T")
+    total = None
+    for node, T in fixing_nodes:
+        forward = forward_reconstruct(states[node], T, curves, p, cfg.drift_mode)
+        total = forward if total is None else total + forward
+    average = total / len(fixing_nodes)
+    discounted = curves.discount(payoff.payment_time) * _apply_option(average, payoff)
+    return _mean_se(discounted, cfg.antithetic)
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes allocated while ``fn(*args)`` runs; tracemalloc sees
+    numpy's buffers."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestMcConfig:
     def test_rejects_empty_settlements_in_exact_mode(self):
         with pytest.raises(DomainError):
@@ -111,6 +224,17 @@ class TestMcConfig:
         cfg = McConfig(n_paths=10, n_steps=10, horizon=1.0, seed=0,
                        drift_mode="exact_per_T", exact_settlements=(3.0, 1.0))
         assert cfg.exact_settlements == (1.0, 3.0)
+
+    def test_duplicate_settlements_collapse(self, curves):
+        # One accumulator row per date: a repeated date must not turn a
+        # one-settlement study into a two-settlement one.
+        cfg = small_cfg(n_paths=1_000, n_steps=5, exact_settlements=(2.0, 1.0, 2.0))
+        assert cfg.exact_settlements == (1.0, 2.0)
+        twice = small_cfg(n_paths=1_000, n_steps=5, exact_settlements=(2.0, 2.0))
+        once = small_cfg(n_paths=1_000, n_steps=5, exact_settlements=(2.0,))
+        assert twice == once
+        assert drift_error_study((1.0,), twice, curves, make5()) == \
+            drift_error_study((1.0,), once, curves, make5())
 
 
 class TestEvolveStep:
@@ -255,6 +379,18 @@ class TestPricePayoff:
         )
         assert asian == vanilla
 
+    @pytest.mark.parametrize("mode", ["exact_per_T", "approximate"])
+    def test_expiry_at_the_first_node_reads_the_initial_forward(self, curves, mode):
+        # t_e = 1e-10 lies within the grid tolerance of t = 0, so the
+        # payoff is observed on the initial state.
+        cfg = small_cfg(n_paths=1_000, n_steps=10, drift_mode=mode)
+        est = price_payoff(
+            PayoffSpec(kind="early_exercise", strike=0.9, option="call", t_e=1e-10, T=1.0),
+            cfg, curves, make(),
+        )
+        want = curves.discount(1.0) * (curves.forward(1.0) - 0.9)
+        assert est.value == pytest.approx(want, rel=1e-14)
+
     def test_expiry_beyond_horizon_rejected(self, curves):
         with pytest.raises(DomainError):
             price_payoff(
@@ -291,8 +427,6 @@ class TestReproducibility:
     def test_path_draws_do_not_depend_on_path_count(self, curves):
         # Growing the path count must not disturb the paths already drawn,
         # including across the internal block boundary.
-        from fwdvol.mc import _grid_with_inserted, _nearest_node, _simulate
-
         p = make()
         times = None
         finals = {}
@@ -300,8 +434,9 @@ class TestReproducibility:
             cfg = small_cfg(n_paths=n, n_steps=5)
             times = _grid_with_inserted(cfg, (1.0,))
             node = _nearest_node(times, 1.0)
-            state = _simulate(cfg, p, times, (node,), True)[node]
-            finals[n] = state.u1
+            ((finals[n],),) = _simulate_forwards(
+                cfg, curves, (p,), times, ((node, 1.0, "exact_per_T"),)
+            )
         np.testing.assert_array_equal(finals[300][:100], finals[100])
         np.testing.assert_array_equal(finals[9000][:300], finals[300])
 
@@ -323,6 +458,66 @@ class TestReproducibility:
         assert abs(fine.value - coarse.value) <= 2.0 * max(fine.std_error, coarse.std_error)
 
 
+class TestEngineAgainstReference:
+    CASES = {
+        "strip_exact": (PayoffSpec(kind="asian_prompt", strike=1.0, fixings=STRIP),
+                        "exact_per_T", make()),
+        "strip_approximate": (PayoffSpec(kind="asian_prompt", strike=1.0, fixings=STRIP),
+                              "approximate", make()),
+        "vanilla": (PayoffSpec(kind="vanilla", strike=1.0, t_e=1.0, T=1.0),
+                    "exact_per_T", make()),
+        "early_exercise": (PayoffSpec(kind="early_exercise", strike=1.1, t_e=1.0, T=2.0),
+                           "exact_per_T", make5()),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_price_matches_former_engine(self, curves, case, antithetic, threads):
+        # 20k paths leave the third block partial; 30 steps put half the
+        # strip's settlements between grid nodes, where a row stops
+        # accruing mid-step.
+        payoff, mode, p = self.CASES[case]
+        settlements = payoff.settlements() if mode == "exact_per_T" else ()
+        cfg = small_cfg(n_paths=20_000, n_steps=30, drift_mode=mode,
+                        exact_settlements=settlements, antithetic=antithetic,
+                        threads=threads)
+        est = price_payoff(payoff, cfg, curves, p)
+        want = reference_price(payoff, cfg, curves, p)
+        assert (est.value.hex(), est.std_error.hex()) == tuple(x.hex() for x in want)
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_per_step_draws_continue_the_block_stream(self, antithetic):
+        # The engine draws (3, base) normals step by step; that must be
+        # the stream one (n_steps, 3, base) draw of the block would give.
+        base = _BLOCK // 2 if antithetic else _BLOCK
+        whole = _block_philox(11, 2).standard_normal((7, 3, base))
+        rng = _block_philox(11, 2)
+        steps = np.stack([rng.standard_normal((3, base)) for _ in range(7)])
+        assert steps.tobytes() == whole.tobytes()
+
+
+class TestMemory:
+    def test_strip_holds_no_path_state_per_fixing(self, curves):
+        # Three blocks, 12 fixings, 12 accumulator rows: the forwards are
+        # 2.4 MB; the former engine's snapshots peaked at 65 MB.
+        payoff = PayoffSpec(kind="asian_prompt", strike=1.0, fixings=STRIP)
+        cfg = small_cfg(n_paths=3 * _BLOCK, n_steps=120, seed=0,
+                        exact_settlements=payoff.settlements())
+        assert traced_peak(price_payoff, payoff, cfg, curves, make()) < 8e6
+
+    def test_drift_study_grows_by_its_forwards_per_alpha(self, curves):
+        # Each extra alpha adds its exact and approximate forwards over
+        # all paths plus its state inside the block being evolved (five
+        # rows of _BLOCK), not a full path state over all paths.
+        cfg = small_cfg(n_paths=8 * _BLOCK, n_steps=5, exact_settlements=(2.0,))
+        alphas = tuple(0.25 * i for i in range(13))
+        growth = (traced_peak(drift_error_study, alphas, cfg, curves, make5())
+                  - traced_peak(drift_error_study, alphas[:1], cfg, curves, make5()))
+        per_alpha = 2 * cfg.n_paths * 8 + 8 * _BLOCK * 8
+        assert growth <= (len(alphas) - 1) * per_alpha
+
+
 class TestDriftErrorStudy:
     def test_zero_vol_of_vol_row_is_exact(self, curves):
         cfg = small_cfg(n_paths=5_000, n_steps=20, exact_settlements=(2.0,))
@@ -332,27 +527,23 @@ class TestDriftErrorStudy:
         assert abs(row.otm_vol_err_pct) <= 1e-10
 
     def test_paired_paths_exact_without_vol_of_vol(self, curves):
-        from fwdvol.mc import _grid_with_inserted, _nearest_node, _simulate
-
         p = make5(alpha=0.0)
         cfg = small_cfg(n_paths=5_000, n_steps=50, exact_settlements=(2.0,))
         times = _grid_with_inserted(cfg, (1.0,))
         node = _nearest_node(times, 1.0)
-        state = _simulate(cfg, p, times, (node,), True)[node]
-        exact = forward_reconstruct(state, 2.0, curves, p, "exact_per_T")
-        approx = forward_reconstruct(state, 2.0, curves, p, "approximate")
+        ((exact, approx),) = _simulate_forwards(
+            cfg, curves, (p,), times, ((node, 2.0, "exact_per_T"), (node, 2.0, "approximate"))
+        )
         assert np.max(np.abs(approx - exact) / exact) <= 1e-12
 
     def test_paired_paths_exact_with_flat_rate(self, curves):
-        from fwdvol.mc import _grid_with_inserted, _nearest_node, _simulate
-
         p = make5(beta1=0.0, beta2=0.0)
         cfg = small_cfg(n_paths=5_000, n_steps=50, exact_settlements=(2.0,))
         times = _grid_with_inserted(cfg, (1.0,))
         node = _nearest_node(times, 1.0)
-        state = _simulate(cfg, p, times, (node,), True)[node]
-        exact = forward_reconstruct(state, 2.0, curves, p, "exact_per_T")
-        approx = forward_reconstruct(state, 2.0, curves, p, "approximate")
+        ((exact, approx),) = _simulate_forwards(
+            cfg, curves, (p,), times, ((node, 2.0, "exact_per_T"), (node, 2.0, "approximate"))
+        )
         assert np.max(np.abs(approx - exact) / exact) <= 1e-12
 
     @pytest.mark.parametrize("antithetic", [False, True])
