@@ -176,6 +176,68 @@ class _BudgetStop(Exception):
     pass
 
 
+def _nelder_mead(func, x0: np.ndarray, xatol: float, fatol: float) -> np.ndarray:
+    """Minimize ``func`` from ``x0`` by adaptive Nelder-Mead; return the best vertex.
+
+    Runs until the simplex is within ``xatol`` of its best vertex in every
+    coordinate and within ``fatol`` of its best value; there is no
+    evaluation cap, so a caller ends the search early by raising from
+    ``func``.
+    """
+    # The adaptive parameters of Gao & Han (2012), "Implementing the
+    # Nelder-Mead simplex algorithm with adaptive parameters", Comput. Optim.
+    # Appl. 51:259-277, with the initial simplex, the step order and the
+    # stopping test of scipy's BSD-3 `_minimize_neldermead` (scipy 1.17,
+    # `adaptive=True`, no bounds), so it evaluates the points scipy would,
+    # in the same order.  The reflection coefficient is 1 and is left out.
+    n = len(x0)
+    chi = 1 + 2 / n
+    psi = 0.75 - 1 / (2 * n)
+    sigma = 1 - 1 / n
+
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([func(x) for x in sim], dtype=float)
+
+    def ordered(sim, fsim):
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    # scipy sorts the initial simplex twice; tied values may move again.
+    sim, fsim = ordered(*ordered(sim, fsim))
+    while not (
+        np.max(np.abs(sim[1:] - sim[0])) <= xatol
+        and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
+    ):
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = func(xr)
+        if fxr < fsim[0]:
+            xe = (1 + chi) * xbar - chi * sim[-1]
+            fxe = func(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                xc = (1 + psi) * xbar - psi * sim[-1]
+                fxc = func(xc)
+                accept = fxc <= fxr
+            else:
+                xc = (1 - psi) * xbar + psi * sim[-1]
+                fxc = func(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = func(sim[j])
+        sim, fsim = ordered(sim, fsim)
+    return sim[0]
+
+
 def fit(
     quotes: Sequence[VolQuote],
     initial: ModelParams,
@@ -186,14 +248,13 @@ def fit(
 ) -> CalibrationResult:
     """Nelder-Mead search from ``initial``, capped at ``budget`` evaluations.
 
-    The returned parameters are the best point actually evaluated, so the
-    result never regresses below the starting objective; exhausting the
-    budget returns that best point with ``converged`` false.  ``bounds``
-    optionally clamps named parameters to closed intervals.
+    The search is the adaptive Nelder-Mead of Gao & Han (2012), as scipy's
+    BSD-3 implementation runs it (``_nelder_mead``).  The returned
+    parameters are the best point actually evaluated, so the result never
+    regresses below the starting objective; exhausting the budget returns
+    that best point with ``converged`` false.  ``bounds`` optionally clamps
+    named parameters to closed intervals.
     """
-    # Imported here: scipy.optimize is most of the cost of `import fwdvol`.
-    from scipy.optimize import minimize
-
     if budget < 1:
         raise DomainError("budget must be >= 1")
     validate_params(initial)
@@ -225,25 +286,12 @@ def fit(
             best_params = p
         return value
 
-    stopped = False
     try:
-        result = minimize(
-            wrapped,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "maxfev": budget,
-                "xatol": 1e-4,
-                "fatol": 1e-11,
-                "adaptive": True,
-            },
-        )
-        converged = bool(result.success)
+        _nelder_mead(wrapped, x0, xatol=1e-4, fatol=1e-11)
+        # Tolerances met on the budget's last evaluation still read as a
+        # spent budget.
+        converged = n_evals < budget
     except _BudgetStop:
-        stopped = True
-        converged = False
-
-    if stopped or n_evals >= budget:
         converged = False
     return CalibrationResult(
         params=best_params,

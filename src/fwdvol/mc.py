@@ -526,26 +526,45 @@ def drift_error_study(
     The forward stderr is a sample value; at alphas where E[F^2]
     explodes before t_e it has no finite target and estimates nothing.
     """
+    params, forwards = _study_forwards(alphas, cfg, curves, p_base)
+    return _study_rows(params, forwards, cfg, curves)
+
+
+def _study_forwards(
+    alphas,
+    cfg: McConfig,
+    curves: MarketCurves,
+    p_base: ModelParams,
+) -> tuple[list[ModelParams], np.ndarray]:
+    """The study's parameter sets and their (exact, approximate) forwards
+    at the horizon, shape (len(alphas), 2, n_paths)."""
     if len(cfg.exact_settlements) != 1:
         raise DomainError("the study needs exactly one tracked settlement")
     t_e = cfg.horizon
     T = cfg.exact_settlements[0]
     if T < t_e:
         raise DomainError("the tracked settlement precedes the horizon")
+    times = _grid_with_inserted(cfg, (t_e,))
+    node = _nearest_node(times, t_e)
+    params = [validate_params(replace(p_base, alpha=float(alpha))) for alpha in alphas]
+    observations = ((node, T, "exact_per_T"), (node, T, "approximate"))
+    return params, _simulate_forwards(cfg, curves, params, times, observations)
+
+
+def _study_rows(
+    params: Sequence[ModelParams],
+    forwards: np.ndarray,
+    cfg: McConfig,
+    curves: MarketCurves,
+) -> tuple[DriftStudyRow, ...]:
+    """One `DriftStudyRow` per parameter set from its horizon forwards."""
+    t_e = cfg.horizon
+    T = cfg.exact_settlements[0]
     F0 = curves.forward(T)
     D = curves.discount(T)
     strikes = {"atm": F0, "otm": 1.4 * F0}
-
-    times = _grid_with_inserted(cfg, (t_e,))
-    node = _nearest_node(times, t_e)
-
-    params = [validate_params(replace(p_base, alpha=float(alpha))) for alpha in alphas]
-    observations = ((node, T, "exact_per_T"), (node, T, "approximate"))
-    forwards = _simulate_forwards(cfg, curves, params, times, observations)
-
     rows = []
     for p, (f_exact, f_approx) in zip(params, forwards):
-
         mean_e, se_e = _mean_se(f_exact, cfg.antithetic)
         mean_a, _ = _mean_se(f_approx, cfg.antithetic)
         fwd_err_bp = (mean_a - mean_e) / F0 * 1e4

@@ -10,7 +10,7 @@ from fwdvol import (
     QuadratureConfig,
     flat_curves,
 )
-from fwdvol.mc import drift_error_study
+from fwdvol.mc import _study_forwards, _study_rows
 
 
 @pytest.fixture(scope="session")
@@ -33,15 +33,26 @@ def quad():
     return QuadratureConfig()
 
 
+# The shared paired-drift study read by the forward and vol error checks.
+DRIFT_STUDY_CFG = McConfig(
+    n_paths=100_000,
+    n_steps=100,
+    horizon=1.0,
+    seed=0,
+    drift_mode="exact_per_T",
+    exact_settlements=(2.0,),
+)
+
+
 @pytest.fixture(scope="session")
-def drift_study(curves, sec5):
-    """One paired-drift study shared by the forward and vol error checks."""
-    cfg = McConfig(
-        n_paths=100_000,
-        n_steps=100,
-        horizon=1.0,
-        seed=0,
-        drift_mode="exact_per_T",
-        exact_settlements=(2.0,),
-    )
-    return drift_error_study((0.0, 1.0, 2.0, 3.0), cfg, curves, sec5)
+def drift_study_forwards(curves, sec5):
+    """The study's parameter sets and their (exact, approximate) forwards
+    at the horizon, so a check that needs the paths reuses this one run."""
+    return _study_forwards((0.0, 1.0, 2.0, 3.0), DRIFT_STUDY_CFG, curves, sec5)
+
+
+@pytest.fixture(scope="session")
+def drift_study(drift_study_forwards, curves):
+    """The study's rows, as `drift_error_study` builds them."""
+    params, forwards = drift_study_forwards
+    return _study_rows(params, forwards, DRIFT_STUDY_CFG, curves)

@@ -195,9 +195,7 @@ def test_drift_study_forward_error(drift_study, sec5):
     check(5, "drift approximation, forward error", clauses)
 
 
-def test_drift_study_atm_vol_error(drift_study, sec5, curves):
-    from fwdvol.mc import _grid_with_inserted, _nearest_node, _simulate_forwards
-
+def test_drift_study_atm_vol_error(drift_study, drift_study_forwards, sec5, curves):
     rows = {row.alpha: row for row in drift_study}
     worst = max(abs(row.atm_vol_err_pct) for row in drift_study)
     se0 = rows[0.0].atm_vol_stderr_pct
@@ -208,18 +206,12 @@ def test_drift_study_atm_vol_error(drift_study, sec5, curves):
         lognormal_stderr_clause(se0, 1.0, sec5),
     ]
 
-    # alpha=1: rerun the fixture's paths and back the vol out of each of
-    # 50 contiguous batches; the spread of the batch vols over sqrt(50)
-    # estimates the full-sample vol's noise, to within the sampling error
-    # of a standard deviation over 50 batch values.
-    p = replace(sec5, alpha=1.0)
-    cfg = McConfig(n_paths=STUDY_PATHS, n_steps=100, horizon=STUDY_T_E, seed=0,
-                   exact_settlements=(STUDY_T,))
-    times = _grid_with_inserted(cfg, (STUDY_T_E,))
-    node = _nearest_node(times, STUDY_T_E)
-    ((exact,),) = _simulate_forwards(
-        cfg, curves, (p,), times, ((node, STUDY_T, "exact_per_T"),)
-    )
+    # alpha=1: take the fixture's exact forwards and back the vol out of
+    # each of 50 contiguous batches; the spread of the batch vols over
+    # sqrt(50) estimates the full-sample vol's noise, to within the
+    # sampling error of a standard deviation over 50 batch values.
+    params, forwards = drift_study_forwards
+    exact, _ = forwards[[p.alpha for p in params].index(1.0)]
     batches = exact.reshape(50, -1)
     K, D = curves.forward(STUDY_T), curves.discount(STUDY_T)
     vols = 100.0 * np.array([

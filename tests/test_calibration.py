@@ -4,9 +4,12 @@ in the transformed parameter space."""
 import numpy as np
 import pytest
 from dataclasses import replace
+from scipy.optimize import minimize
 
+import fwdvol.calibration
 import fwdvol.charfn
 import fwdvol.pricing
+from fwdvol.calibration import _nelder_mead
 
 from fwdvol import (
     DomainError,
@@ -159,3 +162,134 @@ class TestFit:
         result = fit(quotes, start, curves, budget=400)
         assert result.objective <= 1e-6
         assert result.params.sigma == pytest.approx(p.sigma, abs=0.02)
+
+
+class _Stop(Exception):
+    pass
+
+
+def hex_point(x):
+    return tuple(map(float.hex, x))
+
+
+def own_points(func, x0, budget, xatol, fatol):
+    """Points `_nelder_mead` evaluates, cut at ``budget`` evaluations the
+    way scipy's ``maxfev`` cuts them; the best vertex, or None if cut."""
+    points = []
+
+    def capped(x):
+        if len(points) >= budget:
+            raise _Stop
+        points.append(hex_point(x))
+        return func(x)
+
+    try:
+        return points, _nelder_mead(capped, x0, xatol, fatol)
+    except _Stop:
+        return points, None
+
+
+def scipy_nelder_mead(func, x0, budget, xatol, fatol):
+    """The oracle: scipy's adaptive Nelder-Mead without bounds."""
+    options = {"maxfev": budget, "xatol": xatol, "fatol": fatol, "adaptive": True}
+    return minimize(func, x0, method="Nelder-Mead", options=options)
+
+
+def scipy_points(func, x0, budget, xatol, fatol):
+    points = []
+
+    def recorded(x):
+        points.append(hex_point(x))
+        return func(x)
+
+    return points, scipy_nelder_mead(recorded, x0, budget, xatol, fatol)
+
+
+def quadratic_9d():
+    rng = np.random.default_rng(1)
+    a = rng.normal(size=(9, 9))
+    h = a @ a.T + 9.0 * np.eye(9)
+    c = rng.normal(size=9)
+    # Two zero coordinates take the 0.00025 initial step instead of 5%.
+    x0 = np.array([0.3, 0.0, -1.2, 2.0, 0.5, 0.0, 1.0, -0.7, 0.1])
+    return (lambda x: float((x - c) @ h @ (x - c))), x0
+
+
+def flat_past_a_ridge():
+    # Flat once x sums to 1: expansions tie with their reflections and
+    # contractions with theirs, which pins each step's tie-breaking.
+    return (lambda x: -min(float(x.sum()), 1.0)), np.zeros(3)
+
+
+class TestNelderMeadAgainstScipy:
+    @pytest.mark.parametrize("problem", [quadratic_9d, flat_past_a_ridge])
+    def test_converges_on_the_same_points(self, problem):
+        func, x0 = problem()
+        ours, best = own_points(func, x0, 20_000, 1e-6, 1e-12)
+        theirs, result = scipy_points(func, x0, 20_000, 1e-6, 1e-12)
+        assert result.success and best is not None
+        assert len(ours) < 20_000
+        assert ours == theirs
+        assert hex_point(best) == hex_point(result.x)
+
+    def test_shrinks_on_the_same_points(self):
+        # Every point but x0 is tied at 1, so each reflection and inside
+        # contraction fails and every iteration shrinks the simplex.
+        x0 = np.array([0.5, -2.0, 0.0])
+        func = lambda x: float(np.any(x != x0))
+        ours, best = own_points(func, x0, 200, 1e-8, 1e-8)
+        theirs, result = scipy_points(func, x0, 200, 1e-8, 1e-8)
+        assert best is None and not result.success
+        assert ours == theirs
+        # Evaluations 0-3 build the simplex, 4 and 5 reflect and contract,
+        # 6-8 are the first shrink, toward x0 by sigma = 1 - 1/3.
+        vertices = [x0]
+        for k, step in enumerate((1.05 * x0[0], 1.05 * x0[1], 0.00025)):
+            y = x0.copy()
+            y[k] = step
+            vertices.append(y)
+        sigma = 1 - 1 / 3
+        assert ours[:4] == [hex_point(v) for v in vertices]
+        assert set(ours[6:9]) == {hex_point(x0 + sigma * (v - x0)) for v in vertices[1:]}
+
+    @pytest.mark.parametrize("budget", [1, 3])
+    def test_budget_cuts_the_initial_simplex(self, budget):
+        func, x0 = quadratic_9d()
+        ours, best = own_points(func, x0, budget, 1e-4, 1e-11)
+        theirs, result = scipy_points(func, x0, budget, 1e-4, 1e-11)
+        assert best is None and not result.success
+        assert ours == theirs
+        assert len(ours) == budget
+
+    def test_fit_matches_scipy_on_acceptance_quotes(self, fig1, curves, monkeypatch):
+        quotes = synthesize_quotes(fig1, curves)
+        factors = {"sigma": 1.2, "beta1": 0.8, "beta2": 1.2, "R": 0.8,
+                   "rho": 0.8, "beta": 1.2, "alpha": 0.8, "rho1": 1.2, "rho2": 0.8}
+        start = replace(fig1, **{k: getattr(fig1, k) * f for k, f in factors.items()})
+        budget = 40
+
+        def recording(optimizer, points):
+            def run(func, x0, xatol, fatol):
+                # Recorded once evaluated: the call that meets the spent
+                # budget raises in `fit` and evaluates nothing.
+                def recorded(x):
+                    value = func(x)
+                    points.append(hex_point(x))
+                    return value
+                return optimizer(recorded, x0, xatol, fatol)
+            return run
+
+        def scipy_optimizer(func, x0, xatol, fatol):
+            return scipy_nelder_mead(func, x0, budget, xatol, fatol).x
+
+        theirs, ours = [], []
+        with monkeypatch.context() as patch:
+            patch.setattr(fwdvol.calibration, "_nelder_mead", recording(scipy_optimizer, theirs))
+            oracle = fit(quotes, start, curves, budget=budget)
+        with monkeypatch.context() as patch:
+            patch.setattr(fwdvol.calibration, "_nelder_mead", recording(_nelder_mead, ours))
+            result = fit(quotes, start, curves, budget=budget)
+        assert ours == theirs
+        assert result == oracle
+        assert result.objective.hex() == oracle.objective.hex()
+        assert (result.n_evals, result.converged) == (budget, False)

@@ -1,10 +1,12 @@
 """Black-76 utilities, the Fourier call integral, parity, implied vols,
 term structures, and smiles."""
 
+import json
 import math
 import os
 import subprocess
 import sys
+import textwrap
 from dataclasses import replace
 from pathlib import Path
 
@@ -137,6 +139,49 @@ class TestBlack76:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "[]"
+
+    def test_cli_runs_with_scipy_blocked(self, tmp_path):
+        # scipy is a test-only dependency: with every `import scipy*`
+        # raising, as on an install without it, each command still runs.
+        quotes = tmp_path / "quotes.json"
+        quotes.write_text(json.dumps(
+            [{"t_e": 1.0, "T": 1.0, "K": K, "vol": 0.3} for K in (0.9, 1.0, 1.1)]
+        ))
+        commands = [
+            ["calibrate", "--quotes", str(quotes), "--budget", "4"],
+            ["price", "--t-e", "1", "--T", "2", "--strike", "1.1"],
+            ["mc-price", "--t-e", "1", "--strike", "1", "--paths", "2000", "--steps", "10"],
+            ["drift-study", "--alphas", "0,1", "--paths", "2000", "--steps", "10",
+             "--out", str(tmp_path / "study.csv")],
+        ]
+        code = textwrap.dedent("""
+            import json, sys
+
+            class BlockScipy:
+                def find_spec(self, name, path=None, target=None):
+                    if name.split(".")[0] == "scipy":
+                        raise ImportError(f"{name} is blocked")
+
+            sys.meta_path.insert(0, BlockScipy())
+            from fwdvol.cli import main
+
+            codes = [main(argv) for argv in json.loads(sys.argv[1])]
+            loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+            try:
+                import scipy
+                blocked = False
+            except ImportError:
+                blocked = True
+            print(json.dumps({"codes": codes, "scipy": loaded, "blocked": blocked}))
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(commands)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        )
+        assert out.returncode == 0, out.stderr
+        result = json.loads(out.stdout.splitlines()[-1])
+        assert result == {"codes": [0, 0, 0, 0], "scipy": [], "blocked": True}
 
 
 class TestImpliedVol:
