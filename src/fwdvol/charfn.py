@@ -47,11 +47,14 @@ _B_OVERFLOW = 1e12
 
 # Steps a year for the time dependence of sigma_F^2 and the cross term.
 # At alpha = 0 RK4 integrates A + B by Simpson's rule on the variance
-# rate; 60 a year holds that exponent within 6e-9 at theta = 50 on fig1
-# (acceptance criterion 2 asks 1e-8; 52 a year reads 1.4e-8).  With the
-# stability term, both presets at alpha 0, 1 and 2 and expiries 0.1-10
-# price within 2.6e-10 D F of the 1280-node, 200-steps-a-year grid
-# (tests/test_fourier.py).
+# rate; at t_e = T = 1 the rule's 64 steps hold that exponent within
+# 6.1e-9 at theta = 50 on fig1 (acceptance criterion 2 asks 1e-8; 52 a
+# year reads 1.4e-8).  That bound is measured on fig1 only: Simpson's
+# error grows with sigma^2 theta^2, so sec5 (sigma = 0.6) reads 1.85e-8
+# there at its 60 steps.  Prices do not see it, since |f| = e^-409 at
+# that theta.  With the stability term, both presets at alpha 0, 1
+# and 2 and expiries 0.1-10 price within 2.6e-10 D F of the 1280-node,
+# 200-steps-a-year grid (tests/test_fourier.py).
 _ACCURACY_STEPS_PER_YEAR = 60
 # Simpson's error there grows as (2 beta_i h)^4, so factors that revert
 # faster than 5 a year take 12 steps a year per unit of the larger of
@@ -92,6 +95,10 @@ def default_ab_steps(
     bounded over distances to settlement >= ``lag``; without ``p`` only
     the 60 a year apply.  Steps a year round up to a multiple of 4, and no
     expiry takes fewer than 30 steps.
+
+    The accuracy floor holds the alpha = 0 exponent within 1e-8 at
+    theta = 50 on fig1 (6.1e-9 at t_e = T = 1); on sec5 (sigma = 0.6) it
+    reads 1.85e-8 there, where |f| = e^-409 and prices do not see it.
     """
     rate = float(_ACCURACY_STEPS_PER_YEAR)
     if p is not None:

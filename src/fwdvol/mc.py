@@ -12,11 +12,16 @@ generator keyed on (seed, block index), so path i's draws are a pure
 function of (seed, i).  Estimates are therefore bit-identical across
 worker counts, and growing the path count never reshuffles earlier paths.
 A block draws each step's (3, 8192) normals as it takes the step, which
-continues one stream, and evolves every parameter set on them, so a study
-over several parameter sets pays for the normals once.  Each block
-reconstructs the forwards its caller observes as it passes their nodes and
-writes them into one shared (parameter set, observation, path) array; no
-path state outlives its block.
+continues one stream, and evolves every parameter set on them as one
+stacked state, (set, path) arrays that each array operation of the Euler
+step updates for all sets at once; sets with equal correlation factors
+share one correlated draw.  A study over several parameter sets so pays
+for the normals, and for the per-step overhead, once.  The costly
+path-independent coefficients, k(t, T) per observation and each step's
+exact variance-rate integrals, are tabulated once per grid before the
+workers start.  Each block reconstructs the forwards its caller observes
+as it passes their nodes and writes them into one shared (parameter set,
+observation, path) array; no path state outlives its block.
 """
 
 from __future__ import annotations
@@ -114,8 +119,13 @@ class PathState:
     as ``v``.  ``exact_drift`` holds one row per date of the ascending
     ``settlements``: the accumulated integral of v times that date's
     forward variance rate, shape (n_settlements,) or (n_settlements,
-    n_paths).  The engine holds one state per block and parameter set,
-    at the current step only, and keeps the forwards read off it.
+    n_paths).
+
+    A stacked state carries several parameter sets on the same paths
+    with the set axis first: u1, u2, v_raw and int_w have shape (sets,
+    n_paths) and ``exact_drift`` (sets, n_settlements, n_paths).  The
+    engine holds one stacked state per block, at the current step only,
+    and keeps the forwards read off it.
     """
 
     t: float
@@ -153,47 +163,130 @@ def evolve_step(
     state: PathState,
     dt: float,
     normals,
-    p: ModelParams,
+    p: ModelParams | Sequence[ModelParams],
     mode: str = "exact_per_T",
+    *,
+    rates=None,
 ) -> PathState:
     """One full-truncation Euler step.
 
-    ``normals`` holds the three already-correlated standard normals for
-    the step, shape (3,) or (3, n_paths).  The variance factor keeps its
-    signed value; the floored value enters every coefficient, including
-    the drift accumulators.  The exact accumulators add the floored v
-    times the step's exact variance-rate integral, so deterministic
-    pieces carry no discretization error and the exactness limits of the
-    drift approximation survive to floating-point precision.  A
-    settlement's row stops moving once t reaches it.  The accumulator
-    array is updated in place and handed on to the new state, so the
-    input state's ``exact_drift`` moves with it; copy it first to keep it.
+    ``p`` is one parameter set, or a sequence of them for a stacked state
+    (see `PathState`), which then takes the step for every set at once,
+    each with its own coefficients.  ``normals`` holds the three
+    already-correlated standard normals for the step, shape (3,) or
+    (3, n_paths), shared by every set; a stacked step also takes one
+    triple per set, shape (sets, 3, n_paths).  The variance factor keeps
+    its signed value; the floored value enters every coefficient,
+    including the drift accumulators.  The exact accumulators add the
+    floored v times the step's exact variance-rate integral, so
+    deterministic pieces carry no discretization error and the exactness
+    limits of the drift approximation survive to floating-point
+    precision.  A settlement's row stops moving once t reaches it.
+
+    ``rates`` holds those integrals, ``integrated_variance(t, min(t + dt,
+    T), T, p)`` for each settlement still accruing at t, shape (sets,
+    pending) or (pending,).  A caller that takes the same grid block
+    after block tabulates them once and passes each step's row; without
+    them the step evaluates them itself.  A stacked step gives each set
+    what a step of that set alone gives, bit for bit.
+
+    The state's arrays are updated in place and handed on to the new
+    state, so the input state moves with it; copy it first to keep it.
     """
     if dt <= 0.0:
         raise DomainError("dt must be > 0")
     if mode not in _DRIFT_MODES:
         raise DomainError(f"mode must be one of {_DRIFT_MODES}")
     z = np.asarray(normals, dtype=float)
-    if z.shape[0] != 3:
+    stacked = not isinstance(p, ModelParams)
+    ps = tuple(p) if stacked else (p,)
+    fields = (state.u1, state.u2, state.v_raw, state.int_w)
+    if stacked:
+        shape = np.shape(state.v_raw)
+        if shape[:1] != (len(ps),):
+            raise DomainError("a stacked state needs one row per parameter set")
+    else:
+        shape = (1,) + np.broadcast_shapes(*map(np.shape, fields), z.shape[1:])
+    # Normals shared by every set, or with a leading set axis, one
+    # triple per set; either way one (3, sets, ...) view.
+    shocks = z.swapaxes(0, 1) if z.ndim > len(shape) else z[:, None]
+    if shocks.shape[0] != 3:
         raise DomainError("normals must have leading dimension 3")
-    t = state.t
-    vp = state.v
-    root_v = np.sqrt(vp)
-    root_dt = math.sqrt(dt)
-    u1 = state.u1 + root_v * math.exp(p.beta1 * t) * root_dt * z[0]
-    u2 = state.u2 + root_v * math.exp(p.beta2 * t) * root_dt * z[1]
-    v_raw = state.v_raw + p.beta * (1.0 - vp) * dt + p.alpha * root_v * root_dt * z[2]
-    int_w = state.int_w + (vp - 1.0) * dt
+    u1, u2, v_raw, int_w = fields if stacked else (_with_set_axis(x, shape) for x in fields)
     drift = state.exact_drift
+    if drift is not None and not stacked:
+        drift = _with_set_axis(drift, shape[:1] + (len(state.settlements),) + shape[1:])
+    t = state.t
+    ones = (1,) * (len(shape) - 1)
+    pending = 0
     if mode == "exact_per_T" and drift is not None:
         # Settlements ascend, so the rows still accruing (T > t) are a suffix.
         first = bisect.bisect_right(state.settlements, t)
-        if first < len(state.settlements):
-            rates = [integrated_variance(t, min(t + dt, T), T, p)
-                     for T in state.settlements[first:]]
-            drift[first:] += np.multiply.outer(rates, vp)
+        pending = len(state.settlements) - first
+    # beta, alpha, e^{beta1 t} and e^{beta2 t} per set, the exponentials
+    # from math.exp as the forwards' decay factors are: one set's as
+    # scalars, several as (sets, 1, ...) columns.
+    coefficients = [(q.beta, q.alpha, math.exp(q.beta1 * t), math.exp(q.beta2 * t)) for q in ps]
+    if len(ps) == 1:
+        beta, alpha, growth1, growth2 = coefficients[0]
+    else:
+        beta, alpha, growth1, growth2 = np.array(coefficients).T.reshape((4,) + shape[:1] + ones)
+    root_dt = math.sqrt(dt)
+    # Every update keeps the association order of
+    #   u1 + root_v * e^{beta1 t} * root_dt * z0,
+    #   v_raw + beta (1 - v) dt + alpha * root_v * root_dt * z2,
+    # and writes through one scratch array: rows 0-2 become the three
+    # diffusion increments, the last row holds the floored v until the
+    # increments need it, and the pending dates' drift products borrow
+    # the leading rows first.
+    scratch = np.empty((max(3, pending + 1),) + shape)
+    vp = np.maximum(v_raw, 0.0, out=scratch[-1])
+    if pending:
+        if rates is None:
+            rates = _step_rates(t, dt, state.settlements[first:], ps)
+        rates = np.reshape(rates, shape[:1] + (pending,) + ones)
+        drift[:, first:] += np.multiply(rates, vp[:, None], out=scratch[:pending].swapaxes(0, 1))
+    step = np.subtract(vp, 1.0, out=scratch[0])
+    step *= dt
+    int_w += step
+    increments = scratch[:3]
+    root_v = np.sqrt(vp, out=increments[0])
+    np.subtract(1.0, vp, out=vp)
+    vp *= beta
+    vp *= dt
+    v_raw += vp
+    np.multiply(root_v, growth2, out=increments[1])
+    np.multiply(root_v, alpha, out=increments[2])
+    root_v *= growth1
+    increments *= root_dt
+    increments *= shocks
+    u1 += increments[0]
+    u2 += increments[1]
+    v_raw += increments[2]
+    if not stacked:
+        u1, u2, v_raw, int_w = u1[0], u2[0], v_raw[0], int_w[0]
+        drift = None if drift is None else drift[0]
     return PathState(t=t + dt, u1=u1, u2=u2, v_raw=v_raw, int_w=int_w,
                      exact_drift=drift, settlements=state.settlements)
+
+
+def _with_set_axis(x, shape: tuple[int, ...]) -> np.ndarray:
+    """One set's ``x`` as a float array of ``shape``, whose leading set
+    axis has length 1: a view where ``x`` holds that many values, so
+    in-place updates reach the caller's array."""
+    x = np.asarray(x, dtype=float)
+    if x.size == math.prod(shape):
+        return x.reshape(shape)
+    return np.broadcast_to(x, shape).copy()
+
+
+def _step_rates(
+    t: float, dt: float, pending: tuple[float, ...], ps: Sequence[ModelParams]
+) -> np.ndarray:
+    """Exact variance-rate integral over [t, min(t + dt, T)] of each
+    pending settlement T, one row per parameter set."""
+    return np.array([[integrated_variance(t, min(t + dt, T), T, p) for T in pending]
+                     for p in ps])
 
 
 def forward_reconstruct(
@@ -380,14 +473,19 @@ def _simulate_forwards(
     """Forwards at each (node, T, mode) observation for every set in ``ps``.
 
     Each block draws its normals once and evolves every parameter set on
-    them in turn, so entry i of the result equals a separate run of
-    ``ps[i]``.  Returns an array of shape (len(ps), len(observations),
-    n_paths); an empty ``ps`` draws nothing.
+    them as one stacked state, so entry i of the result equals a separate
+    run of ``ps[i]``.  Returns an array of shape (len(ps),
+    len(observations), n_paths); an empty ``ps`` draws nothing.
     """
+    ps = tuple(ps)
     out = np.empty((len(ps), len(observations), cfg.n_paths))
     if not ps:
         return out
-    transforms = tuple(factorize_correlation(p).matrix for p in ps)
+    transforms = [factorize_correlation(p).matrix for p in ps]
+    # Sets with equal Cholesky factors share one correlated draw per step.
+    keys = [matrix.tobytes() for matrix in transforms]
+    by_set = [keys.index(key) for key in keys]
+    distinct = sorted(set(by_set))
     track_exact = any(mode == "exact_per_T" for _, _, mode in observations)
     step_mode = "exact_per_T" if track_exact else "approximate"
     settlements = cfg.exact_settlements if track_exact else ()
@@ -395,8 +493,9 @@ def _simulate_forwards(
     for j, (node, _, _) in enumerate(observations):
         at_node.setdefault(node, []).append(j)
     dts = [float(dt) for dt in np.diff(times)]
-    # State times as evolve_step sums them, so k(t, T) is evaluated once
-    # per observation here rather than once per block in the workers.
+    # State times as evolve_step sums them, so k(t, T) and each step's
+    # variance-rate integrals are evaluated once per grid here rather
+    # than once per block in the workers.
     state_t = list(itertools.accumulate(dts, initial=0.0))
     ks = [
         [drift_factor(state_t[node], T, p)
@@ -404,6 +503,10 @@ def _simulate_forwards(
          for node, T, mode in observations]
         for p in ps
     ]
+    rates = []
+    for t, dt in zip(state_t, dts):
+        pending = settlements[bisect.bisect_right(settlements, t):]
+        rates.append(_step_rates(t, dt, pending, ps) if pending else None)
     base = _BLOCK // 2 if cfg.antithetic else _BLOCK
 
     def run(block: int) -> None:
@@ -414,14 +517,19 @@ def _simulate_forwards(
             pairs = cols // 2
             signs = np.where(cols % 2 == 0, 1.0, -1.0)
         rng = _block_philox(cfg.seed, block)
-        states = [initial_state(n_cols, settlements) for _ in ps]
+        rows = (len(ps), n_cols)
+        state = PathState(
+            t=0.0, u1=np.zeros(rows), u2=np.zeros(rows), v_raw=np.ones(rows),
+            int_w=np.zeros(rows), settlements=settlements,
+            exact_drift=np.zeros((len(ps), len(settlements), n_cols)) if settlements else None,
+        )
 
         def observe(node: int) -> None:
             for j in at_node.get(node, ()):
                 _, T, mode = observations[j]
-                for i, (state, p) in enumerate(zip(states, ps)):
+                for i, p in enumerate(ps):
                     out[i, j, paths] = forward_reconstruct(
-                        state, T, curves, p, mode, k=ks[i][j]
+                        _set_state(state, i), T, curves, p, mode, k=ks[i][j]
                     )
 
         observe(0)
@@ -431,8 +539,10 @@ def _simulate_forwards(
             # continue the stream one (n_steps, 3, base) draw would give.
             draw = rng.standard_normal((3, base))
             z = draw[:, pairs] * signs if cfg.antithetic else draw[:, :n_cols]
-            for i, (p, transform) in enumerate(zip(ps, transforms)):
-                states[i] = evolve_step(states[i], dt, transform @ z, p, step_mode)
+            correlated = {g: transforms[g] @ z for g in distinct}
+            normals = (correlated[0] if len(distinct) == 1
+                       else np.stack([correlated[g] for g in by_set]))
+            state = evolve_step(state, dt, normals, ps, step_mode, rates=rates[n])
             observe(n + 1)
 
     n_blocks = -(-cfg.n_paths // _BLOCK)
@@ -443,6 +553,13 @@ def _simulate_forwards(
         for b in range(n_blocks):
             run(b)
     return out
+
+
+def _set_state(state: PathState, i: int) -> PathState:
+    """Parameter set i of a stacked state, as views of its rows."""
+    drift = None if state.exact_drift is None else state.exact_drift[i]
+    return replace(state, u1=state.u1[i], u2=state.u2[i], v_raw=state.v_raw[i],
+                   int_w=state.int_w[i], exact_drift=drift)
 
 
 def _mean_se(samples: np.ndarray, antithetic: bool) -> tuple[float, float]:

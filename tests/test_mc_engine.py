@@ -1,6 +1,7 @@
 """Path evolution, forward reconstruction, payoff pricing, the RNG
 contract, and the paired drift comparison."""
 
+import itertools
 import math
 import tracemalloc
 from dataclasses import astuple, replace
@@ -96,6 +97,14 @@ def small_cfg(**overrides) -> McConfig:
 
 # Twelve monthly fixings, each reading the forward that settles a month on.
 STRIP = tuple((m / 12, (m + 1) / 12) for m in range(1, 13))
+
+# Differs from the fig1 set in every field, correlations included.
+DISTINCT_KW = dict(sigma=0.6, beta1=0.3, beta2=2.0, R=0.8, rho=0.2, beta=1.2,
+                   alpha=0.5, rho1=-0.2, rho2=0.4)
+
+
+def hex_bits(forwards: np.ndarray) -> list[str]:
+    return [x.hex() for x in forwards.ravel().tolist()]
 
 
 def reference_step(state, dt, normals, p, mode):
@@ -262,6 +271,29 @@ class TestEvolveStep:
         assert state.u1[0] == pytest.approx(0.1, abs=1e-15)
         assert state.u2[0] == 0.0
         assert state.t == pytest.approx(0.01)
+
+    def test_stacked_step_matches_each_set(self):
+        # Two sets that differ in every coefficient, each with its own
+        # normals and no rate table, against single-set steps, bit for
+        # bit; the stacked arrays are updated in place.
+        ps = (make(), make(**DISTINCT_KW))
+        settlements = (0.3, 2.0)
+        rng = np.random.default_rng(5)
+        normals = rng.standard_normal((6, 2, 3, 4))
+        single = [initial_state(4, settlements) for _ in ps]
+        rows = (len(ps), 4)
+        stacked = PathState(t=0.0, u1=np.zeros(rows), u2=np.zeros(rows), v_raw=np.ones(rows),
+                            int_w=np.zeros(rows), exact_drift=np.zeros((2, 2, 4)),
+                            settlements=settlements)
+        u1 = stacked.u1
+        for z in normals:
+            stacked = evolve_step(stacked, 0.1, z, ps, "exact_per_T")
+            single = [evolve_step(s, 0.1, zi, p, "exact_per_T") for s, zi, p in zip(single, z, ps)]
+        assert stacked.u1 is u1
+        for i, state in enumerate(single):
+            for name in ("u1", "u2", "v_raw", "int_w", "exact_drift"):
+                got = getattr(stacked, name)[i]
+                assert got.tobytes() == getattr(state, name).tobytes(), name
 
     def test_variance_never_negative_in_coefficients(self):
         # Drive v far below zero; the truncated view must floor at 0.
@@ -495,6 +527,69 @@ class TestEngineAgainstReference:
         rng = _block_philox(11, 2)
         steps = np.stack([rng.standard_normal((3, base)) for _ in range(7)])
         assert steps.tobytes() == whole.tobytes()
+
+
+class TestStackedSets:
+    """Every parameter set of a block evolves as one stacked state; each
+    set's forwards must still be those of that set run alone."""
+
+    FAMILIES = {
+        # No two sets share a field, so none shares a correlation factor.
+        "distinct": (make(), make(**DISTINCT_KW),
+                     make(sigma=0.25, beta1=0.05, beta2=0.6, R=-0.4, rho=-0.5, beta=0.0,
+                          alpha=2.0, rho1=0.5, rho2=-0.1)),
+        # The drift study: only alpha varies, so every set shares one
+        # correlated draw per step.
+        "study": tuple(make5(alpha=a) for a in (0.0, 1.0, 2.0, 3.0)),
+    }
+
+    @staticmethod
+    def strip_setup(mode, **overrides):
+        # 10k paths leave the second block partial; 30 steps put half the
+        # strip's settlements between grid nodes.
+        settlements = tuple(sorted({T for _, T in STRIP}))
+        cfg = small_cfg(**{"n_paths": 10_000, "n_steps": 30, "drift_mode": mode,
+                           "exact_settlements": settlements if mode == "exact_per_T" else (),
+                           **overrides})
+        times = _grid_with_inserted(cfg, tuple(t for t, _ in STRIP))
+        observations = tuple((_nearest_node(times, t), T, mode) for t, T in STRIP)
+        return cfg, times, observations
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("mode", ["exact_per_T", "approximate"])
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_each_set_equals_its_solo_run(self, curves, family, mode, antithetic, threads):
+        ps = self.FAMILIES[family]
+        cfg, times, observations = self.strip_setup(mode, antithetic=antithetic, threads=threads)
+        stacked = _simulate_forwards(cfg, curves, ps, times, observations)
+        for i, p in enumerate(ps):
+            (alone,) = _simulate_forwards(replace(cfg, threads=1), curves, (p,), times,
+                                          observations)
+            assert hex_bits(stacked[i]) == hex_bits(alone), f"set {i}"
+
+    @pytest.mark.parametrize("n_paths", [5_000, 20_000])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_step_rates_are_tabulated_once_per_grid(self, curves, monkeypatch, n_paths, threads):
+        # One integrated_variance call per step, still-accruing
+        # settlement and set, however many blocks and workers run.
+        import fwdvol.mc as mc
+
+        calls = []
+        real = mc.integrated_variance
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(mc, "integrated_variance", counting)
+        ps = self.FAMILIES["distinct"]
+        cfg, times, observations = self.strip_setup("exact_per_T", n_paths=n_paths,
+                                                     threads=threads)
+        _simulate_forwards(cfg, curves, ps, times, observations)
+        state_t = itertools.accumulate(np.diff(times).tolist(), initial=0.0)
+        pending = sum(T > t for t in list(state_t)[:-1] for T in cfg.exact_settlements)
+        assert len(calls) == pending * len(ps)
 
 
 class TestMemory:
