@@ -17,134 +17,22 @@ the least-squares fit; ``cli`` the command-line harness.
 
 __version__ = "0.1.0"
 
-from .calibration import CalibrationResult, VolQuote, fit, objective
-from .charfn import charfn_value, default_ab_steps, integrate_ab, integrate_ab_snapshots
-from .driftfactor import (
-    ClosedFormReport,
-    DriftFactorResult,
-    centered_variance_cov,
-    closed_form_verification,
-    drift_factor,
-    drift_factor_result,
-    k_sq_closed_form,
-    k_sq_numeric,
-)
-from .errors import (
-    CorrelationMatrixNotPSD,
-    DegenerateDenominator,
-    DomainError,
-    FwdVolError,
-    InvalidModelParams,
-    MissingSettlement,
-    NoArbitrageViolation,
-    NonConvergence,
-    NumericalError,
-    ParamViolation,
-    QuadratureTailError,
-)
-from .mc import (
-    DriftStudyRow,
-    McConfig,
-    McEstimate,
-    PathState,
-    PayoffSpec,
-    drift_error_study,
-    evolve_step,
-    forward_reconstruct,
-    initial_state,
-    price_payoff,
-)
-from .model import (
-    CorrelationFactorization,
-    MarketCurves,
-    ModelParams,
-    factorize_correlation,
-    integrated_variance,
-    validate_params,
-    variance_rate,
-)
-from .presets import DRIFT_STUDY_SET, PRESETS, TERM_STRUCTURE_SET, flat_curves
-from .pricing import (
-    OptionSpec,
-    QuadratureConfig,
-    SliceResult,
-    atm_term_structure,
-    black76_price,
-    black76_vega,
-    call_price,
-    call_prices,
-    implied_vol,
-    price,
-    price_slices,
-    put_price,
-    smile_slice,
-    smile_table,
-    term_structure_table,
-)
+from . import calibration, charfn, driftfactor, errors, mc, model, presets, pricing
+from .calibration import *
+from .charfn import *
+from .driftfactor import *
+from .errors import *
+from .mc import *
+from .model import *
+from .presets import *
+from .pricing import *
 
-__all__ = [
-    "__version__",
-    "CalibrationResult",
-    "VolQuote",
-    "fit",
-    "objective",
-    "charfn_value",
-    "default_ab_steps",
-    "integrate_ab",
-    "integrate_ab_snapshots",
-    "ClosedFormReport",
-    "DriftFactorResult",
-    "centered_variance_cov",
-    "closed_form_verification",
-    "drift_factor",
-    "drift_factor_result",
-    "k_sq_closed_form",
-    "k_sq_numeric",
-    "CorrelationMatrixNotPSD",
-    "DegenerateDenominator",
-    "DomainError",
-    "FwdVolError",
-    "InvalidModelParams",
-    "MissingSettlement",
-    "NoArbitrageViolation",
-    "NonConvergence",
-    "NumericalError",
-    "ParamViolation",
-    "QuadratureTailError",
-    "DriftStudyRow",
-    "McConfig",
-    "McEstimate",
-    "PathState",
-    "PayoffSpec",
-    "drift_error_study",
-    "evolve_step",
-    "forward_reconstruct",
-    "initial_state",
-    "price_payoff",
-    "CorrelationFactorization",
-    "MarketCurves",
-    "ModelParams",
-    "factorize_correlation",
-    "integrated_variance",
-    "validate_params",
-    "variance_rate",
-    "DRIFT_STUDY_SET",
-    "PRESETS",
-    "TERM_STRUCTURE_SET",
-    "flat_curves",
-    "OptionSpec",
-    "QuadratureConfig",
-    "SliceResult",
-    "atm_term_structure",
-    "black76_price",
-    "black76_vega",
-    "call_price",
-    "call_prices",
-    "implied_vol",
-    "price",
-    "price_slices",
-    "put_price",
-    "smile_slice",
-    "smile_table",
-    "term_structure_table",
-]
+__all__ = ["__version__"]
+__all__ += calibration.__all__
+__all__ += charfn.__all__
+__all__ += driftfactor.__all__
+__all__ += errors.__all__
+__all__ += mc.__all__
+__all__ += model.__all__
+__all__ += presets.__all__
+__all__ += pricing.__all__

@@ -37,6 +37,7 @@ __all__ = [
     "black76_price",
     "black76_vega",
     "implied_vol",
+    "price",
     "call_price",
     "call_prices",
     "price_slices",

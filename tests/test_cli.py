@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from fwdvol import QuadratureConfig, call_price, flat_curves, OptionSpec
-from fwdvol.cli import main
+from fwdvol.cli import _build_parser, main
 from fwdvol.pricing import price_slices
 from fwdvol.driftfactor import drift_factor_result
 
@@ -154,6 +154,13 @@ class TestKTableCommand:
         assert float(rows[1][2]) == pytest.approx(expected.k_sq, rel=1e-12)
         assert rows[1][3] == expected.method
 
+    def test_fast_reversion_over_a_long_window(self, tmp_path, capsys):
+        params = tmp_path / "p.json"
+        params.write_text(json.dumps({**FIG1, "beta1": 40.0, "alpha": 0.0}))
+        assert run(["k-table", "--params", params, "--T", 22, "--t-min", 10,
+                    "--t-max", 10, "--n", 1]) == 0
+        assert capsys.readouterr().out.splitlines()[1].endswith(",limit")
+
 
 class TestCalibrateCommand:
     def test_round_trip_smoke(self, tmp_path, curves):
@@ -178,6 +185,68 @@ class TestCalibrateCommand:
         assert run(["calibrate", "--quotes", qfile]) == 2
 
 
+# Each malformed file's flags, and what the file holds.
+MALFORMED_INPUTS = {
+    "quotes_object": (["calibrate", "--quotes"], {"a": 1}),
+    "quotes_numbers": (["calibrate", "--quotes"], [1, 2]),
+    "quote_null_vol": (["calibrate", "--quotes"],
+                       [{"t_e": 1, "T": 1, "K": 1, "vol": None}]),
+    "fixings_numbers": (["mc-price", "--payoff", "asian_prompt", "--fixings"], [1]),
+    "params_number": (["price", "--t-e", 1, "--strike", 1, "--params"], 5),
+}
+
+
+@pytest.mark.parametrize("argv, content", MALFORMED_INPUTS.values(),
+                         ids=MALFORMED_INPUTS.keys())
+def test_malformed_input_file_is_input_error(argv, content, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(content))
+    assert run(argv + [bad]) == 2
+    assert "invalid input" in capsys.readouterr().err
+
+
+# Small runs of every subcommand, and the file each reads after its
+# parameters and curves.
+MANIFEST_RUNS = {
+    "price": (["--t-e", 1, "--strike", 1], []),
+    "term-structure": (["--expiries", "0.5,1"], []),
+    "smile": (["--strikes", "0.9,1.1"], []),
+    "mc-price": (["--payoff", "asian_prompt", "--fixings", "fixings.json",
+                  "--paths", 2000, "--steps", 8], ["fixings.json"]),
+    "drift-study": (["--alphas", "0,1", "--paths", 2000, "--steps", 8], []),
+    "k-table": (["--n", 3], []),
+    "calibrate": (["--quotes", "quotes.json", "--budget", 4], ["quotes.json"]),
+}
+
+
+@pytest.mark.parametrize("command", MANIFEST_RUNS)
+def test_manifest_of_every_subcommand(command, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "params.json").write_text(json.dumps(FIG1))
+    (tmp_path / "curves.json").write_text(json.dumps(
+        {"forwards": [[0.0, 1.0], [5.0, 1.1]], "discounts": [[0.0, 1.0], [5.0, 0.9]]}))
+    (tmp_path / "fixings.json").write_text(json.dumps([[0.25, 0.5], [0.5, 1.0]]))
+    (tmp_path / "quotes.json").write_text(json.dumps(
+        [{"t_e": 1.0, "T": 1.0, "K": K, "vol": 0.4} for K in (0.9, 1.0, 1.1)]))
+    flags, extra_files = MANIFEST_RUNS[command]
+    source = "--initial" if command == "calibrate" else "--params"
+    argv = [str(a) for a in [command, *flags, source, "params.json",
+                             "--curves", "curves.json", "--out", "out"]]
+    assert main(argv) == 0
+    out, manifest_file = tmp_path / "out", tmp_path / "out.manifest.json"
+    first = out.read_bytes(), manifest_file.read_bytes()
+    manifest = json.loads(first[1])
+    assert manifest["command"] == command
+    # k-table never reads the curves.
+    curves = [] if command == "k-table" else ["curves.json"]
+    assert manifest["inputs"] == ["params.json", *curves, *extra_files]
+    assert manifest["outputs"] == {"out": hashlib.sha256(first[0]).hexdigest()}
+    # The flags exactly as parsed, nothing the dispatch adds.
+    assert manifest["config"] == vars(_build_parser().parse_args(argv))
+    assert main(argv) == 0
+    assert (out.read_bytes(), manifest_file.read_bytes()) == first
+
+
 class TestEntryPoints:
     def test_module_help_runs(self):
         proc = subprocess.run(
@@ -189,3 +258,15 @@ class TestEntryPoints:
 
     def test_unknown_preset_is_input_error(self):
         assert run(["price", "--t-e", 1, "--strike", 1, "--preset", "zzz"]) == 2
+
+    def test_package_exports_each_module_list_once(self):
+        import fwdvol
+
+        modules = [fwdvol.calibration, fwdvol.charfn, fwdvol.driftfactor, fwdvol.errors,
+                   fwdvol.mc, fwdvol.model, fwdvol.presets, fwdvol.pricing]
+        names = [name for module in modules for name in module.__all__]
+        assert len(set(names)) == len(names)
+        assert sorted(fwdvol.__all__) == sorted(["__version__", *names])
+        for module in modules:
+            for name in module.__all__:
+                assert getattr(fwdvol, name) is getattr(module, name)

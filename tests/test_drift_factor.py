@@ -195,6 +195,24 @@ class TestDispatcher:
         with pytest.raises(DomainError):
             drift_factor_result(2.0, 1.0, make5())
 
+    def test_fast_reversion_over_a_long_window_stays_finite(self):
+        # 2 beta1 t = 800: exp(2 beta1 t) overflows, so the limit route's
+        # integral must factor its decay from t instead.
+        p = make(beta1=40.0, alpha=0.0)
+        t, T = 10.0, 22.0
+
+        def decay(c):
+            return math.exp(-c * (T - t)) * -math.expm1(-c * t) / c
+
+        stable = p.sigma**2 * (
+            decay(2.0 * p.beta1)
+            + p.R**2 * decay(2.0 * p.beta2)
+            + 2.0 * p.rho * p.R * decay(p.beta1 + p.beta2)
+        ) / t
+        k = drift_factor(t, T, p)
+        assert math.isfinite(k)
+        assert k == pytest.approx(stable, rel=1e-12, abs=0.0)
+
     def test_continuous_in_time(self):
         # A transcription defect would show up as a jump; a smooth k^2 has
         # a tiny second difference on a fine grid.

@@ -148,6 +148,16 @@ class TestIntegratedVariance:
                                epsabs=1e-13, epsrel=1e-13)
         assert integrated_variance(0.0, 1.0, 1.0, p) == pytest.approx(oracle, rel=1e-10)
 
+    def test_fast_reversion_keeps_its_precision(self):
+        # exp(-2 beta1 T) = e^-744 is subnormal, so the form that factors
+        # the decay from t0 loses its digits although the integral itself
+        # is a normal number.
+        p = make(beta1=40.0, R=0.0)
+        c, t1, T = 2.0 * p.beta1, 8.7, 9.3
+        expected = p.sigma**2 * math.exp(-c * (T - t1)) * -math.expm1(-c * t1) / c
+        value = integrated_variance(0.0, t1, T, p)
+        assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     def test_rejects_bad_ordering(self):
         with pytest.raises(DomainError):
             integrated_variance(0.8, 0.2, 1.0, make())
