@@ -129,36 +129,58 @@ def _from_vector(
 
 
 def objective(
-    p: ModelParams,
+    p: ModelParams | Sequence[ModelParams],
     quotes: Sequence[VolQuote],
     curves: MarketCurves,
     q: QuadratureConfig | None = None,
-) -> float:
+) -> float | list[float]:
     """Weighted sum of squared vol errors, in vol-squared units.
 
     Quotes that cannot be priced (parameter validation failure, Riccati
     overflow, quadrature tail failure, no-arbitrage violations) each add
     a flat penalty of 1e3 instead of aborting the evaluation.  Failures
     stay per (t_e, T) slice, while every slice is priced from one
-    `call_prices` call.
+    `call_prices` call.  ``p`` may also be a sequence of parameter sets,
+    which that one call prices together; the result is then their
+    objectives, as a list, each equal to its set's own call.
     """
+    if isinstance(p, ModelParams):
+        (value,) = _objectives([p], quotes, curves, q)
+        return value
+    return _objectives(p, quotes, curves, q)
+
+
+def _objectives(ps, quotes, curves, q) -> list[float]:
+    """`objective` of each set in ``ps``, the valid ones priced by one
+    `call_prices` call."""
     if not quotes:
         raise DomainError("quotes must be nonempty")
     q = q or QuadratureConfig()
-    try:
-        validate_params(p)
-    except (FwdVolError, ValueError):
-        return _FAILED_QUOTE_PENALTY * len(quotes)
+    values = [_FAILED_QUOTE_PENALTY * len(quotes)] * len(ps)
+    valid = []
+    for i, p in enumerate(ps):
+        try:
+            validate_params(p)
+        except (FwdVolError, ValueError):
+            continue
+        valid.append(i)
+    if not valid:
+        return values
 
     groups: dict[tuple[float, float], list[VolQuote]] = {}
     for quote in quotes:
         groups.setdefault((quote.t_e, quote.T), []).append(quote)
-
     slices = [(t_e, T, [quote.strike for quote in group]) for (t_e, T), group in groups.items()]
+    priced = call_prices(slices, curves, [ps[i] for i in valid], q)
+    for i, results in zip(valid, priced):
+        values[i] = _vol_errors(slices, groups.values(), results, curves)
+    return values
+
+
+def _vol_errors(slices, groups, results, curves: MarketCurves) -> float:
+    """One set's objective from its `call_prices` results, slice by slice."""
     total = 0.0
-    for (t_e, T, strikes), group, prices in zip(
-        slices, groups.values(), call_prices(slices, curves, p, q)
-    ):
+    for (t_e, T, strikes), group, prices in zip(slices, groups, results):
         try:
             if isinstance(prices, FwdVolError):
                 raise prices
@@ -177,12 +199,14 @@ class _BudgetStop(Exception):
 
 
 def _nelder_mead(func, x0: np.ndarray, xatol: float, fatol: float) -> np.ndarray:
-    """Minimize ``func`` from ``x0`` by adaptive Nelder-Mead; return the best vertex.
+    """Minimize by adaptive Nelder-Mead from ``x0``; return the best vertex.
 
-    Runs until the simplex is within ``xatol`` of its best vertex in every
-    coordinate and within ``fatol`` of its best value; there is no
-    evaluation cap, so a caller ends the search early by raising from
-    ``func``.
+    ``func`` maps an (m, n) array of points to their m values.  The
+    initial simplex and each shrink are one call; a reflection, expansion
+    or contraction is a call with one point.  Runs until the simplex is
+    within ``xatol`` of its best vertex in every coordinate and within
+    ``fatol`` of its best value; there is no evaluation cap, so a caller
+    ends the search early by raising from ``func``.
     """
     # The adaptive parameters of Gao & Han (2012), "Implementing the
     # Nelder-Mead simplex algorithm with adaptive parameters", Comput. Optim.
@@ -195,10 +219,14 @@ def _nelder_mead(func, x0: np.ndarray, xatol: float, fatol: float) -> np.ndarray
     psi = 0.75 - 1 / (2 * n)
     sigma = 1 - 1 / n
 
+    def at(x):
+        (value,) = func(x[np.newaxis])
+        return value
+
     sim = np.tile(x0, (n + 1, 1))
     for k in range(n):
         sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.array([func(x) for x in sim], dtype=float)
+    fsim = np.array(func(sim), dtype=float)
 
     def ordered(sim, fsim):
         ind = np.argsort(fsim)
@@ -212,28 +240,27 @@ def _nelder_mead(func, x0: np.ndarray, xatol: float, fatol: float) -> np.ndarray
     ):
         xbar = np.add.reduce(sim[:-1], 0) / n
         xr = 2 * xbar - sim[-1]
-        fxr = func(xr)
+        fxr = at(xr)
         if fxr < fsim[0]:
             xe = (1 + chi) * xbar - chi * sim[-1]
-            fxe = func(xe)
+            fxe = at(xe)
             sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fxr
         else:
             if fxr < fsim[-1]:
                 xc = (1 + psi) * xbar - psi * sim[-1]
-                fxc = func(xc)
+                fxc = at(xc)
                 accept = fxc <= fxr
             else:
                 xc = (1 - psi) * xbar + psi * sim[-1]
-                fxc = func(xc)
+                fxc = at(xc)
                 accept = fxc < fsim[-1]
             if accept:
                 sim[-1], fsim[-1] = xc, fxc
             else:
-                for j in range(1, n + 1):
-                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                    fsim[j] = func(sim[j])
+                sim[1:] = sim[0] + sigma * (sim[1:] - sim[0])
+                fsim[1:] = func(sim[1:])
         sim, fsim = ordered(sim, fsim)
     return sim[0]
 
@@ -272,19 +299,22 @@ def fit(
             params=initial, objective=start_value, n_evals=1, converged=True
         )
 
-    def wrapped(x: np.ndarray) -> float:
+    def wrapped(xs: np.ndarray) -> list[float]:
+        # The points within the budget are priced by one call and counted
+        # in order; a point past it then stops the search.
         nonlocal best_value, best_params, n_evals
-        if np.array_equal(x, x0):
-            return start_value
-        if n_evals >= budget:
+        fresh = [j for j, x in enumerate(xs) if not np.array_equal(x, x0)]
+        taken = fresh[: budget - n_evals]
+        params = [_from_vector(xs[j], bounds) for j in taken]
+        values = [start_value] * len(xs)
+        for j, p, value in zip(taken, params, _objectives(params, quotes, curves, q)):
+            values[j] = value
+            n_evals += 1
+            if value < best_value:
+                best_value, best_params = value, p
+        if len(taken) < len(fresh):
             raise _BudgetStop
-        n_evals += 1
-        p = _from_vector(x, bounds)
-        value = objective(p, quotes, curves, q)
-        if value < best_value:
-            best_value = value
-            best_params = p
-        return value
+        return values
 
     try:
         _nelder_mead(wrapped, x0, xatol=1e-4, fatol=1e-11)

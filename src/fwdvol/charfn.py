@@ -12,9 +12,12 @@ The coefficients solve
                                        + R rho2 exp(-beta2 (T - t_e + tau)))
 
 integrated here with a fixed-step classical Runge-Kutta scheme, vectorized
-over theta so a whole quadrature grid is advanced in one pass.  The system
-sees tau only through T - t_e + tau, so one pass per lag T - t_e, read off
-after each expiry's step count, serves every expiry with that lag.
+over theta.  The system sees tau only through T - t_e + tau, so one row,
+a parameter set at one lag T - t_e and step h read off after each
+expiry's step count, serves every expiry of that set with that lag and
+step.  `integrate_ab_rows` advances many rows, of any sets, lags and
+steps, as one (rows, theta) state, so a pricing call takes one pass per
+block of its quadrature grid.
 
 The step size comes from the inputs (`default_ab_steps`): an accuracy
 term per year of expiry plus a stability term.  Near its equilibrium the
@@ -37,6 +40,7 @@ from .model import ModelParams, variance_rate
 __all__ = [
     "ab_ode_rhs",
     "integrate_ab",
+    "integrate_ab_rows",
     "integrate_ab_snapshots",
     "charfn_value",
     "default_ab_steps",
@@ -65,8 +69,13 @@ _STEPS_PER_YEAR_PER_REVERSION = 12
 # stability interval [-2.785, 0] with room for the complex transient.
 _STEPS_PER_JACOBIAN = 0.5
 # Steps a year round up to a multiple of 4, so that quarterly expiries
-# with one lag share a step size and hence one pass.
+# with one lag share a step size and hence one row of a pass.
 _STEPS_PER_YEAR_QUANTUM = 4
+# Steps whose stage tables are built at once: the forcing and linear
+# coefficients of (2 chunk + 1) stages x rows x nodes.  Building them
+# once per chunk spares each step the broadcast of a row column across
+# the nodes; 4 steps keep the tables small.
+_STEPS_PER_CHUNK = 4
 # Short expiries put weight on large theta, where the error per step is
 # largest: with a floor of 20 steps the sweep above reads 4.9e-10 D F.
 _MIN_STEPS = 30
@@ -132,6 +141,163 @@ def ab_ode_rhs(tau, a_val, b_val, theta, t_e: float, T: float, p: ModelParams):
     return da, db
 
 
+def _row_coefficients(rows, tables, shape):
+    """Coefficients of the rows stepping together, for a state of ``shape``.
+
+    beta as a (rows, 1, ...) column; alpha^2 / 2, h, h / 2 and h / 6 as
+    complex arrays of ``shape``, each row's value in its row, which
+    multiply the state as that row's Python float would, bit for bit,
+    without broadcasting a column each time; and the rate and cross
+    tables as (stages, rows, 1, ...) arrays, zero past a row's end.
+    """
+    ones = (1,) * (len(shape) - 1)
+    values = np.array([(p.beta, 0.5 * p.alpha**2, h, 0.5 * h, h / 6.0) for _, h, _, p in rows])
+    beta, *factors = values.T.reshape((5, len(rows)) + ones)
+    factors = [np.broadcast_to(f, shape).astype(complex) for f in factors]
+    stages = np.zeros((2, max(len(rate) for rate, _ in tables), len(rows)) + ones)
+    for j, row_tables in enumerate(tables):
+        for table, column in zip(stages, row_tables):
+            table[: len(column), j] = column.reshape((-1,) + ones)
+    return (beta, *factors, *stages)
+
+
+def _diverged(out: list, row, step: int, theta: np.ndarray) -> None:
+    """Fail every snapshot of ``row`` at or past ``step``, where |B|
+    left the overflow guard."""
+    _, h, stops, _ = row
+    error = NonConvergence(
+        f"B diverged at tau = {step * h:.6g} "
+        f"(theta up to {theta.max():.6g}, {max(stops)} steps)"
+    )
+    for index, n in enumerate(stops):
+        if n >= step:
+            out[index] = error
+
+
+def integrate_ab_rows(theta, rows):
+    """One RK4 pass of the (A, B) system for several rows on shared nodes.
+
+    A row is (lag, h, stops, p): parameter set ``p`` at distance to
+    settlement ``lag`` with step ``h``, read off after each step count in
+    ``stops`` (see `integrate_ab_snapshots`).  The rows advance as one
+    (rows, theta) state: each row brings its own sigma_F^2 and cross
+    tables, one `variance_rate` call each, and its own beta, alpha^2 / 2
+    and h (see `_row_coefficients`).  A row leaves the state after its
+    last stop, or at the step where its |B| left the overflow guard,
+    failing its later stops alone.  Every row's snapshots are those of its
+    own `integrate_ab_snapshots` call, bit for bit.
+
+    Returns a list aligned with ``rows``, each entry a list aligned with
+    that row's ``stops`` as `integrate_ab_snapshots` returns it.
+    """
+    theta = np.asarray(theta, dtype=float)
+    checked = []
+    for lag, h, stops, p in rows:
+        if lag < 0.0:
+            raise DomainError("a Riccati pass requires lag >= 0")
+        if not h > 0.0:
+            raise DomainError("a Riccati pass requires h > 0")
+        stops = [operator.index(n) for n in stops]
+        if any(n < 0 for n in stops):
+            raise DomainError("stops must be >= 0")
+        checked.append((lag, h, stops, p))
+    out = [[None] * len(stops) for _, _, stops, _ in checked]
+    last = [max(stops, default=0) for _, _, stops, _ in checked]
+    # The snapshots due after each step, as (row, index into its stops).
+    wanted: dict[int, list[tuple[int, int]]] = {}
+    for row, (_, _, stops, _) in enumerate(checked):
+        for index, n in enumerate(stops):
+            wanted.setdefault(n, []).append((row, index))
+    for row, index in wanted.pop(0, ()):
+        out[row][index] = tuple(np.zeros(theta.shape, dtype=complex) for _ in "AB")
+
+    # sigma_F^2 and the cross term of each row at its distances to
+    # settlement on the stage grid tau = k h / 2, k = 0 .. 2 last.
+    tables = {}
+    for row, (lag, h, _, p) in enumerate(checked):
+        if last[row]:
+            dist = lag + 0.5 * h * np.arange(2 * last[row] + 1)
+            rate = variance_rate(dist[-1] - dist, dist[-1], p)
+            cross = p.alpha * p.sigma * (
+                p.rho1 * np.exp(-p.beta1 * dist) + p.R * p.rho2 * np.exp(-p.beta2 * dist)
+            )
+            tables[row] = rate, cross
+    q = -0.5 * (theta**2 + 1j * theta)
+    i_theta = 1j * theta
+    # Longest pass first, so rows that finish leave from the end.
+    active = sorted(tables, key=lambda row: -last[row])
+    b_val = np.zeros((len(active),) + theta.shape, dtype=complex)
+    # B1 + 2 B2 + 2 B3 + B4 = 6 B + h (D1 + D2 + D3), so A after n steps is
+    # beta h (sum of B) + beta h^2 / 6 (sum of D1 + D2 + D3).
+    b_total = np.zeros_like(b_val)
+    d_total = np.zeros_like(b_val)
+    step = 0
+    while active:
+        beta, half_alpha_sq, h, half_h, sixth_h, rate, cross = _row_coefficients(
+            [checked[row] for row in active], [tables[row] for row in active], b_val.shape
+        )
+        d1, d2, d3, b_mid, scratch = (np.empty_like(b_val) for _ in range(5))
+
+        def stage(b, forcing, linear, out):
+            """forcing + b (alpha^2 / 2 b + linear) into ``out``."""
+            np.add(np.multiply(half_alpha_sq, b, out=scratch), linear, out=scratch)
+            return np.add(forcing, np.multiply(b, scratch, out=scratch), out=out)
+
+        exit_step = last[active[-1]]
+        leaving: set[int] = set()
+        while not leaving:
+            # Every stage's forcing rate_k q and linear coefficient
+            # i theta cross_k - beta for the next steps at once.
+            chunk = range(step, min(exit_step, step + _STEPS_PER_CHUNK))
+            stages = slice(2 * chunk.start, 2 * chunk.stop + 1)
+            forcing, linear = rate[stages] * q, i_theta * cross[stages]
+            linear -= beta
+            for k in range(0, 2 * len(chunk), 2):
+                # Every update keeps the operand order of
+                #   D = forcing + B (alpha^2 / 2 B + linear),
+                #   B_next = B + h / 6 ((D1 + (D2 + D3)) + (D2 + D3) + D4),
+                # written in place into the scratch arrays.
+                stage(b_val, forcing[k], linear[k], out=d1)
+                np.add(b_val, np.multiply(half_h, d1, out=b_mid), out=b_mid)
+                stage(b_mid, forcing[k + 1], linear[k + 1], out=d2)
+                np.add(b_val, np.multiply(half_h, d2, out=b_mid), out=b_mid)
+                stage(b_mid, forcing[k + 1], linear[k + 1], out=d3)
+                np.add(b_val, np.multiply(h, d3, out=b_mid), out=b_mid)
+                stage(b_mid, forcing[k + 2], linear[k + 2], out=b_mid)
+                d_mid = np.add(d2, d3, out=d2)
+                d_head = np.add(d1, d_mid, out=d1)
+                b_total += b_val
+                d_total += d_head
+                d_sum = np.add(np.add(d_head, d_mid, out=d3), b_mid, out=d3)
+                np.add(b_val, np.multiply(sixth_h, d_sum, out=d3), out=b_val)
+                step += 1
+                # NaN fails the comparison too.
+                if not np.abs(b_val).max(initial=0.0) <= _B_OVERFLOW:
+                    peaks = np.abs(b_val).reshape(len(active), -1).max(axis=1)
+                    for j, peak in enumerate(peaks.tolist()):
+                        if not peak <= _B_OVERFLOW:
+                            leaving.add(j)
+                            _diverged(out[active[j]], checked[active[j]], step, theta)
+                for row, index in wanted.get(step, ()):
+                    if out[row][index] is None:
+                        j = active.index(row)
+                        _, h_row, _, p = checked[row]
+                        a_val = (p.beta * h_row) * b_total[j] + (
+                            p.beta * h_row * (h_row / 6.0)
+                        ) * d_total[j]
+                        out[row][index] = (a_val, b_val[j].copy())
+                if leaving:
+                    break
+            if step == exit_step:
+                leaving.update(j for j, row in enumerate(active) if last[row] == step)
+        keep = [j for j in range(len(active)) if j not in leaving]
+        active = [active[j] for j in keep]
+        # Rows that finish leave from the end, so most exits are a slice.
+        kept = slice(len(keep)) if keep == list(range(len(keep))) else keep
+        b_val, b_total, d_total = b_val[kept], b_total[kept], d_total[kept]
+    return out
+
+
 def integrate_ab_snapshots(theta, lag: float, h: float, stops, p: ModelParams):
     """One RK4 pass of the (A, B) system, read off after several step counts.
 
@@ -142,7 +308,7 @@ def integrate_ab_snapshots(theta, lag: float, h: float, stops, p: ModelParams):
     on the half-step stage grid; each stage is then
     rate_k q + B (alpha^2 B / 2 + (i theta cross_k - beta)) with
     q = -(theta^2 + i theta) / 2, and A accumulates the same RK4 update
-    as dA = beta B.
+    as dA = beta B.  This is the one-row call of `integrate_ab_rows`.
 
     Parameters
     ----------
@@ -164,72 +330,8 @@ def integrate_ab_snapshots(theta, lag: float, h: float, stops, p: ModelParams):
     Snapshots taken before the divergence are kept, exactly as separate
     shorter passes succeed.
     """
-    if lag < 0.0:
-        raise DomainError("integrate_ab_snapshots requires lag >= 0")
-    if not h > 0.0:
-        raise DomainError("integrate_ab_snapshots requires h > 0")
-    stops = [operator.index(n) for n in stops]
-    if any(n < 0 for n in stops):
-        raise DomainError("stops must be >= 0")
-    theta = np.asarray(theta, dtype=float)
-    n_steps = max(stops, default=0)
-    wanted: dict[int, list[int]] = {}
-    for index, n in enumerate(stops):
-        wanted.setdefault(n, []).append(index)
-    out: list = [None] * len(stops)
-
-    # Distance to settlement at the stages tau = k h / 2, k = 0 .. 2 n_steps.
-    dist = lag + 0.5 * h * np.arange(2 * n_steps + 1)
-    rate = variance_rate(dist[-1] - dist, dist[-1], p)
-    cross = p.alpha * p.sigma * (
-        p.rho1 * np.exp(-p.beta1 * dist) + p.R * p.rho2 * np.exp(-p.beta2 * dist)
-    )
-    # A Python float times an array costs less than a numpy scalar does.
-    rate, cross = rate.tolist(), cross.tolist()
-    q = -0.5 * (theta**2 + 1j * theta)
-    i_theta = 1j * theta
-    half_alpha_sq = 0.5 * p.alpha**2
-    half_h, sixth_h = 0.5 * h, h / 6.0
-
-    b_val = np.zeros(theta.shape, dtype=complex)
-    # B1 + 2 B2 + 2 B3 + B4 = 6 B + h (D1 + D2 + D3), so A after n steps is
-    # beta h (sum of B) + beta h^2 / 6 (sum of D1 + D2 + D3).
-    b_total = np.zeros_like(b_val)
-    d_total = np.zeros_like(b_val)
-    for index in wanted.get(0, ()):
-        out[index] = (np.zeros_like(b_val), b_val)
-    forcing_end, linear_end = rate[0] * q, i_theta * cross[0] - p.beta
-    for step in range(n_steps):
-        k = 2 * step
-        forcing_start, linear_start = forcing_end, linear_end
-        forcing_mid, linear_mid = rate[k + 1] * q, i_theta * cross[k + 1] - p.beta
-        forcing_end, linear_end = rate[k + 2] * q, i_theta * cross[k + 2] - p.beta
-        d1 = forcing_start + b_val * (half_alpha_sq * b_val + linear_start)
-        b2 = b_val + half_h * d1
-        d2 = forcing_mid + b2 * (half_alpha_sq * b2 + linear_mid)
-        b3 = b_val + half_h * d2
-        d3 = forcing_mid + b3 * (half_alpha_sq * b3 + linear_mid)
-        b4 = b_val + h * d3
-        d4 = forcing_end + b4 * (half_alpha_sq * b4 + linear_end)
-        d_mid = d2 + d3
-        d_head = d1 + d_mid
-        b_total += b_val
-        d_total += d_head
-        b_val = b_val + sixth_h * (d_head + d_mid + d4)
-        # NaN fails the comparison too.
-        if not np.abs(b_val).max(initial=0.0) <= _B_OVERFLOW:
-            error = NonConvergence(
-                f"B diverged at tau = {(step + 1) * h:.6g} "
-                f"(theta up to {theta.max():.6g}, {n_steps} steps)"
-            )
-            for index, n in enumerate(stops):
-                if n > step:
-                    out[index] = error
-            return out
-        for index in wanted.get(step + 1, ()):
-            a_val = (p.beta * h) * b_total + (p.beta * h * sixth_h) * d_total
-            out[index] = (a_val, b_val)
-    return out
+    (snapshots,) = integrate_ab_rows(theta, [(lag, h, stops, p)])
+    return snapshots
 
 
 def integrate_ab(theta, t_e: float, T: float, p: ModelParams, n_steps: int | None = None):

@@ -2,12 +2,14 @@
 
 Subcommands: price, term-structure, smile, mc-price, drift-study,
 k-table, calibrate.  Every command accepts --seed, --threads, --out, and
-a parameter source (--params file or --preset); writing --out also
-writes a sibling run manifest with the flags as parsed, the files read
-and a checksum of each emitted file, so a run can be reproduced
-bit-exactly.  The manifest records the flags, not the values resolved
-from them: ``preset`` is null when the command's default preset ran, and
-``T`` is null when it defaults to ``t_e``.
+a parameter source: --preset, or a file, --initial for calibrate and
+--params for the others.  Every command but k-table also reads a
+--curves file; a command rejects the file flags it would not read.
+Writing --out also writes a sibling run manifest with the flags as
+parsed, the files read and a checksum of each emitted file, so a run
+can be reproduced bit-exactly.  The manifest records the flags, not the
+values resolved from them: ``preset`` is null when the command's default
+preset ran, and ``T`` is null when it defaults to ``t_e``.
 
 Exit codes: 0 success, 2 invalid input, 3 numerical failure.
 """
@@ -68,13 +70,15 @@ def _load_json(path: str):
 
 
 def _parse_file(path: str, what: str, build):
-    """``build`` applied to the JSON in ``path``; a malformed entry is
+    """``build`` applied to the JSON in ``path``; an input error in it is
     reported as a `DomainError` that names the file."""
     data = _load_json(path)
     try:
         return build(data)
-    except FwdVolError:
+    except (NumericalError, NoArbitrageViolation):
         raise
+    except FwdVolError as exc:
+        raise DomainError(f"{path}: {exc}") from exc
     except (TypeError, KeyError, ValueError) as exc:
         raise DomainError(f"{path}: malformed {what}: {exc!r}") from exc
 
@@ -267,13 +271,15 @@ def _run(args) -> int:
     run, default_preset, params_flag, reads_curves = _COMMANDS[args.command]
     path = getattr(args, params_flag)
     if path:
-        p = validate_params(ModelParams.from_dict(_load_json(path)))
+        p = _parse_file(
+            path, "parameters", lambda raw: validate_params(ModelParams.from_dict(raw))
+        )
         inputs = [path]
     else:
         p, inputs = PRESETS[args.preset or default_preset], []
     curves = None
     if reads_curves and args.curves:
-        curves = MarketCurves.from_dict(_load_json(args.curves))
+        curves = _parse_file(args.curves, "curves", MarketCurves.from_dict)
         inputs.append(args.curves)
     elif reads_curves:
         curves = flat_curves()
@@ -301,8 +307,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="canonical parameter set",
     )
-    common.add_argument("--params", default=None, help="model parameter JSON file")
-    common.add_argument("--curves", default=None, help="market curves JSON file")
 
     parser = argparse.ArgumentParser(
         prog="fwdvol",
@@ -311,25 +315,33 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command")
 
-    sp = sub.add_parser("price", parents=[common], help="Fourier option price")
+    def add_command(name: str, **kwargs) -> argparse.ArgumentParser:
+        """A subcommand with the common flags and the files it reads."""
+        sp = sub.add_parser(name, parents=[common], **kwargs)
+        _, _, params_flag, reads_curves = _COMMANDS[name]
+        if params_flag == "params":
+            sp.add_argument("--params", default=None, help="model parameter JSON file")
+        if reads_curves:
+            sp.add_argument("--curves", default=None, help="market curves JSON file")
+        return sp
+
+    sp = add_command("price", help="Fourier option price")
     _add_expiry(sp, required=True)
     sp.add_argument("--strike", type=float, required=True)
     sp.add_argument("--option", choices=("call", "put"), default="call")
     sp.add_argument("--theta-max", dest="theta_max", type=float, default=200.0)
     sp.add_argument("--panel-nodes", dest="panel_nodes", type=int, default=64)
 
-    sp = sub.add_parser(
-        "term-structure", parents=[common], help="ATM vanilla vol by expiry"
-    )
+    sp = add_command("term-structure", help="ATM vanilla vol by expiry")
     sp.add_argument("--expiries", default="0.1,0.25,0.5,1,2,3,5")
 
-    sp = sub.add_parser("smile", parents=[common], help="implied vol by strike")
+    sp = add_command("smile", help="implied vol by strike")
     _add_expiry(sp, default=1.0)
     sp.add_argument(
         "--strikes", default="0.5,0.6,0.7,0.8,0.9,1.0,1.1,1.25,1.5,1.75,2.0"
     )
 
-    sp = sub.add_parser("mc-price", parents=[common], help="Monte Carlo price")
+    sp = add_command("mc-price", help="Monte Carlo price")
     sp.add_argument(
         "--payoff",
         choices=("vanilla", "early_exercise", "asian_prompt"),
@@ -347,9 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--antithetic", action="store_true")
 
-    sp = sub.add_parser(
-        "drift-study", parents=[common], help="exact vs approximate drift comparison"
-    )
+    sp = add_command("drift-study", help="exact vs approximate drift comparison")
     sp.add_argument("--alphas", default="0,1,2,3")
     sp.add_argument("--t-e", dest="t_e", type=float, default=1.0)
     sp.add_argument("--T", dest="T", type=float, default=2.0)
@@ -357,13 +367,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--steps", type=int, default=100)
     sp.add_argument("--antithetic", action="store_true")
 
-    sp = sub.add_parser("k-table", parents=[common], help="drift factor k^2 by time")
+    sp = add_command("k-table", help="drift factor k^2 by time")
     sp.add_argument("--T", dest="T", type=float, default=2.0)
     sp.add_argument("--t-min", dest="t_min", type=float, default=0.1)
     sp.add_argument("--t-max", dest="t_max", type=float, default=1.0)
     sp.add_argument("--n", type=int, default=10)
 
-    sp = sub.add_parser("calibrate", parents=[common], help="fit params to vol quotes")
+    sp = add_command("calibrate", help="fit params to vol quotes")
     sp.add_argument("--quotes", required=True, help="JSON quote list")
     sp.add_argument("--initial", default=None, help="starting parameter JSON file")
     sp.add_argument("--budget", type=int, default=2000)

@@ -297,14 +297,16 @@ def forward_reconstruct(
     mode: str = "exact_per_T",
     *,
     k: float | None = None,
+    variance_integral: float | None = None,
 ) -> float | np.ndarray:
     """Forward F(t, T) implied by the factor state.
 
     Exact mode reads the settlement's row of the drift accumulator;
     approximate mode rebuilds the integrated drift from its deterministic
-    part plus k(t, T) times the integral of w.  A caller that
-    reconstructs the same (t, T) block by block passes ``k``, evaluated
-    once, instead of asking for it again per block.
+    part, ``integrated_variance(0, t, T, p)``, plus k(t, T) times the
+    integral of w.  A caller that reconstructs the same (t, T) block by
+    block passes ``k`` and ``variance_integral``, evaluated once, instead
+    of asking for them again per block.
     """
     if T < state.t:
         raise DomainError("settlement must not precede the state time")
@@ -315,7 +317,9 @@ def forward_reconstruct(
             )
         drift_integral = state.exact_drift[state.settlements.index(T)]
     elif mode == "approximate":
-        drift_integral = integrated_variance(0.0, state.t, T, p)
+        drift_integral = variance_integral
+        if drift_integral is None:
+            drift_integral = integrated_variance(0.0, state.t, T, p)
         if state.t > 0.0:
             if k is None:
                 k = drift_factor(state.t, T, p)
@@ -493,13 +497,15 @@ def _simulate_forwards(
     for j, (node, _, _) in enumerate(observations):
         at_node.setdefault(node, []).append(j)
     dts = [float(dt) for dt in np.diff(times)]
-    # State times as evolve_step sums them, so k(t, T) and each step's
-    # variance-rate integrals are evaluated once per grid here rather
-    # than once per block in the workers.
+    # State times as evolve_step sums them, so each approximate
+    # observation's deterministic drift integral and k(t, T), and each
+    # step's variance-rate integrals, are evaluated once per grid here
+    # rather than once per block in the workers.
     state_t = list(itertools.accumulate(dts, initial=0.0))
-    ks = [
-        [drift_factor(state_t[node], T, p)
-         if mode == "approximate" and state_t[node] > 0.0 else None
+    drift_terms = [
+        [(integrated_variance(0.0, state_t[node], T, p),
+          drift_factor(state_t[node], T, p) if state_t[node] > 0.0 else None)
+         if mode == "approximate" else (None, None)
          for node, T, mode in observations]
         for p in ps
     ]
@@ -528,8 +534,10 @@ def _simulate_forwards(
             for j in at_node.get(node, ()):
                 _, T, mode = observations[j]
                 for i, p in enumerate(ps):
+                    variance_integral, k = drift_terms[i][j]
                     out[i, j, paths] = forward_reconstruct(
-                        _set_state(state, i), T, curves, p, mode, k=ks[i][j]
+                        _set_state(state, i), T, curves, p, mode,
+                        k=k, variance_integral=variance_integral,
                     )
 
         observe(0)

@@ -11,11 +11,12 @@ x = 0, v = 1.  The integrand decays rapidly and is smooth, so composite
 Gauss-Legendre panels are accurate and cheap.  Each slice integrates them
 block by block outward from theta = 0 and stops at the first block whose
 last panel passes a tail test, so short expiries, whose characteristic
-function decays slowly, reach further than long ones.  Within a block,
-slices that share the lag T - t_e read their characteristic functions off
-one Riccati pass (`price_slices`).  Puts come from parity; implied
-volatilities invert the Black-76 formula with a bracketed Newton
-iteration.
+function decays slowly, reach further than long ones.  Each block is one
+Riccati pass over every open slice of every parameter set priced
+together; a set's slices that share the lag T - t_e and step read their
+characteristic functions off one row of it (`price_slices`).  Puts come
+from parity; implied volatilities invert the Black-76 formula with a
+bracketed Newton iteration.
 """
 
 from __future__ import annotations
@@ -23,11 +24,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 # integrate_ab stays reachable as ``fwdvol.pricing.integrate_ab``.
-from .charfn import default_ab_steps, integrate_ab, integrate_ab_snapshots  # noqa: F401
+from .charfn import default_ab_steps, integrate_ab, integrate_ab_rows  # noqa: F401
 from .errors import DomainError, FwdVolError, NoArbitrageViolation, QuadratureTailError
 from .model import MarketCurves, ModelParams
 
@@ -95,9 +97,10 @@ class QuadratureConfig:
     passes the tail test: the integral of |f(theta) / (theta^2 + i theta)|
     over that panel, which bounds its contribution at every strike, must
     stay below ``tail_tolerance``.  ``theta_max`` caps the grid; a slice
-    whose last panel still fails there raises `QuadratureTailError`.  The
-    Riccati pass of each block takes ``charfn.default_ab_steps`` RK4 steps
-    for the block's top theta.
+    whose last panel still fails there raises `QuadratureTailError`.  Each
+    block is one Riccati pass over the open slices of every set priced,
+    and each slice takes ``charfn.default_ab_steps`` RK4 steps for the
+    block's top theta.
     """
 
     theta_max: float = 200.0
@@ -255,26 +258,30 @@ class SliceResult:
 def price_slices(
     slices,
     curves: MarketCurves,
-    p: ModelParams,
+    p: ModelParams | Sequence[ModelParams],
     q: QuadratureConfig | None = None,
-) -> list[SliceResult]:
+) -> list:
     """Call prices for several (t_e, T, strikes) slices, block by block in theta.
 
-    Every open slice integrates the next block of the theta grid; within
-    a block, slices that share the lag T - t_e and the RK4 step
-    t_e / `default_ab_steps` are snapshots of one `integrate_ab_snapshots`
-    pass on that block's nodes.  A slice closes once the last panel of a
-    block passes the tail test (see `QuadratureConfig`), or with
-    `QuadratureTailError` when it still fails at ``q.theta_max``, or with
-    `NonConvergence` if B diverged before its expiry.  Each price is
-    clamped to its static no-arbitrage band [D max(F - K, 0), D F]; the
-    clamp only ever absorbs quadrature residue of the order of the tail
-    tolerance.
+    ``p`` is one parameter set, or a sequence of them priced together.
+    Every open slice of every set integrates the next block of the theta
+    grid, and each block is one `integrate_ab_rows` pass on that block's
+    nodes: a set's slices that share the lag T - t_e and the RK4 step
+    t_e / `default_ab_steps` are snapshots of one row of it.  A slice
+    closes once the last panel of a block passes the tail test (see
+    `QuadratureConfig`), or with `QuadratureTailError` when it still fails
+    at ``q.theta_max``, or with `NonConvergence` if B diverged before its
+    expiry.  Each price is clamped to its static no-arbitrage band
+    [D max(F - K, 0), D F]; the clamp only ever absorbs quadrature residue
+    of the order of the tail tolerance.
 
-    Returns a list of `SliceResult` aligned with ``slices``; a failure
-    stops its own slice alone.
+    Returns a list of `SliceResult` aligned with ``slices``, or for a
+    sequence of sets one such list per set, each equal to that set's own
+    call; a failure stops its own slice alone.
     """
     q = q or QuadratureConfig()
+    stacked = not isinstance(p, ModelParams)
+    ps = tuple(p) if stacked else (p,)
     thetas, weights, blocks = _theta_grid(q)
     slices = [(t_e, T, np.asarray(strikes, dtype=float)) for t_e, T, strikes in slices]
     for t_e, T, strikes in slices:
@@ -283,32 +290,44 @@ def price_slices(
         if np.any(strikes <= 0.0):
             raise DomainError("strikes must be > 0")
 
-    integrals = [np.zeros(strikes.shape) for _, _, strikes in slices]
-    steps: list[list[int]] = [[] for _ in slices]
-    out: list = [None] * len(slices)
+    integrals = [[np.zeros(strikes.shape) for _, _, strikes in slices] for _ in ps]
+    steps: list[list[list[int]]] = [[[] for _ in slices] for _ in ps]
+    out: list[list] = [[None] * len(slices) for _ in ps]
     for block, theta_top in blocks:
         at_cap = theta_top == blocks[-1][1]
-        passes: dict[tuple[float, float], list[tuple[int, int]]] = {}
-        for index, (t_e, T, _) in enumerate(slices):
-            if out[index] is None:
-                n_steps = default_ab_steps(t_e, p, theta_top, T - t_e)
-                passes.setdefault((T - t_e, t_e / n_steps), []).append((index, n_steps))
-                steps[index].append(n_steps)
+        # One row per set, lag and step: its open slices' indices and steps.
+        rows: dict[tuple[int, float, float], list[tuple[int, int]]] = {}
+        for i, p_i in enumerate(ps):
+            for index, (t_e, T, _) in enumerate(slices):
+                if out[i][index] is None:
+                    n_steps = default_ab_steps(t_e, p_i, theta_top, T - t_e)
+                    rows.setdefault((i, T - t_e, t_e / n_steps), []).append((index, n_steps))
+                    steps[i][index].append(n_steps)
+        if not rows:
+            break
         nodes, node_weights = thetas[block], weights[block]
         last_panel = slice(len(nodes) - q.n_nodes, len(nodes))
-        for (lag, h), members in passes.items():
-            snapshots = integrate_ab_snapshots(nodes, lag, h, [n for _, n in members], p)
+        denominator = nodes**2 + 1j * nodes
+        # Each slice's strike phases on this block, shared by every set.
+        phases: dict[int, np.ndarray] = {}
+        passes = integrate_ab_rows(
+            nodes,
+            [(lag, h, [n for _, n in members], ps[i]) for (i, lag, h), members in rows.items()],
+        )
+        for ((i, _, _), members), snapshots in zip(rows.items(), passes):
             for (index, _), snapshot in zip(members, snapshots):
                 result = snapshot
                 if not isinstance(snapshot, FwdVolError):
                     _, T, strikes = slices[index]
+                    if index not in phases:
+                        log_moneyness = np.log(strikes / curves.forward(T))
+                        phases[index] = np.exp(-1j * np.outer(nodes, log_moneyness))
                     a_val, b_val = snapshot
-                    kernel = np.exp(a_val + b_val * p.v0) / (nodes**2 + 1j * nodes)
-                    phase = np.exp(-1j * np.outer(nodes, np.log(strikes / curves.forward(T))))
-                    integrals[index] += node_weights @ np.real(kernel[:, None] * phase)
+                    kernel = np.exp(a_val + b_val * ps[i].v0) / denominator
+                    integrals[i][index] += node_weights @ np.real(kernel[:, None] * phases[index])
                     tail = float(node_weights[last_panel] @ np.abs(kernel[last_panel]))
                     if tail <= q.tail_tolerance:
-                        result = _prices_from_integral(strikes, integrals[index], T, curves)
+                        result = _prices_from_integral(strikes, integrals[i][index], T, curves)
                     elif at_cap:
                         result = QuadratureTailError(
                             f"last quadrature panel contributes up to {tail:.3e} > tail "
@@ -316,8 +335,8 @@ def price_slices(
                         )
                     else:
                         continue
-                out[index] = SliceResult(result, theta_top, tuple(steps[index]))
-    return out
+                out[i][index] = SliceResult(result, theta_top, tuple(steps[i][index]))
+    return out if stacked else out[0]
 
 
 def _prices_from_integral(strikes, integral, T, curves: MarketCurves) -> np.ndarray:
@@ -330,7 +349,7 @@ def _prices_from_integral(strikes, integral, T, curves: MarketCurves) -> np.ndar
 def call_prices(
     slices,
     curves: MarketCurves,
-    p: ModelParams,
+    p: ModelParams | Sequence[ModelParams],
     q: QuadratureConfig | None = None,
 ) -> list:
     """Call prices for several (t_e, T, strikes) slices; see `price_slices`.
@@ -339,9 +358,12 @@ def call_prices(
     strike, or the `FwdVolError` that stopped that slice alone
     (`NonConvergence` if B diverged before its expiry,
     `QuadratureTailError` if its last panel at ``q.theta_max`` is too
-    large).
+    large).  For a sequence of parameter sets, one such list per set.
     """
-    return [result.prices for result in price_slices(slices, curves, p, q)]
+    results = price_slices(slices, curves, p, q)
+    if isinstance(p, ModelParams):
+        return [result.prices for result in results]
+    return [[result.prices for result in per_set] for per_set in results]
 
 
 def _priced(result) -> np.ndarray:

@@ -72,27 +72,54 @@ class TestObjective:
         bad = replace(p, rho=-0.9, rho1=0.9, rho2=0.9)
         assert objective(bad, quotes, curves) == 1e3 * len(quotes)
 
-    def test_one_riccati_pass_per_evaluation(self, fig1, curves, monkeypatch):
-        quotes = synthesize_quotes(fig1, curves)
+    @staticmethod
+    def count_passes(monkeypatch):
+        """Record each Riccati pass as (nodes, last step of each row) and
+        each variance_rate call by its number of points."""
         passes, rates = [], []
-        snapshots = fwdvol.pricing.integrate_ab_snapshots
+        integrate = fwdvol.pricing.integrate_ab_rows
         rate = fwdvol.charfn.variance_rate
 
-        def counting_snapshots(theta, lag, h, stops, p):
-            passes.append((np.size(theta), max(stops)))
-            return snapshots(theta, lag, h, stops, p)
+        def counting_rows(theta, rows):
+            passes.append((np.size(theta), [max(stops) for _, _, stops, _ in rows]))
+            return integrate(theta, rows)
 
         def counting_rate(t, T, p):
             rates.append(np.size(t))
             return rate(t, T, p)
 
-        monkeypatch.setattr(fwdvol.pricing, "integrate_ab_snapshots", counting_snapshots)
+        monkeypatch.setattr(fwdvol.pricing, "integrate_ab_rows", counting_rows)
         monkeypatch.setattr(fwdvol.charfn, "variance_rate", counting_rate)
+        return passes, rates
+
+    def test_one_riccati_pass_per_evaluation(self, fig1, curves, monkeypatch):
+        quotes = synthesize_quotes(fig1, curves)
+        passes, rates = self.count_passes(monkeypatch)
         assert objective(fig1, quotes, curves) <= 1e-11
         # Expiries 0.5, 1 and 2 read off steps 38, 76 and 152 of one pass on
         # the 384 nodes of the first block, theta <= 60.
-        assert passes == [(384, 152)]
+        assert passes == [(384, [152])]
         assert rates == [305]
+
+    def test_one_riccati_pass_for_several_sets(self, fig1, curves, monkeypatch):
+        quotes = synthesize_quotes(fig1, curves)
+        # sigma = 0.5 takes 160 steps for 2y, the others 152.
+        sets = [replace(fig1, sigma=0.5), fig1, replace(fig1, rho=-0.2)]
+        alone = [objective(p, quotes, curves) for p in sets]
+        passes, rates = self.count_passes(monkeypatch)
+        together = objective(sets, quotes, curves)
+        assert [value.hex() for value in together] == [value.hex() for value in alone]
+        assert passes == [(384, [160, 152, 152])]
+        assert rates == [321, 305, 305]
+
+    def test_invalid_set_pays_full_penalty_beside_valid_ones(self, fig1, curves):
+        quotes = synthesize_quotes(fig1, curves)
+        bad = replace(fig1, rho=-0.9, rho1=0.9, rho2=0.9)
+        assert objective([bad, fig1, bad], quotes, curves) == [
+            1e3 * len(quotes), objective(fig1, quotes, curves), 1e3 * len(quotes)
+        ]
+        assert objective([bad], quotes, curves) == [1e3 * len(quotes)]
+        assert objective([], quotes, curves) == []
 
     def test_divergent_slice_pays_alone(self, fig1, curves):
         # Capped at theta = 60 the 0.1y slice fails its tail test, while
@@ -173,15 +200,21 @@ def hex_point(x):
 
 
 def own_points(func, x0, budget, xatol, fatol):
-    """Points `_nelder_mead` evaluates, cut at ``budget`` evaluations the
-    way scipy's ``maxfev`` cuts them; the best vertex, or None if cut."""
+    """Points `_nelder_mead` evaluates, in order, cut at ``budget``
+    evaluations the way scipy's ``maxfev`` cuts them; the best vertex, or
+    None if cut.  ``func`` takes one point; `_nelder_mead` hands over
+    batches, whose points are recorded and evaluated in order."""
     points = []
 
-    def capped(x):
-        if len(points) >= budget:
-            raise _Stop
-        points.append(hex_point(x))
-        return func(x)
+    def capped(xs):
+        assert xs.ndim == 2
+        values = []
+        for x in xs:
+            if len(points) >= budget:
+                raise _Stop
+            points.append(hex_point(x))
+            values.append(func(x))
+        return values
 
     try:
         return points, _nelder_mead(capped, x0, xatol, fatol)
@@ -252,6 +285,22 @@ class TestNelderMeadAgainstScipy:
         assert ours[:4] == [hex_point(v) for v in vertices]
         assert set(ours[6:9]) == {hex_point(x0 + sigma * (v - x0)) for v in vertices[1:]}
 
+    def test_simplex_and_shrinks_are_one_call_each(self):
+        # As in the test above every iteration shrinks: the simplex, then
+        # a reflection, a contraction and a shrink of n points, per call.
+        x0 = np.array([0.5, -2.0, 0.0])
+        sizes = []
+
+        def batch(xs):
+            sizes.append(len(xs))
+            if len(sizes) > 6:
+                raise _Stop
+            return [float(np.any(x != x0)) for x in xs]
+
+        with pytest.raises(_Stop):
+            _nelder_mead(batch, x0, 1e-8, 1e-8)
+        assert sizes == [4, 1, 1, 3, 1, 1, 3]
+
     @pytest.mark.parametrize("budget", [1, 3])
     def test_budget_cuts_the_initial_simplex(self, budget):
         func, x0 = quadratic_9d()
@@ -261,34 +310,37 @@ class TestNelderMeadAgainstScipy:
         assert ours == theirs
         assert len(ours) == budget
 
-    def test_fit_matches_scipy_on_acceptance_quotes(self, fig1, curves, monkeypatch):
+    @pytest.mark.parametrize("budget", [4, 11, 40])
+    def test_fit_matches_scipy_on_acceptance_quotes(self, fig1, curves, monkeypatch, budget):
+        # scipy hands `fit` one point at a time, so its run is the
+        # sequential oracle of the batched one.
         quotes = synthesize_quotes(fig1, curves)
         factors = {"sigma": 1.2, "beta1": 0.8, "beta2": 1.2, "R": 0.8,
                    "rho": 0.8, "beta": 1.2, "alpha": 0.8, "rho1": 1.2, "rho2": 0.8}
         start = replace(fig1, **{k: getattr(fig1, k) * f for k, f in factors.items()})
-        budget = 40
-
-        def recording(optimizer, points):
-            def run(func, x0, xatol, fatol):
-                # Recorded once evaluated: the call that meets the spent
-                # budget raises in `fit` and evaluates nothing.
-                def recorded(x):
-                    value = func(x)
-                    points.append(hex_point(x))
-                    return value
-                return optimizer(recorded, x0, xatol, fatol)
-            return run
 
         def scipy_optimizer(func, x0, xatol, fatol):
-            return scipy_nelder_mead(func, x0, budget, xatol, fatol).x
+            one_point = lambda x: func(x[np.newaxis])[0]
+            return scipy_nelder_mead(one_point, x0, budget, xatol, fatol).x
 
-        theirs, ours = [], []
-        with monkeypatch.context() as patch:
-            patch.setattr(fwdvol.calibration, "_nelder_mead", recording(scipy_optimizer, theirs))
-            oracle = fit(quotes, start, curves, budget=budget)
-        with monkeypatch.context() as patch:
-            patch.setattr(fwdvol.calibration, "_nelder_mead", recording(_nelder_mead, ours))
-            result = fit(quotes, start, curves, budget=budget)
+        def fit_recording(optimizer):
+            # `fit` turns each point it evaluates into parameters first,
+            # in order, so this records exactly the evaluated points.
+            points = []
+            from_vector = fwdvol.calibration._from_vector
+
+            def recorded(x, bounds):
+                points.append(hex_point(x))
+                return from_vector(x, bounds)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(fwdvol.calibration, "_nelder_mead", optimizer)
+                patch.setattr(fwdvol.calibration, "_from_vector", recorded)
+                return points, fit(quotes, start, curves, budget=budget)
+
+        theirs, oracle = fit_recording(scipy_optimizer)
+        ours, result = fit_recording(_nelder_mead)
+        assert len(ours) == budget - 1
         assert ours == theirs
         assert result == oracle
         assert result.objective.hex() == oracle.objective.hex()

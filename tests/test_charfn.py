@@ -16,6 +16,7 @@ from fwdvol.charfn import (
     charfn_value,
     default_ab_steps,
     integrate_ab,
+    integrate_ab_rows,
     integrate_ab_snapshots,
 )
 from fwdvol.pricing import _theta_grid
@@ -163,6 +164,30 @@ class TestSnapshots:
         # The default steps, sized from theta = 200, carry the pass through.
         a_val, b_val = integrate_ab(thetas, 2.0, 2.0, p)
         assert np.all(np.isfinite(b_val))
+
+    def test_rows_equal_their_one_row_passes(self, fig1, sec5):
+        # Rows of every length, lag, step and set, one of which diverges
+        # at tau = 1.895 while the others carry on past it.
+        thetas = _theta_grid(QuadratureConfig())[0]
+        rows = [
+            (0.0, 0.005, [100, 400], fig1),
+            (0.0, 0.005, [100, 200, 400], replace(fig1, **LATE_DIVERGENCE)),
+            (1.0, 0.01, [50, 20, 50], sec5),
+            (0.0, 0.01, [0], fig1),
+            (0.3, 0.002, [3, 1], replace(sec5, alpha=2.0)),
+            (0.0, 0.004, [500], fig1),
+        ]
+
+        def exact(snapshot):
+            if isinstance(snapshot, NonConvergence):
+                return str(snapshot)
+            return tuple(np.asarray(part).tobytes() for part in snapshot)
+
+        together = integrate_ab_rows(thetas, rows)
+        assert isinstance(together[1][2], NonConvergence)
+        for row, snapshots in zip(rows, together, strict=True):
+            alone = integrate_ab_snapshots(thetas, *row)
+            assert list(map(exact, snapshots)) == list(map(exact, alone))
 
     def test_counts_one_vectorized_variance_rate_call(self, fig1, monkeypatch):
         import fwdvol.charfn as charfn

@@ -193,6 +193,8 @@ MALFORMED_INPUTS = {
                        [{"t_e": 1, "T": 1, "K": 1, "vol": None}]),
     "fixings_numbers": (["mc-price", "--payoff", "asian_prompt", "--fixings"], [1]),
     "params_number": (["price", "--t-e", 1, "--strike", 1, "--params"], 5),
+    "params_invalid": (["price", "--t-e", 1, "--strike", 1, "--params"], {**FIG1, "sigma": -1}),
+    "curves_number": (["price", "--t-e", 1, "--strike", 1, "--curves"], {"forwards": 3}),
 }
 
 
@@ -202,7 +204,18 @@ def test_malformed_input_file_is_input_error(argv, content, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(content))
     assert run(argv + [bad]) == 2
-    assert "invalid input" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid input: {bad}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["calibrate", "--quotes", "q.json", "--params", "p.json"],
+    ["k-table", "--curves", "nonexistent.json"],
+])
+def test_file_flags_a_command_would_not_read_are_rejected(argv, capsys):
+    # calibrate starts from --initial; k-table reads no curves.
+    assert run(argv) == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
 # Small runs of every subcommand, and the file each reads after its
@@ -230,16 +243,16 @@ def test_manifest_of_every_subcommand(command, tmp_path, monkeypatch):
         [{"t_e": 1.0, "T": 1.0, "K": K, "vol": 0.4} for K in (0.9, 1.0, 1.1)]))
     flags, extra_files = MANIFEST_RUNS[command]
     source = "--initial" if command == "calibrate" else "--params"
-    argv = [str(a) for a in [command, *flags, source, "params.json",
-                             "--curves", "curves.json", "--out", "out"]]
+    # k-table reads no curves, and rejects the flag.
+    curves_flag = [] if command == "k-table" else ["--curves", "curves.json"]
+    argv = [str(a) for a in [command, *flags, source, "params.json", *curves_flag,
+                             "--out", "out"]]
     assert main(argv) == 0
     out, manifest_file = tmp_path / "out", tmp_path / "out.manifest.json"
     first = out.read_bytes(), manifest_file.read_bytes()
     manifest = json.loads(first[1])
     assert manifest["command"] == command
-    # k-table never reads the curves.
-    curves = [] if command == "k-table" else ["curves.json"]
-    assert manifest["inputs"] == ["params.json", *curves, *extra_files]
+    assert manifest["inputs"] == ["params.json", *curves_flag[1:], *extra_files]
     assert manifest["outputs"] == {"out": hashlib.sha256(first[0]).hexdigest()}
     # The flags exactly as parsed, nothing the dispatch adds.
     assert manifest["config"] == vars(_build_parser().parse_args(argv))

@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 
 from fwdvol import (
     DomainError,
+    InvalidModelParams,
     NoArbitrageViolation,
+    NonConvergence,
     OptionSpec,
     QuadratureConfig,
     QuadratureTailError,
@@ -29,9 +31,11 @@ from fwdvol import (
     flat_curves,
     implied_vol,
     integrated_variance,
+    price_slices,
     put_price,
     smile_slice,
     smile_table,
+    validate_params,
     variance_rate,
 )
 from fwdvol.charfn import integrate_ab
@@ -265,6 +269,45 @@ class TestCallPrices:
         for slice_, prices in zip(self.SLICES, together):
             (alone,) = call_prices([slice_], curves, fig1, quad)
             assert np.max(np.abs(prices - alone)) <= 1e-14
+
+    @pytest.mark.parametrize("theta_max", [200.0, 60.0])
+    def test_stacked_sets_equal_one_set_calls(self, curves, fig1, sec5, theta_max):
+        # Mixed lags, and mixed steps: 0.1y sits at the 30-step floor.
+        # alpha = -4 undersizes the steps, so B diverges on most slices
+        # beside the healthy sets; it fails validate_params, as does the
+        # correlation matrix that is not PSD.  Capped at theta = 60 the
+        # 0.1y slice fails its tail test.
+        q = QuadratureConfig(theta_max=theta_max)
+        slices = self.SLICES + [(0.1, 0.1, [0.9, 1.0, 1.1])]
+        diverging = replace(fig1, alpha=-4.0, sigma=0.8)
+        not_psd = replace(fig1, rho=-0.9, rho1=0.9, rho2=0.9)
+        sets = [fig1, diverging, sec5, not_psd, replace(fig1, sigma=0.5)]
+        for p in (diverging, not_psd):
+            with pytest.raises(InvalidModelParams):
+                validate_params(p)
+
+        def exact(prices):
+            if isinstance(prices, Exception):
+                return type(prices), str(prices)
+            return tuple(map(float.hex, prices))
+
+        def exactly(result):
+            return exact(result.prices), result.theta_stop, result.steps
+
+        stacked = price_slices(slices, curves, sets, q)
+        assert len(stacked) == len(sets)
+        for p, results in zip(sets, stacked):
+            alone = price_slices(slices, curves, p, q)
+            assert list(map(exactly, results)) == list(map(exactly, alone))
+        outcomes = {type(result.prices) for results in stacked for result in results}
+        assert {np.ndarray, NonConvergence, QuadratureTailError} <= outcomes
+        short = stacked[0][-1]
+        assert isinstance(short.prices, QuadratureTailError) == (theta_max == 60.0)
+        assert short.steps[0] == 30 != stacked[0][0].steps[0]
+        together = call_prices(slices, curves, sets, q)
+        assert [[exact(r.prices) for r in results] for results in stacked] == [
+            list(map(exact, prices)) for prices in together
+        ]
 
     def test_failures_stay_per_slice(self, curves, fig1):
         # Capped at theta = 60, the 0.1y slice's slowly decaying tail fails

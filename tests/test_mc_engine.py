@@ -592,6 +592,29 @@ class TestStackedSets:
         assert len(calls) == pending * len(ps)
 
 
+    @pytest.mark.parametrize("n_paths", [5_000, 20_000])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_drift_integrals_are_tabulated_once_per_grid(self, curves, monkeypatch, n_paths,
+                                                         threads):
+        # Approximate mode reads integrated_variance(0, t, T) once per
+        # observation and set, however many blocks and workers run.
+        import fwdvol.mc as mc
+
+        calls = []
+        real = mc.integrated_variance
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(mc, "integrated_variance", counting)
+        ps = self.FAMILIES["distinct"]
+        cfg, times, observations = self.strip_setup("approximate", n_paths=n_paths,
+                                                     threads=threads)
+        _simulate_forwards(cfg, curves, ps, times, observations)
+        assert len(calls) == len(observations) * len(ps)
+
+
 class TestMemory:
     def test_strip_holds_no_path_state_per_fixing(self, curves):
         # Three blocks, 12 fixings, 12 accumulator rows: the forwards are
