@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -106,10 +106,7 @@ def _repair_correlations(rho: float, rho1: float, rho2: float) -> tuple[float, f
     return clip(repaired[0, 1]), clip(repaired[0, 2]), clip(repaired[1, 2])
 
 
-def _from_vector(
-    x: np.ndarray,
-    bounds: Mapping[str, tuple[float, float]] | None,
-) -> ModelParams:
+def _from_vector(x: np.ndarray) -> ModelParams:
     values = {}
     for name, xi in zip(_ORDER, x):
         if name in _POSITIVE:
@@ -118,9 +115,6 @@ def _from_vector(
             value = math.tanh(xi)
         else:
             value = float(xi)
-        if bounds and name in bounds:
-            lo, hi = bounds[name]
-            value = min(max(value, lo), hi)
         values[name] = value
     values["rho"], values["rho1"], values["rho2"] = _repair_correlations(
         values["rho"], values["rho1"], values["rho2"]
@@ -150,12 +144,11 @@ def objective(
     return _objectives(p, quotes, curves, q)
 
 
-def _objectives(ps, quotes, curves, q) -> list[float]:
+def _objectives(ps, quotes, curves, q=None) -> list[float]:
     """`objective` of each set in ``ps``, the valid ones priced by one
     `call_prices` call."""
     if not quotes:
         raise DomainError("quotes must be nonempty")
-    q = q or QuadratureConfig()
     values = [_FAILED_QUOTE_PENALTY * len(quotes)] * len(ps)
     valid = []
     for i, p in enumerate(ps):
@@ -269,9 +262,7 @@ def fit(
     quotes: Sequence[VolQuote],
     initial: ModelParams,
     curves: MarketCurves,
-    bounds: Mapping[str, tuple[float, float]] | None = None,
     budget: int = 2000,
-    q: QuadratureConfig | None = None,
 ) -> CalibrationResult:
     """Nelder-Mead search from ``initial``, capped at ``budget`` evaluations.
 
@@ -279,18 +270,17 @@ def fit(
     BSD-3 implementation runs it (``_nelder_mead``).  The returned
     parameters are the best point actually evaluated, so the result never
     regresses below the starting objective; exhausting the budget returns
-    that best point with ``converged`` false.  ``bounds`` optionally clamps
-    named parameters to closed intervals.
+    that best point with ``converged`` false.  Quotes are priced with the
+    default `QuadratureConfig`.
     """
     if budget < 1:
         raise DomainError("budget must be >= 1")
     validate_params(initial)
-    q = q or QuadratureConfig()
     x0 = _to_vector(initial)
 
     # The start point is evaluated directly on `initial` rather than on
     # its transform round trip, which would floor an exact beta = 0.
-    start_value = objective(initial, quotes, curves, q)
+    start_value = objective(initial, quotes, curves)
     best_value = start_value
     best_params = initial
     n_evals = 1
@@ -305,9 +295,9 @@ def fit(
         nonlocal best_value, best_params, n_evals
         fresh = [j for j, x in enumerate(xs) if not np.array_equal(x, x0)]
         taken = fresh[: budget - n_evals]
-        params = [_from_vector(xs[j], bounds) for j in taken]
+        params = [_from_vector(xs[j]) for j in taken]
         values = [start_value] * len(xs)
-        for j, p, value in zip(taken, params, _objectives(params, quotes, curves, q)):
+        for j, p, value in zip(taken, params, _objectives(params, quotes, curves)):
             values[j] = value
             n_evals += 1
             if value < best_value:

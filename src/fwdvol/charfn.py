@@ -378,7 +378,7 @@ def integrate_ab(theta, t_e: float, T: float, p: ModelParams, n_steps: int | Non
     return (a_val[0], b_val[0]) if scalar else (a_val, b_val)
 
 
-def charfn_value(theta, x, v, t_e: float, T: float, p: ModelParams, n_steps: int | None = None):
+def charfn_value(theta, x, v, t_e: float, T: float, p: ModelParams):
     """Conditional characteristic function exp(i theta x + A + B v).
 
     ``v`` must be >= 0.  For real ``theta`` this is the characteristic
@@ -387,7 +387,7 @@ def charfn_value(theta, x, v, t_e: float, T: float, p: ModelParams, n_steps: int
     """
     if v < 0.0:
         raise DomainError("variance state v must be >= 0")
-    a_val, b_val = integrate_ab(theta, t_e, T, p, n_steps=n_steps)
+    a_val, b_val = integrate_ab(theta, t_e, T, p)
     exponent = 1j * np.multiply(theta, x) + a_val + b_val * v
     real_theta = np.all(np.isreal(theta))
     if real_theta and np.any(np.real(exponent) > 1e-8):

@@ -1,15 +1,17 @@
 """Command-line interface.
 
 Subcommands: price, term-structure, smile, mc-price, drift-study,
-k-table, calibrate.  Every command accepts --seed, --threads, --out, and
-a parameter source: --preset, or a file, --initial for calibrate and
---params for the others.  Every command but k-table also reads a
---curves file; a command rejects the file flags it would not read.
-Writing --out also writes a sibling run manifest with the flags as
-parsed, the files read and a checksum of each emitted file, so a run
-can be reproduced bit-exactly.  The manifest records the flags, not the
-values resolved from them: ``preset`` is null when the command's default
-preset ran, and ``T`` is null when it defaults to ``t_e``.
+k-table, calibrate.  Every command accepts --out and a parameter
+source: --preset, or a file, --initial for calibrate and --params for
+the others.  Every command but k-table also reads a --curves file, and
+the two that simulate, mc-price and drift-study, take --seed and
+--threads; a command rejects the flags it would not read.  Writing --out
+also writes a sibling run manifest with the flags as parsed, the files
+read and a checksum of each emitted file, so a run can be reproduced
+bit-exactly.  The manifest records the flags, not the values resolved
+from them: ``preset`` is null when the command's default preset ran,
+``T`` is null when it defaults to ``t_e``, and ``seed`` is null for a
+command that does not simulate.
 
 Exit codes: 0 success, 2 invalid input, 3 numerical failure.
 """
@@ -51,7 +53,7 @@ class RunManifest:
     command: str
     inputs: tuple[str, ...]
     config: dict
-    seed: int
+    seed: int | None
     version: str
     outputs: dict
 
@@ -123,7 +125,7 @@ def _emit(args, output, inputs: list[str]) -> None:
         command=args.command,
         inputs=tuple(inputs),
         config=dict(vars(args)),
-        seed=args.seed,
+        seed=getattr(args, "seed", None),
         version=__version__,
         outputs={args.out: _sha256(args.out)},
     )
@@ -254,21 +256,22 @@ def _calibrate(args, p, curves):
 
 
 # Subcommand: (function, default preset, flag naming the parameter file,
-# whether it reads --curves).
+# whether it reads --curves, whether it simulates and so reads --seed and
+# --threads).
 _COMMANDS = {
-    "price": (_price, "fig1", "params", True),
-    "term-structure": (_term_structure, "fig1", "params", True),
-    "smile": (_smile, "fig1", "params", True),
-    "mc-price": (_mc_price, "fig1", "params", True),
-    "drift-study": (_drift_study, "sec5", "params", True),
-    "k-table": (_k_table, "fig1", "params", False),
-    "calibrate": (_calibrate, "fig1", "initial", True),
+    "price": (_price, "fig1", "params", True, False),
+    "term-structure": (_term_structure, "fig1", "params", True, False),
+    "smile": (_smile, "fig1", "params", True, False),
+    "mc-price": (_mc_price, "fig1", "params", True, True),
+    "drift-study": (_drift_study, "sec5", "params", True, True),
+    "k-table": (_k_table, "fig1", "params", False, False),
+    "calibrate": (_calibrate, "fig1", "initial", True, False),
 }
 
 
 def _run(args) -> int:
     """Resolve the parameters and curves, run the subcommand, emit its output."""
-    run, default_preset, params_flag, reads_curves = _COMMANDS[args.command]
+    run, default_preset, params_flag, reads_curves, _ = _COMMANDS[args.command]
     path = getattr(args, params_flag)
     if path:
         p = _parse_file(
@@ -297,9 +300,10 @@ def _add_expiry(sp, **t_e) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    simulation = argparse.ArgumentParser(add_help=False)
+    simulation.add_argument("--seed", type=int, default=0, help="RNG seed")
+    simulation.add_argument("--threads", type=int, default=1, help="worker threads")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="RNG seed")
-    common.add_argument("--threads", type=int, default=1, help="worker threads")
     common.add_argument("--out", default=None, help="output file (plus manifest)")
     common.add_argument(
         "--preset",
@@ -316,9 +320,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     def add_command(name: str, **kwargs) -> argparse.ArgumentParser:
-        """A subcommand with the common flags and the files it reads."""
-        sp = sub.add_parser(name, parents=[common], **kwargs)
-        _, _, params_flag, reads_curves = _COMMANDS[name]
+        """A subcommand with the common flags, the files it reads and, if
+        it simulates, the simulation flags."""
+        _, _, params_flag, reads_curves, simulates = _COMMANDS[name]
+        parents = [simulation, common] if simulates else [common]
+        sp = sub.add_parser(name, parents=parents, **kwargs)
         if params_flag == "params":
             sp.add_argument("--params", default=None, help="model parameter JSON file")
         if reads_curves:

@@ -112,14 +112,14 @@ class McConfig:
 
 @dataclass(frozen=True)
 class PathState:
-    """Factor state at one time, scalar or vectorized across paths.
+    """Factor state at one time, one value per path.
 
     ``v_raw`` is the signed variance factor propagated by the truncation
     scheme; every coefficient evaluation uses the floored value exposed
-    as ``v``.  ``exact_drift`` holds one row per date of the ascending
+    as ``v``.  u1, u2, v_raw and int_w have shape (n_paths,).
+    ``exact_drift`` holds one row per date of the ascending
     ``settlements``: the accumulated integral of v times that date's
-    forward variance rate, shape (n_settlements,) or (n_settlements,
-    n_paths).
+    forward variance rate, shape (n_settlements, n_paths).
 
     A stacked state carries several parameter sets on the same paths
     with the set axis first: u1, u2, v_raw and int_w have shape (sets,
@@ -129,33 +129,25 @@ class PathState:
     """
 
     t: float
-    u1: float | np.ndarray = 0.0
-    u2: float | np.ndarray = 0.0
-    v_raw: float | np.ndarray = 1.0
-    int_w: float | np.ndarray = 0.0
+    u1: np.ndarray
+    u2: np.ndarray
+    v_raw: np.ndarray
+    int_w: np.ndarray
     exact_drift: np.ndarray | None = None
     settlements: tuple[float, ...] = ()
 
     @property
-    def v(self) -> float | np.ndarray:
+    def v(self) -> np.ndarray:
         return np.maximum(self.v_raw, 0.0)
 
 
-def initial_state(
-    n_paths: int | None = None,
-    exact_settlements: tuple[float, ...] = (),
-) -> PathState:
-    """State at t = 0: factors at zero, v at its long-run level 1."""
-
-    def zeros():
-        return 0.0 if n_paths is None else np.zeros(n_paths)
-
+def initial_state(n_paths: int, exact_settlements: tuple[float, ...] = ()) -> PathState:
+    """State of ``n_paths`` paths at t = 0: factors at zero, v at its
+    long-run level 1, one zero drift row per distinct settlement."""
     settlements = tuple(sorted({float(T) for T in exact_settlements}))
-    drift = None
-    if settlements:
-        drift = np.zeros((len(settlements),) + (() if n_paths is None else (n_paths,)))
-    v0 = 1.0 if n_paths is None else np.ones(n_paths)
-    return PathState(t=0.0, u1=zeros(), u2=zeros(), v_raw=v0, int_w=zeros(),
+    drift = np.zeros((len(settlements), n_paths)) if settlements else None
+    return PathState(t=0.0, u1=np.zeros(n_paths), u2=np.zeros(n_paths),
+                     v_raw=np.ones(n_paths), int_w=np.zeros(n_paths),
                      exact_drift=drift, settlements=settlements)
 
 
@@ -173,7 +165,7 @@ def evolve_step(
     ``p`` is one parameter set, or a sequence of them for a stacked state
     (see `PathState`), which then takes the step for every set at once,
     each with its own coefficients.  ``normals`` holds the three
-    already-correlated standard normals for the step, shape (3,) or
+    already-correlated standard normals for the step, shape
     (3, n_paths), shared by every set; a stacked step also takes one
     triple per set, shape (sets, 3, n_paths).  The variance factor keeps
     its signed value; the floored value enters every coefficient,
@@ -191,7 +183,8 @@ def evolve_step(
     what a step of that set alone gives, bit for bit.
 
     The state's arrays are updated in place and handed on to the new
-    state, so the input state moves with it; copy it first to keep it.
+    state, which differs from the input only in ``t``; copy the arrays
+    first to keep them.
     """
     if dt <= 0.0:
         raise DomainError("dt must be > 0")
@@ -200,24 +193,22 @@ def evolve_step(
     z = np.asarray(normals, dtype=float)
     stacked = not isinstance(p, ModelParams)
     ps = tuple(p) if stacked else (p,)
-    fields = (state.u1, state.u2, state.v_raw, state.int_w)
-    if stacked:
-        shape = np.shape(state.v_raw)
-        if shape[:1] != (len(ps),):
-            raise DomainError("a stacked state needs one row per parameter set")
-    else:
-        shape = (1,) + np.broadcast_shapes(*map(np.shape, fields), z.shape[1:])
+    u1, u2, v_raw, int_w = state.u1, state.u2, state.v_raw, state.int_w
+    drift = state.exact_drift
+    if not stacked:
+        # Views with a length-1 set axis: the updates below reach the
+        # caller's arrays.
+        u1, u2, v_raw, int_w = u1[None], u2[None], v_raw[None], int_w[None]
+        drift = None if drift is None else drift[None]
+    shape = v_raw.shape
+    if shape[:1] != (len(ps),):
+        raise DomainError("a stacked state needs one row per parameter set")
     # Normals shared by every set, or with a leading set axis, one
-    # triple per set; either way one (3, sets, ...) view.
+    # triple per set; either way one (3, sets, n_paths) view.
     shocks = z.swapaxes(0, 1) if z.ndim > len(shape) else z[:, None]
     if shocks.shape[0] != 3:
         raise DomainError("normals must have leading dimension 3")
-    u1, u2, v_raw, int_w = fields if stacked else (_with_set_axis(x, shape) for x in fields)
-    drift = state.exact_drift
-    if drift is not None and not stacked:
-        drift = _with_set_axis(drift, shape[:1] + (len(state.settlements),) + shape[1:])
     t = state.t
-    ones = (1,) * (len(shape) - 1)
     pending = 0
     if mode == "exact_per_T" and drift is not None:
         # Settlements ascend, so the rows still accruing (T > t) are a suffix.
@@ -225,12 +216,12 @@ def evolve_step(
         pending = len(state.settlements) - first
     # beta, alpha, e^{beta1 t} and e^{beta2 t} per set, the exponentials
     # from math.exp as the forwards' decay factors are: one set's as
-    # scalars, several as (sets, 1, ...) columns.
+    # scalars, several as (sets, 1) columns.
     coefficients = [(q.beta, q.alpha, math.exp(q.beta1 * t), math.exp(q.beta2 * t)) for q in ps]
     if len(ps) == 1:
         beta, alpha, growth1, growth2 = coefficients[0]
     else:
-        beta, alpha, growth1, growth2 = np.array(coefficients).T.reshape((4,) + shape[:1] + ones)
+        beta, alpha, growth1, growth2 = np.array(coefficients).T.reshape(4, len(ps), 1)
     root_dt = math.sqrt(dt)
     # Every update keeps the association order of
     #   u1 + root_v * e^{beta1 t} * root_dt * z0,
@@ -244,7 +235,7 @@ def evolve_step(
     if pending:
         if rates is None:
             rates = _step_rates(t, dt, state.settlements[first:], ps)
-        rates = np.reshape(rates, shape[:1] + (pending,) + ones)
+        rates = np.reshape(rates, (len(ps), pending, 1))
         drift[:, first:] += np.multiply(rates, vp[:, None], out=scratch[:pending].swapaxes(0, 1))
     step = np.subtract(vp, 1.0, out=scratch[0])
     step *= dt
@@ -263,21 +254,7 @@ def evolve_step(
     u1 += increments[0]
     u2 += increments[1]
     v_raw += increments[2]
-    if not stacked:
-        u1, u2, v_raw, int_w = u1[0], u2[0], v_raw[0], int_w[0]
-        drift = None if drift is None else drift[0]
-    return PathState(t=t + dt, u1=u1, u2=u2, v_raw=v_raw, int_w=int_w,
-                     exact_drift=drift, settlements=state.settlements)
-
-
-def _with_set_axis(x, shape: tuple[int, ...]) -> np.ndarray:
-    """One set's ``x`` as a float array of ``shape``, whose leading set
-    axis has length 1: a view where ``x`` holds that many values, so
-    in-place updates reach the caller's array."""
-    x = np.asarray(x, dtype=float)
-    if x.size == math.prod(shape):
-        return x.reshape(shape)
-    return np.broadcast_to(x, shape).copy()
+    return replace(state, t=t + dt)
 
 
 def _step_rates(

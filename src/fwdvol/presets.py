@@ -10,8 +10,6 @@ for the drift approximation and the truncation scheme.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .model import MarketCurves, ModelParams
 
 __all__ = [
@@ -52,10 +50,6 @@ PRESETS = {
 }
 
 
-def flat_curves(forward: float = 1.0, discount: float = 1.0, t_max: float = 50.0) -> MarketCurves:
-    """Flat forward and discount curves out to ``t_max``."""
-    grid = np.array([0.0, t_max])
-    return MarketCurves(
-        forwards=tuple((float(T), float(forward)) for T in grid),
-        discounts=tuple((float(T), float(discount)) for T in grid),
-    )
+def flat_curves() -> MarketCurves:
+    """Unit forward and discount curves, flat in T: one node each."""
+    return MarketCurves(forwards=((0.0, 1.0),), discounts=((0.0, 1.0),))

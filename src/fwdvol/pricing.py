@@ -31,7 +31,7 @@ import numpy as np
 # integrate_ab stays reachable as ``fwdvol.pricing.integrate_ab``.
 from .charfn import default_ab_steps, integrate_ab, integrate_ab_rows  # noqa: F401
 from .errors import DomainError, FwdVolError, NoArbitrageViolation, QuadratureTailError
-from .model import MarketCurves, ModelParams
+from .model import MarketCurves, ModelParams, validate_params
 
 __all__ = [
     "OptionSpec",
@@ -52,10 +52,14 @@ __all__ = [
 ]
 
 _VOL_BRACKET = (1e-6, 10.0)
-# Panels per block of the theta grid.  At the presets' alpha every slice
-# with t_e >= 0.25 stops after the first block (theta <= 60 at the
-# default panel width); each further block costs one more Riccati pass.
+# Panels per block of the theta grid, and each panel's width.  At the
+# presets' alpha every slice with t_e >= 0.25 stops after the first block
+# (theta <= 60); each further block costs one more Riccati pass.
 _PANELS_PER_BLOCK = 6
+_PANEL_WIDTH = 10.0
+# A slice closes once its last panel's bound falls below this (see
+# `QuadratureConfig`).
+_TAIL_TOLERANCE = 1e-10
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -92,31 +96,25 @@ class QuadratureConfig:
     """Quadrature settings for the Fourier pricer.
 
     The transform integral is evaluated with ``n_nodes`` Gauss-Legendre
-    nodes on each panel of width ``panel_width``, in blocks of six panels
-    from theta = 0.  A slice stops after the first block whose last panel
+    nodes on each panel of width 10, in blocks of six panels from
+    theta = 0.  A slice stops after the first block whose last panel
     passes the tail test: the integral of |f(theta) / (theta^2 + i theta)|
     over that panel, which bounds its contribution at every strike, must
-    stay below ``tail_tolerance``.  ``theta_max`` caps the grid; a slice
-    whose last panel still fails there raises `QuadratureTailError`.  Each
-    block is one Riccati pass over the open slices of every set priced,
-    and each slice takes ``charfn.default_ab_steps`` RK4 steps for the
-    block's top theta.
+    stay below 1e-10.  ``theta_max`` caps the grid; a slice whose last
+    panel still fails there raises `QuadratureTailError`.  Each block is
+    one Riccati pass over the open slices of every set priced, and each
+    slice takes ``charfn.default_ab_steps`` RK4 steps for the block's top
+    theta.
     """
 
     theta_max: float = 200.0
     n_nodes: int = 64
-    tail_tolerance: float = 1e-10
-    panel_width: float = 10.0
 
     def __post_init__(self):
         if self.theta_max <= 0.0:
             raise DomainError("theta_max must be > 0")
         if self.n_nodes < 16:
             raise DomainError("n_nodes must be >= 16")
-        if self.tail_tolerance <= 0.0:
-            raise DomainError("tail_tolerance must be > 0")
-        if self.panel_width <= 0.0:
-            raise DomainError("panel_width must be > 0")
 
 
 def black76_price(F: float, K: float, total_variance: float, D: float, kind: str = "call") -> float:
@@ -218,8 +216,8 @@ def _theta_grid(q: QuadratureConfig):
     """
     base_x, base_w = np.polynomial.legendre.leggauss(q.n_nodes)
     edges = [0.0]
-    while edges[-1] + q.panel_width < q.theta_max - 1e-12:
-        edges.append(edges[-1] + q.panel_width)
+    while edges[-1] + _PANEL_WIDTH < q.theta_max - 1e-12:
+        edges.append(edges[-1] + _PANEL_WIDTH)
     edges.append(q.theta_max)
     nodes, weights = [], []
     for a, b in zip(edges, edges[1:]):
@@ -273,7 +271,9 @@ def price_slices(
     at ``q.theta_max``, or with `NonConvergence` if B diverged before its
     expiry.  Each price is clamped to its static no-arbitrage band
     [D max(F - K, 0), D F]; the clamp only ever absorbs quadrature residue
-    of the order of the tail tolerance.
+    of the order of the tail tolerance.  Every set is checked by
+    `validate_params` before the first pass, so an invalid one raises
+    `InvalidModelParams` instead of overflowing the Riccati system.
 
     Returns a list of `SliceResult` aligned with ``slices``, or for a
     sequence of sets one such list per set, each equal to that set's own
@@ -282,6 +282,8 @@ def price_slices(
     q = q or QuadratureConfig()
     stacked = not isinstance(p, ModelParams)
     ps = tuple(p) if stacked else (p,)
+    for p_i in ps:
+        validate_params(p_i)
     thetas, weights, blocks = _theta_grid(q)
     slices = [(t_e, T, np.asarray(strikes, dtype=float)) for t_e, T, strikes in slices]
     for t_e, T, strikes in slices:
@@ -326,12 +328,12 @@ def price_slices(
                     kernel = np.exp(a_val + b_val * ps[i].v0) / denominator
                     integrals[i][index] += node_weights @ np.real(kernel[:, None] * phases[index])
                     tail = float(node_weights[last_panel] @ np.abs(kernel[last_panel]))
-                    if tail <= q.tail_tolerance:
+                    if tail <= _TAIL_TOLERANCE:
                         result = _prices_from_integral(strikes, integrals[i][index], T, curves)
                     elif at_cap:
                         result = QuadratureTailError(
                             f"last quadrature panel contributes up to {tail:.3e} > tail "
-                            f"tolerance {q.tail_tolerance:.3e}; increase theta_max"
+                            f"tolerance {_TAIL_TOLERANCE:.3e}; increase theta_max"
                         )
                     else:
                         continue

@@ -329,9 +329,9 @@ class TestNelderMeadAgainstScipy:
             points = []
             from_vector = fwdvol.calibration._from_vector
 
-            def recorded(x, bounds):
+            def recorded(x):
                 points.append(hex_point(x))
-                return from_vector(x, bounds)
+                return from_vector(x)
 
             with monkeypatch.context() as patch:
                 patch.setattr(fwdvol.calibration, "_nelder_mead", optimizer)

@@ -211,11 +211,17 @@ def test_malformed_input_file_is_input_error(argv, content, tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["calibrate", "--quotes", "q.json", "--params", "p.json"],
     ["k-table", "--curves", "nonexistent.json"],
+    ["price", "--t-e", 1, "--strike", 1, "--seed", 3],
+    ["smile", "--threads", 2],
+    ["k-table", "--seed", 1],
+    ["calibrate", "--quotes", "q.json", "--threads", 2],
 ])
 def test_file_flags_a_command_would_not_read_are_rejected(argv, capsys):
-    # calibrate starts from --initial; k-table reads no curves.
+    # calibrate starts from --initial; k-table reads no curves; only
+    # mc-price and drift-study simulate, so only they take --seed and
+    # --threads.
     assert run(argv) == 2
-    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(map(str, argv[-2:]))}" in capsys.readouterr().err
 
 
 # Small runs of every subcommand, and the file each reads after its
@@ -225,8 +231,8 @@ MANIFEST_RUNS = {
     "term-structure": (["--expiries", "0.5,1"], []),
     "smile": (["--strikes", "0.9,1.1"], []),
     "mc-price": (["--payoff", "asian_prompt", "--fixings", "fixings.json",
-                  "--paths", 2000, "--steps", 8], ["fixings.json"]),
-    "drift-study": (["--alphas", "0,1", "--paths", 2000, "--steps", 8], []),
+                  "--paths", 2000, "--steps", 8, "--seed", 7], ["fixings.json"]),
+    "drift-study": (["--alphas", "0,1", "--paths", 2000, "--steps", 8, "--seed", 7], []),
     "k-table": (["--n", 3], []),
     "calibrate": (["--quotes", "quotes.json", "--budget", 4], ["quotes.json"]),
 }
@@ -254,8 +260,10 @@ def test_manifest_of_every_subcommand(command, tmp_path, monkeypatch):
     assert manifest["command"] == command
     assert manifest["inputs"] == ["params.json", *curves_flag[1:], *extra_files]
     assert manifest["outputs"] == {"out": hashlib.sha256(first[0]).hexdigest()}
-    # The flags exactly as parsed, nothing the dispatch adds.
+    # The flags exactly as parsed, nothing the dispatch adds; a command
+    # that does not simulate has no seed.
     assert manifest["config"] == vars(_build_parser().parse_args(argv))
+    assert manifest["seed"] == (7 if command in ("mc-price", "drift-study") else None)
     assert main(argv) == 0
     assert (out.read_bytes(), manifest_file.read_bytes()) == first
 

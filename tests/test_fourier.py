@@ -35,11 +35,11 @@ from fwdvol import (
     put_price,
     smile_slice,
     smile_table,
-    validate_params,
     variance_rate,
 )
-from fwdvol.charfn import integrate_ab
-from fwdvol.pricing import _theta_grid
+import fwdvol.pricing
+from fwdvol.charfn import default_ab_steps, integrate_ab
+from fwdvol.pricing import _TAIL_TOLERANCE, _theta_grid
 
 from test_charfn import LATE_DIVERGENCE
 from test_model_core import make
@@ -66,7 +66,7 @@ def reference_call_prices(t_e, T, strikes, curves, p, n_steps=None):
     kernel = np.exp(a_val + b_val) / (thetas**2 + 1j * thetas)
     integrand = np.real(kernel[:, None] * np.exp(-1j * np.outer(thetas, np.log(strikes / F))))
     tail = np.abs(weights[-q.n_nodes:] @ integrand[-q.n_nodes:])
-    if np.max(tail) > q.tail_tolerance:
+    if np.max(tail) > _TAIL_TOLERANCE:
         raise QuadratureTailError(f"reference tail {np.max(tail):.3e}")
     prices = D * (F - 0.5 * strikes - (strikes / math.pi) * (weights @ integrand))
     return np.clip(prices, D * np.maximum(F - strikes, 0.0), D * F)
@@ -271,20 +271,23 @@ class TestCallPrices:
             assert np.max(np.abs(prices - alone)) <= 1e-14
 
     @pytest.mark.parametrize("theta_max", [200.0, 60.0])
-    def test_stacked_sets_equal_one_set_calls(self, curves, fig1, sec5, theta_max):
+    def test_stacked_sets_equal_one_set_calls(self, curves, fig1, sec5, theta_max, monkeypatch):
         # Mixed lags, and mixed steps: 0.1y sits at the 30-step floor.
-        # alpha = -4 undersizes the steps, so B diverges on most slices
-        # beside the healthy sets; it fails validate_params, as does the
-        # correlation matrix that is not PSD.  Capped at theta = 60 the
-        # 0.1y slice fails its tail test.
+        # The diverging set takes the steps alpha = -4 would size, too few
+        # for its alpha = 4, so B diverges on most slices beside the
+        # healthy sets.  Capped at theta = 60 the 0.1y slice fails its
+        # tail test; at sigma = 0.05 its tail is still too wide at 200.
         q = QuadratureConfig(theta_max=theta_max)
         slices = self.SLICES + [(0.1, 0.1, [0.9, 1.0, 1.1])]
-        diverging = replace(fig1, alpha=-4.0, sigma=0.8)
-        not_psd = replace(fig1, rho=-0.9, rho1=0.9, rho2=0.9)
-        sets = [fig1, diverging, sec5, not_psd, replace(fig1, sigma=0.5)]
-        for p in (diverging, not_psd):
-            with pytest.raises(InvalidModelParams):
-                validate_params(p)
+        diverging = replace(fig1, alpha=4.0, sigma=0.8)
+        sets = [fig1, diverging, sec5, replace(fig1, sigma=0.05), replace(fig1, sigma=0.5)]
+
+        def undersized(t_e, p, theta_top, lag):
+            if p is diverging:
+                p = replace(p, alpha=-p.alpha)
+            return default_ab_steps(t_e, p, theta_top, lag)
+
+        monkeypatch.setattr(fwdvol.pricing, "default_ab_steps", undersized)
 
         def exact(prices):
             if isinstance(prices, Exception):
@@ -340,6 +343,16 @@ class TestCallPrices:
             call_prices([(1.0, 1.0, [1.0]), (2.0, 1.0, [1.0])], curves, fig1)
         with pytest.raises(DomainError):
             call_prices([(1.0, 1.0, [1.0, 0.0])], curves, fig1)
+
+    def test_rejects_invalid_sets_before_pricing(self, curves, fig1):
+        # Unvalidated, beta = -10 overflows the Riccati pass and reads as
+        # two quadrature tail failures.
+        slices = [(1.0, 1.0, [0.8, 1.0, 1.2]), (2.0, 2.0, [1.0])]
+        with pytest.raises(InvalidModelParams):
+            call_prices(slices, curves, replace(fig1, beta=-10.0))
+        not_psd = replace(fig1, rho=-0.9, rho1=0.9, rho2=0.9)
+        with pytest.raises(InvalidModelParams):
+            price_slices(slices, curves, [fig1, not_psd])
 
     def test_theta_grid_is_built_once_and_read_only(self):
         nodes, weights, _ = _theta_grid(QuadratureConfig())

@@ -272,6 +272,18 @@ class TestEvolveStep:
         assert state.u2[0] == 0.0
         assert state.t == pytest.approx(0.01)
 
+    def test_one_set_step_updates_callers_arrays_in_place(self):
+        state = initial_state(4, (2.0,))
+        names = ("u1", "u2", "v_raw", "int_w", "exact_drift")
+        before = {name: getattr(state, name).copy() for name in names}
+        moved = state
+        for z in np.random.default_rng(7).standard_normal((2, 3, 4)):
+            moved = evolve_step(moved, 0.1, z, make(), "exact_per_T")
+        assert (state.t, moved.t) == (0.0, 0.2)
+        for name in names:
+            assert getattr(moved, name) is getattr(state, name), name
+            assert np.all(getattr(state, name) != before[name]), name
+
     def test_stacked_step_matches_each_set(self):
         # Two sets that differ in every coefficient, each with its own
         # normals and no rate table, against single-set steps, bit for
