@@ -10,7 +10,7 @@ objective that gradient methods handle badly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -83,27 +83,21 @@ def _to_vector(p: ModelParams) -> np.ndarray:
     return np.array(out)
 
 
-def _repair_correlations(rho: float, rho1: float, rho2: float) -> tuple[float, float, float]:
-    """Project (rho, rho1, rho2) onto the valid correlation set.
+def _repair_correlations(p: ModelParams) -> ModelParams:
+    """Project ``p``'s (rho, rho1, rho2) onto the valid correlation set.
 
     Eigenvalue clipping at zero followed by diagonal renormalization;
     a no-op whenever the matrix is already positive semidefinite.
     """
-    matrix = np.array(
-        [
-            [1.0, rho, rho1],
-            [rho, 1.0, rho2],
-            [rho1, rho2, 1.0],
-        ]
-    )
-    eigvals, eigvecs = np.linalg.eigh(matrix)
+    eigvals, eigvecs = np.linalg.eigh(p.correlation_matrix())
     if eigvals[0] >= 0.0:
-        return rho, rho1, rho2
+        return p
     repaired = (eigvecs * np.maximum(eigvals, 0.0)) @ eigvecs.T
     scale = 1.0 / np.sqrt(np.maximum(np.diag(repaired), 1e-12))
     repaired = repaired * np.outer(scale, scale)
     clip = lambda x: float(min(1.0, max(-1.0, x)))
-    return clip(repaired[0, 1]), clip(repaired[0, 2]), clip(repaired[1, 2])
+    return replace(p, rho=clip(repaired[0, 1]), rho1=clip(repaired[0, 2]),
+                   rho2=clip(repaired[1, 2]))
 
 
 def _from_vector(x: np.ndarray) -> ModelParams:
@@ -116,10 +110,7 @@ def _from_vector(x: np.ndarray) -> ModelParams:
         else:
             value = float(xi)
         values[name] = value
-    values["rho"], values["rho1"], values["rho2"] = _repair_correlations(
-        values["rho"], values["rho1"], values["rho2"]
-    )
-    return ModelParams(**values)
+    return _repair_correlations(ModelParams(**values))
 
 
 def objective(

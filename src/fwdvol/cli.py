@@ -23,7 +23,7 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -43,19 +43,7 @@ from .pricing import (
 )
 from .presets import PRESETS, flat_curves
 
-__all__ = ["main", "RunManifest"]
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce one CLI run bit-exactly."""
-
-    command: str
-    inputs: tuple[str, ...]
-    config: dict
-    seed: int | None
-    version: str
-    outputs: dict
+__all__ = ["main"]
 
 
 def _sha256(path: str) -> str:
@@ -66,15 +54,11 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
 def _parse_file(path: str, what: str, build):
     """``build`` applied to the JSON in ``path``; an input error in it is
     reported as a `DomainError` that names the file."""
-    data = _load_json(path)
+    with open(path, "r", encoding="utf-8") as handle:
+        data = json.load(handle)
     try:
         return build(data)
     except (NumericalError, NoArbitrageViolation):
@@ -121,15 +105,16 @@ def _emit(args, output, inputs: list[str]) -> None:
     else:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
             _write_csv(handle, *output)
-    manifest = RunManifest(
-        command=args.command,
-        inputs=tuple(inputs),
-        config=dict(vars(args)),
-        seed=getattr(args, "seed", None),
-        version=__version__,
-        outputs={args.out: _sha256(args.out)},
-    )
-    _write_json(args.out + ".manifest.json", asdict(manifest))
+    # Everything needed to reproduce the run bit-exactly.
+    manifest = {
+        "command": args.command,
+        "inputs": inputs,
+        "config": vars(args),
+        "seed": getattr(args, "seed", None),
+        "version": __version__,
+        "outputs": {args.out: _sha256(args.out)},
+    }
+    _write_json(args.out + ".manifest.json", manifest)
 
 
 # Each subcommand takes the parsed flags, the resolved parameters and

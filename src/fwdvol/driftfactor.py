@@ -255,14 +255,17 @@ class DriftFactorResult:
 
 @lru_cache(maxsize=200_000)
 def drift_factor_result(t: float, T: float, p: ModelParams) -> DriftFactorResult:
-    """k^2(t, T): a documented limit, else the closed form; memoized for grids.
+    """k^2(t, T) of a valid set: a documented limit, else the closed form.
 
-    ``method`` is "limit" or "closed_form".  Conventions at the degenerate points: at t = 0 the matching window is
-    empty and k collapses to the instantaneous rate sigma_F^2(0, T); with
-    alpha = 0 the variance factor never moves and k is fixed at the time
-    average of sigma_F^2 over [0, t], which multiplies an identically zero
-    integral anyway.
+    Memoized for grids.  ``p`` must pass `validate_params`, or this
+    raises `InvalidModelParams`.  ``method`` is "limit" or
+    "closed_form".  Conventions at the degenerate points: at t = 0 the
+    matching window is empty and k collapses to the instantaneous rate
+    sigma_F^2(0, T); with alpha = 0 the variance factor never moves and
+    k is fixed at the time average of sigma_F^2 over [0, t], which
+    multiplies an identically zero integral anyway.
     """
+    validate_params(p)
     if not 0.0 <= t <= T:
         raise DomainError("drift_factor requires 0 <= t <= T")
     if t == 0.0 or (p.beta1 == 0.0 and p.beta2 == 0.0):

@@ -70,10 +70,12 @@ _DRIFT_MODES = ("exact_per_T", "approximate")
 class McConfig:
     """Simulation configuration.
 
-    ``exact_settlements`` lists the settlement dates whose exact drift
-    accumulators are carried along the paths, kept sorted and without
-    duplicates; it is required (nonempty) in ``exact_per_T`` mode and
-    ignored in ``approximate`` mode.
+    ``exact_settlements`` lists the settlement dates a run may read with
+    the exact drift, kept sorted and without duplicates; it is required
+    (nonempty) in ``exact_per_T`` mode and ignored in ``approximate``
+    mode.  ``price_payoff`` checks that it covers the payoff's dates and
+    the drift study reads its one date; the engine itself carries an
+    accumulator row only for each date an exact observation reads.
     ``threads`` splits path blocks across a thread pool; results do not
     depend on it.
     """
@@ -156,7 +158,6 @@ def evolve_step(
     dt: float,
     normals,
     p: ModelParams | Sequence[ModelParams],
-    mode: str = "exact_per_T",
     *,
     rates=None,
 ) -> PathState:
@@ -169,11 +170,12 @@ def evolve_step(
     (3, n_paths), shared by every set; a stacked step also takes one
     triple per set, shape (sets, 3, n_paths).  The variance factor keeps
     its signed value; the floored value enters every coefficient,
-    including the drift accumulators.  The exact accumulators add the
-    floored v times the step's exact variance-rate integral, so
-    deterministic pieces carry no discretization error and the exactness
-    limits of the drift approximation survive to floating-point
-    precision.  A settlement's row stops moving once t reaches it.
+    including the drift accumulators.  The state's exact drift rows, if
+    it carries any, each add the floored v times the step's exact
+    variance-rate integral, so deterministic pieces carry no
+    discretization error and the exactness limits of the drift
+    approximation survive to floating-point precision.  A settlement's
+    row stops moving once t reaches it.
 
     ``rates`` holds those integrals, ``integrated_variance(t, min(t + dt,
     T), T, p)`` for each settlement still accruing at t, shape (sets,
@@ -188,8 +190,6 @@ def evolve_step(
     """
     if dt <= 0.0:
         raise DomainError("dt must be > 0")
-    if mode not in _DRIFT_MODES:
-        raise DomainError(f"mode must be one of {_DRIFT_MODES}")
     z = np.asarray(normals, dtype=float)
     stacked = not isinstance(p, ModelParams)
     ps = tuple(p) if stacked else (p,)
@@ -209,11 +209,9 @@ def evolve_step(
     if shocks.shape[0] != 3:
         raise DomainError("normals must have leading dimension 3")
     t = state.t
-    pending = 0
-    if mode == "exact_per_T" and drift is not None:
-        # Settlements ascend, so the rows still accruing (T > t) are a suffix.
-        first = bisect.bisect_right(state.settlements, t)
-        pending = len(state.settlements) - first
+    # Settlements ascend, so the rows still accruing (T > t) are a suffix.
+    first = bisect.bisect_right(state.settlements, t)
+    pending = len(state.settlements) - first
     # beta, alpha, e^{beta1 t} and e^{beta2 t} per set, the exponentials
     # from math.exp as the forwards' decay factors are: one set's as
     # scalars, several as (sets, 1) columns.
@@ -416,13 +414,9 @@ class DriftStudyRow:
     otm_vol_stderr_pct: float
 
 
-def _uniform_grid(cfg: McConfig) -> np.ndarray:
-    return np.linspace(0.0, cfg.horizon, cfg.n_steps + 1)
-
-
 def _grid_with_inserted(cfg: McConfig, required: tuple[float, ...]) -> np.ndarray:
     """Uniform grid with the required times added as exact nodes."""
-    times = _uniform_grid(cfg)
+    times = np.linspace(0.0, cfg.horizon, cfg.n_steps + 1)
     tol = 1e-9 * max(1.0, cfg.horizon)
     extras = []
     for t in sorted(set(required)):
@@ -455,21 +449,22 @@ def _simulate_forwards(
 
     Each block draws its normals once and evolves every parameter set on
     them as one stacked state, so entry i of the result equals a separate
-    run of ``ps[i]``.  Returns an array of shape (len(ps),
-    len(observations), n_paths); an empty ``ps`` draws nothing.
+    run of ``ps[i]``.  The state carries an exact drift row for each
+    settlement an exact observation reads, and no other.  Returns an
+    array of shape (len(ps), len(observations), n_paths); an empty
+    ``ps`` draws nothing.
     """
     ps = tuple(ps)
     out = np.empty((len(ps), len(observations), cfg.n_paths))
     if not ps:
         return out
-    transforms = [factorize_correlation(p).matrix for p in ps]
+    transforms = [factorize_correlation(p) for p in ps]
     # Sets with equal Cholesky factors share one correlated draw per step.
     keys = [matrix.tobytes() for matrix in transforms]
     by_set = [keys.index(key) for key in keys]
     distinct = sorted(set(by_set))
-    track_exact = any(mode == "exact_per_T" for _, _, mode in observations)
-    step_mode = "exact_per_T" if track_exact else "approximate"
-    settlements = cfg.exact_settlements if track_exact else ()
+    settlements = tuple(sorted({float(T) for _, T, mode in observations
+                                if mode == "exact_per_T"}))
     at_node: dict[int, list[int]] = {}
     for j, (node, _, _) in enumerate(observations):
         at_node.setdefault(node, []).append(j)
@@ -527,7 +522,7 @@ def _simulate_forwards(
             correlated = {g: transforms[g] @ z for g in distinct}
             normals = (correlated[0] if len(distinct) == 1
                        else np.stack([correlated[g] for g in by_set]))
-            state = evolve_step(state, dt, normals, ps, step_mode, rates=rates[n])
+            state = evolve_step(state, dt, normals, ps, rates=rates[n])
             observe(n + 1)
 
     n_blocks = -(-cfg.n_paths // _BLOCK)

@@ -41,7 +41,6 @@ __all__ = [
     "PSD_TOLERANCE",
     "ModelParams",
     "MarketCurves",
-    "CorrelationFactorization",
     "validate_params",
     "variance_rate",
     "integrated_variance",
@@ -208,36 +207,26 @@ class MarketCurves:
             raise DomainError("forwards must be positive")
         if any(not 0.0 < v <= 1.0 for _, v in self.discounts):
             raise DomainError("discount factors must lie in (0, 1]")
-        ft = np.array([t for t, _ in self.forwards])
-        fv = np.log([v for _, v in self.forwards])
-        dt_ = np.array([t for t, _ in self.discounts])
-        dv = np.log([v for _, v in self.discounts])
-        object.__setattr__(self, "_ft", ft)
-        object.__setattr__(self, "_flog", fv)
-        object.__setattr__(self, "_dt", dt_)
-        object.__setattr__(self, "_dlog", dv)
+        for name in ("forwards", "discounts"):
+            times, values = zip(*getattr(self, name))
+            object.__setattr__(self, f"_log_{name}", (np.array(times), np.log(values)))
+
+    @staticmethod
+    def _log_linear(T, table):
+        """The curve of (times, log values) ``table`` at T."""
+        T = np.asarray(T, dtype=float)
+        if np.any(T < 0.0):
+            raise DomainError("settlement time must be >= 0")
+        out = np.exp(np.interp(T, *table))
+        return float(out) if out.ndim == 0 else out
 
     def forward(self, T):
         """Initial forward F(0, T) for settlement T."""
-        T = np.asarray(T, dtype=float)
-        if np.any(T < 0.0):
-            raise DomainError("settlement time must be >= 0")
-        out = np.exp(np.interp(T, self._ft, self._flog))
-        return float(out) if out.ndim == 0 else out
+        return self._log_linear(T, self._log_forwards)
 
     def discount(self, T):
         """Discount factor D(T) to settlement T."""
-        T = np.asarray(T, dtype=float)
-        if np.any(T < 0.0):
-            raise DomainError("settlement time must be >= 0")
-        out = np.exp(np.interp(T, self._dt, self._dlog))
-        return float(out) if out.ndim == 0 else out
-
-    def to_dict(self) -> dict:
-        return {
-            "forwards": [[float(t), float(v)] for t, v in self.forwards],
-            "discounts": [[float(t), float(v)] for t, v in self.discounts],
-        }
+        return self._log_linear(T, self._log_discounts)
 
     @classmethod
     def from_dict(cls, data: dict) -> "MarketCurves":
@@ -307,25 +296,15 @@ def integrated_variance(t0: float, t1: float, T: float, p: ModelParams) -> float
     return p.sigma**2 * total
 
 
-@dataclass(frozen=True)
-class CorrelationFactorization:
-    """Lower-triangular L with L L^T equal to the shock correlation matrix."""
+def factorize_correlation(p: ModelParams) -> np.ndarray:
+    """PSD-tolerant Cholesky factor of the 3x3 correlation matrix.
 
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
-def factorize_correlation(p: ModelParams) -> CorrelationFactorization:
-    """PSD-tolerant Cholesky factorization of the 3x3 correlation matrix.
-
-    Plain Cholesky fails on semidefinite matrices (a perfectly correlated
-    variance factor, say rho1 = 1).  Here a pivot below ``PSD_TOLERANCE`` is
-    treated as exactly zero and its column is zeroed, which is valid for any
-    PSD matrix; a pivot below -``PSD_TOLERANCE`` raises.
+    Returns the read-only lower-triangular L with L L^T equal to the shock
+    correlation matrix.  Plain Cholesky fails on semidefinite matrices (a
+    perfectly correlated variance factor, say rho1 = 1).  Here a pivot
+    below ``PSD_TOLERANCE`` is treated as exactly zero and its column is
+    zeroed, which is valid for any PSD matrix; a pivot below
+    -``PSD_TOLERANCE`` raises.
     """
     m = p.correlation_matrix()
     n = m.shape[0]
@@ -344,4 +323,5 @@ def factorize_correlation(p: ModelParams) -> CorrelationFactorization:
                 lower[i, j] = off / lower[j, j]
             else:
                 lower[i, j] = 0.0
-    return CorrelationFactorization(matrix=lower)
+    lower.setflags(write=False)
+    return lower

@@ -9,10 +9,11 @@ from scipy.optimize import minimize
 import fwdvol.calibration
 import fwdvol.charfn
 import fwdvol.pricing
-from fwdvol.calibration import _nelder_mead
+from fwdvol.calibration import _nelder_mead, _repair_correlations
 
 from fwdvol import (
     DomainError,
+    InvalidModelParams,
     QuadratureConfig,
     VolQuote,
     fit,
@@ -137,6 +138,20 @@ class TestObjective:
     def test_requires_quotes(self, curves):
         with pytest.raises(DomainError):
             objective(make(), [], curves)
+
+
+class TestRepairCorrelations:
+    def test_projects_a_non_psd_triple_onto_a_valid_set(self):
+        p = make(rho=-0.9, rho1=0.9, rho2=0.9)
+        with pytest.raises(InvalidModelParams):
+            validate_params(p)
+        repaired = _repair_correlations(p)
+        assert validate_params(repaired) is repaired
+        assert replace(repaired, rho=p.rho, rho1=p.rho1, rho2=p.rho2) == p
+
+    def test_psd_set_comes_back_unchanged(self):
+        p = make()
+        assert _repair_correlations(p) is p
 
 
 class TestFit:

@@ -84,6 +84,15 @@ class TestIntegrateAb:
         assert a_val == 0j
         assert b_val == 0j
 
+    def test_zero_expiry_takes_no_step(self):
+        # At t_e = 0 the system has not moved from its initial value.
+        assert integrate_ab(3.0, 0.0, 1.0, make()) == (0j, 0j)
+        theta = np.array([0.0, 1.5, -40.0])
+        for value in integrate_ab(theta, 0.0, 1.0, make()):
+            assert value.shape == theta.shape
+            assert value.dtype == complex
+            np.testing.assert_array_equal(value, 0j)
+
     def test_gaussian_limit_identity(self):
         # Without vol of vol the combined exponent is the deterministic
         # total variance times -(theta^2 + i theta)/2.
@@ -214,6 +223,11 @@ class TestCharfnValue:
         expected = cmath.exp(-0.5 * (theta**2 + 1j * theta) * V)
         got = charfn_value(theta, 0.0, 1.0, 1.0, 1.0, p)
         assert got == pytest.approx(expected, abs=1e-10)
+
+    def test_zero_expiry_is_the_phase_alone(self):
+        theta = np.array([0.5, 2.0, 30.0])
+        got = charfn_value(theta, 0.3, 2.0, 0.0, 1.0, make())
+        np.testing.assert_array_equal(got, np.exp(1j * theta * 0.3))
 
     def test_modulus_strictly_inside_unit_disk(self):
         assert abs(charfn_value(1.0, 0.0, 1.0, 1.0, 1.0, make())) < 1.0

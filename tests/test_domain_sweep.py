@@ -17,11 +17,13 @@ import json
 import warnings
 from dataclasses import replace
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fwdvol import (
     FwdVolError,
+    InvalidModelParams,
     McConfig,
     ModelParams,
     PayoffSpec,
@@ -30,6 +32,7 @@ from fwdvol import (
     flat_curves,
     implied_vol,
     price_payoff,
+    validate_params,
 )
 from fwdvol.cli import main
 
@@ -85,6 +88,9 @@ def test_every_entry_point_fails_typed_or_works(p, t_e, lag, strikes, command, t
             for K, price in zip(strikes, priced[0]):
                 typed_or_works(implied_vol, float(price), F, K, t_e, D)
         typed_or_works(drift_factor, t_e, T, p)
+        if typed_or_works(validate_params, p) is None:
+            with pytest.raises(InvalidModelParams):
+                drift_factor(t_e, T, p)
         kind = "vanilla" if lag == 0.0 else "early_exercise"
         payoff = PayoffSpec(kind, strikes[0], "call", t_e, T)
         for mode in ("exact_per_T", "approximate"):

@@ -2,6 +2,7 @@
 the divided-difference closed form, and the dispatcher."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from fwdvol import (
     DegenerateDenominator,
     DomainError,
+    InvalidModelParams,
     NumericalError,
     integrated_variance,
     variance_rate,
@@ -194,6 +196,16 @@ class TestDispatcher:
     def test_rejects_bad_times(self):
         with pytest.raises(DomainError):
             drift_factor_result(2.0, 1.0, make5())
+
+    @pytest.mark.parametrize("field, value, code", [("sigma", -5.0, "NonPositiveSigma"),
+                                                    ("beta1", -2.0, "NegativeRate")])
+    def test_rejects_invalid_sets(self, field, value, code):
+        # Unvalidated, these sets read k = 17.71 and k = 75.57.
+        p = replace(make(), **{field: value})
+        for call in (drift_factor, drift_factor_result):
+            with pytest.raises(InvalidModelParams) as err:
+                call(1.0, 2.0, p)
+            assert err.value.codes() == (code,)
 
     def test_fast_reversion_over_a_long_window_stays_finite(self):
         # 2 beta1 t = 800: exp(2 beta1 t) overflows, so the limit route's

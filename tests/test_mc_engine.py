@@ -138,7 +138,7 @@ def reference_simulate(cfg, p, times, obs_nodes, track_exact):
     blocks' snapshots are then concatenated node by node."""
     settlements = cfg.exact_settlements if track_exact else ()
     mode = "exact_per_T" if track_exact else "approximate"
-    transform = factorize_correlation(p).matrix
+    transform = factorize_correlation(p)
     base = _BLOCK // 2 if cfg.antithetic else _BLOCK
     per_block = []
     for b in range(-(-cfg.n_paths // _BLOCK)):
@@ -252,14 +252,14 @@ class TestEvolveStep:
         state = initial_state(n_paths=4, exact_settlements=(2.0,))
         rng = np.random.default_rng(3)
         for _ in range(25):
-            state = evolve_step(state, 0.04, rng.standard_normal((3, 4)), p, "exact_per_T")
+            state = evolve_step(state, 0.04, rng.standard_normal((3, 4)), p)
         np.testing.assert_allclose(state.v, 1.0, atol=1e-14)
         np.testing.assert_allclose(state.int_w, 0.0, atol=1e-14)
 
     def test_zero_normals_leave_factors_still(self):
         p = make()
         state = initial_state(n_paths=2, exact_settlements=(2.0,))
-        state = evolve_step(state, 0.01, np.zeros((3, 2)), p, "exact_per_T")
+        state = evolve_step(state, 0.01, np.zeros((3, 2)), p)
         np.testing.assert_array_equal(state.u1, 0.0)
         np.testing.assert_array_equal(state.u2, 0.0)
         np.testing.assert_allclose(state.v, 1.0, atol=1e-15)
@@ -267,7 +267,7 @@ class TestEvolveStep:
     def test_single_step_factor_increment(self):
         state = initial_state(n_paths=1, exact_settlements=(2.0,))
         normals = np.array([[1.0], [0.0], [0.0]])
-        state = evolve_step(state, 0.01, normals, make(), "exact_per_T")
+        state = evolve_step(state, 0.01, normals, make())
         assert state.u1[0] == pytest.approx(0.1, abs=1e-15)
         assert state.u2[0] == 0.0
         assert state.t == pytest.approx(0.01)
@@ -278,7 +278,7 @@ class TestEvolveStep:
         before = {name: getattr(state, name).copy() for name in names}
         moved = state
         for z in np.random.default_rng(7).standard_normal((2, 3, 4)):
-            moved = evolve_step(moved, 0.1, z, make(), "exact_per_T")
+            moved = evolve_step(moved, 0.1, z, make())
         assert (state.t, moved.t) == (0.0, 0.2)
         for name in names:
             assert getattr(moved, name) is getattr(state, name), name
@@ -299,8 +299,8 @@ class TestEvolveStep:
                             settlements=settlements)
         u1 = stacked.u1
         for z in normals:
-            stacked = evolve_step(stacked, 0.1, z, ps, "exact_per_T")
-            single = [evolve_step(s, 0.1, zi, p, "exact_per_T") for s, zi, p in zip(single, z, ps)]
+            stacked = evolve_step(stacked, 0.1, z, ps)
+            single = [evolve_step(s, 0.1, zi, p) for s, zi, p in zip(single, z, ps)]
         assert stacked.u1 is u1
         for i, state in enumerate(single):
             for name in ("u1", "u2", "v_raw", "int_w", "exact_drift"):
@@ -313,7 +313,7 @@ class TestEvolveStep:
         state = initial_state(n_paths=1, exact_settlements=(2.0,))
         down = np.array([[0.0], [0.0], [-8.0]])
         for _ in range(10):
-            state = evolve_step(state, 0.1, down, p, "exact_per_T")
+            state = evolve_step(state, 0.1, down, p)
         assert state.v[0] == 0.0
         assert state.v_raw[0] < 0.0
 

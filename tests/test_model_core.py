@@ -207,11 +207,11 @@ class TestMarketCurves:
 class TestFactorizeCorrelation:
     def test_identity_for_independent_shocks(self):
         p = make(rho=0.0, rho1=0.0, rho2=0.0)
-        np.testing.assert_allclose(factorize_correlation(p).matrix, np.eye(3), atol=0.0)
+        np.testing.assert_allclose(factorize_correlation(p), np.eye(3), atol=0.0)
 
     def test_reconstruction_on_reference_set(self):
         p = make()
-        L = factorize_correlation(p).matrix
+        L = factorize_correlation(p)
         np.testing.assert_allclose(L @ L.T, p.correlation_matrix(), atol=1e-12)
         assert np.allclose(np.triu(L, 1), 0.0)
 
@@ -219,7 +219,7 @@ class TestFactorizeCorrelation:
         # rho1 = 1 ties the variance shock to the first factor; the matrix
         # is singular but still PSD, so factorization must succeed.
         p = make(rho=0.3, rho1=1.0, rho2=0.3)
-        L = factorize_correlation(p).matrix
+        L = factorize_correlation(p)
         np.testing.assert_allclose(L @ L.T, p.correlation_matrix(), atol=1e-12)
 
     def test_raises_on_non_psd(self):
@@ -230,5 +230,5 @@ class TestFactorizeCorrelation:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(p=valid_param_sets())
     def test_reconstruction_everywhere(self, p):
-        L = factorize_correlation(p).matrix
+        L = factorize_correlation(p)
         np.testing.assert_allclose(L @ L.T, p.correlation_matrix(), atol=1e-12)
