@@ -57,8 +57,10 @@ _B_OVERFLOW = 1e12
 # error grows with sigma^2 theta^2, so sec5 (sigma = 0.6) reads 1.85e-8
 # there at its 60 steps.  Prices do not see it, since |f| = e^-409 at
 # that theta.  With the stability term, both presets at alpha 0, 1
-# and 2 and expiries 0.1-10 price within 2.6e-10 D F of the 1280-node,
-# 200-steps-a-year grid (tests/test_fourier.py).
+# and 2 and expiries 0.1-10 price within 2.6e-10 D F of a fixed grid:
+# 128-node 10-wide panels to theta = 200 at 200 steps a year
+# (tests/test_fourier.py).  At alpha = 3 their 0.25y slices miss a
+# 1600-step pass by 1.1e-9 (fig1) and 1.6e-9 (sec5).
 _ACCURACY_STEPS_PER_YEAR = 60
 # Simpson's error there grows as (2 beta_i h)^4, so factors that revert
 # faster than 5 a year take 12 steps a year per unit of the larger of

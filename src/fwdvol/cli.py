@@ -320,8 +320,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_expiry(sp, required=True)
     sp.add_argument("--strike", type=float, required=True)
     sp.add_argument("--option", choices=("call", "put"), default="call")
-    sp.add_argument("--theta-max", dest="theta_max", type=float, default=200.0)
-    sp.add_argument("--panel-nodes", dest="panel_nodes", type=int, default=64)
+    q = QuadratureConfig()
+    sp.add_argument("--theta-max", dest="theta_max", type=float, default=q.theta_max)
+    sp.add_argument("--panel-nodes", dest="panel_nodes", type=int, default=q.n_nodes)
 
     sp = add_command("term-structure", help="ATM vanilla vol by expiry")
     sp.add_argument("--expiries", default="0.1,0.25,0.5,1,2,3,5")

@@ -98,8 +98,8 @@ class TestObjective:
         passes, rates = self.count_passes(monkeypatch)
         assert objective(fig1, quotes, curves) <= 1e-11
         # Expiries 0.5, 1 and 2 read off steps 38, 76 and 152 of one pass on
-        # the 384 nodes of the first block, theta <= 60.
-        assert passes == [(384, [152])]
+        # the 240 nodes of the first block, theta <= 60.
+        assert passes == [(240, [152])]
         assert rates == [305]
 
     def test_one_riccati_pass_for_several_sets(self, fig1, curves, monkeypatch):
@@ -110,7 +110,7 @@ class TestObjective:
         passes, rates = self.count_passes(monkeypatch)
         together = objective(sets, quotes, curves)
         assert [value.hex() for value in together] == [value.hex() for value in alone]
-        assert passes == [(384, [160, 152, 152])]
+        assert passes == [(240, [160, 152, 152])]
         assert rates == [321, 305, 305]
 
     def test_invalid_set_pays_full_penalty_beside_valid_ones(self, fig1, curves):

@@ -45,8 +45,8 @@ def reference_ab(theta, t_e, T, p, n_steps):
     return a_val, b_val
 
 
-# Parameters whose 400-step Riccati pass on all 1280 nodes of the pricing
-# grid diverges at tau = 1.895: the 0.5y and 1y snapshots of a 2y pass are
+# Parameters whose 400-step Riccati pass on all 576 nodes of the pricing
+# grid diverges at tau = 1.915: the 0.5y and 1y snapshots of a 2y pass are
 # still good.  Steps sized from the grid's top theta do not diverge.
 LATE_DIVERGENCE = dict(sigma=0.8, beta1=0.01, beta=0.0, alpha=4.0)
 
@@ -125,7 +125,7 @@ class TestIntegrateAb:
     def test_matches_stagewise_oracle_on_pricing_grid(self, request, preset, t_e, T):
         p = request.getfixturevalue(preset)
         thetas = _theta_grid(QuadratureConfig())[0]
-        assert thetas.size == 1280
+        assert thetas.size == 576
         n_steps = default_ab_steps(t_e, p, thetas.max(), T - t_e)
         oracle = reference_ab(thetas, t_e, T, p, n_steps)
         assert charfn_gap(integrate_ab(thetas, t_e, T, p), oracle) <= 1e-14
@@ -176,7 +176,7 @@ class TestSnapshots:
 
     def test_rows_equal_their_one_row_passes(self, fig1, sec5):
         # Rows of every length, lag, step and set, one of which diverges
-        # at tau = 1.895 while the others carry on past it.
+        # at tau = 1.915 while the others carry on past it.
         thetas = _theta_grid(QuadratureConfig())[0]
         rows = [
             (0.0, 0.005, [100, 400], fig1),

@@ -49,27 +49,50 @@ def norm_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
+def uniform_panels(n_nodes, lo=0.0, hi=200.0):
+    """Gauss-Legendre nodes and weights on 10-wide panels over [lo, hi].
+
+    The uniform theta grid that the pricer's graded one replaced, built
+    here so that the oracles do not move with `QuadratureConfig`.
+    """
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    edges = np.arange(lo, hi + 1e-9, 10.0)
+    half = 0.5 * np.diff(edges)[:, None]
+    return (half * (x + 1.0) + edges[:-1, None]).ravel(), (half * w).ravel()
+
+
+def weighted_integrand(thetas, weights, t_e, T, strikes, curves, p, n_steps):
+    """Each node's weighted share of the call integral, per strike, from
+    one RK4 pass of ``n_steps`` over ``thetas``."""
+    a_val, b_val = integrate_ab(thetas, t_e, T, p, n_steps=n_steps)
+    kernel = np.exp(a_val + b_val * p.v0) / (thetas**2 + 1j * thetas)
+    phases = np.exp(-1j * np.outer(thetas, np.log(strikes / curves.forward(T))))
+    return weights[:, None] * np.real(kernel[:, None] * phases)
+
+
+def prices_from(integral, T, strikes, curves):
+    F, D = curves.forward(T), curves.discount(T)
+    prices = D * (F - 0.5 * strikes - (strikes / math.pi) * integral)
+    return np.clip(prices, D * np.maximum(F - strikes, 0.0), D * F)
+
+
 def reference_call_prices(t_e, T, strikes, curves, p, n_steps=None):
     """The fixed-grid pricer that `call_prices` replaced: the oracle.
 
-    Every node of the default 1280-node grid out to theta = 200, one RK4
+    Every node of 128-node uniform panels out to theta = 200, one RK4
     pass of max(50, ceil(200 t_e)) steps, and the signed tail test on the
     last panel.
     """
-    q = QuadratureConfig()
-    thetas, weights, _ = _theta_grid(q)
+    n_nodes = 128
+    thetas, weights = uniform_panels(n_nodes)
     if n_steps is None:
         n_steps = max(50, math.ceil(200 * t_e))
-    a_val, b_val = integrate_ab(thetas, t_e, T, p, n_steps=n_steps)
     strikes = np.asarray(strikes, dtype=float)
-    F, D = curves.forward(T), curves.discount(T)
-    kernel = np.exp(a_val + b_val) / (thetas**2 + 1j * thetas)
-    integrand = np.real(kernel[:, None] * np.exp(-1j * np.outer(thetas, np.log(strikes / F))))
-    tail = np.abs(weights[-q.n_nodes:] @ integrand[-q.n_nodes:])
+    terms = weighted_integrand(thetas, weights, t_e, T, strikes, curves, p, n_steps)
+    tail = np.abs(terms[-n_nodes:].sum(axis=0))
     if np.max(tail) > _TAIL_TOLERANCE:
         raise QuadratureTailError(f"reference tail {np.max(tail):.3e}")
-    prices = D * (F - 0.5 * strikes - (strikes / math.pi) * (weights @ integrand))
-    return np.clip(prices, D * np.maximum(F - strikes, 0.0), D * F)
+    return prices_from(terms.sum(axis=0), T, strikes, curves)
 
 
 class TestSpecs:
@@ -330,7 +353,7 @@ class TestCallPrices:
             assert prices[0] == uncapped[0]
 
     def test_late_divergence_prices(self, curves, fig1):
-        # A 400-step pass on all 1280 nodes diverges at tau = 1.895 (see
+        # A 400-step pass on all 576 nodes diverges at tau = 1.915 (see
         # test_charfn); steps sized from each block's top theta do not.
         p = replace(fig1, **LATE_DIVERGENCE)
         strikes = [0.8, 1.0, 1.25]
@@ -354,6 +377,23 @@ class TestCallPrices:
         with pytest.raises(InvalidModelParams):
             price_slices(slices, curves, [fig1, not_psd])
 
+    def test_theta_grid_structure(self, quad):
+        # The first block is [0, 10] split in five plus five 10-wide
+        # panels, each later one six 10-wide panels; theta_max ends the last.
+        nodes, weights, blocks = _theta_grid(quad)
+        assert [top for _, _, top in blocks] == [60.0, 120.0, 180.0, 200.0]
+        assert [(block.start, block.stop) for block, _, _ in blocks] == [
+            (0, 10 * quad.n_nodes), (10 * quad.n_nodes, 16 * quad.n_nodes),
+            (16 * quad.n_nodes, 22 * quad.n_nodes), (22 * quad.n_nodes, 24 * quad.n_nodes),
+        ]
+        for block, tail, top in blocks:
+            last_panel = nodes[block][tail]
+            assert last_panel.size == quad.n_nodes
+            assert top - 10.0 < last_panel[0] and last_panel[-1] < top
+            assert abs(weights[block][tail].sum() - 10.0) <= 1e-12
+        assert 0.0 < nodes[0] and np.all(np.diff(nodes) > 0.0) and nodes[-1] < quad.theta_max
+        assert abs(weights.sum() - quad.theta_max) <= 1e-12
+
     def test_theta_grid_is_built_once_and_read_only(self):
         nodes, weights, _ = _theta_grid(QuadratureConfig())
         assert _theta_grid(QuadratureConfig())[0] is nodes
@@ -367,21 +407,49 @@ class TestAgainstFixedGrid:
     PAIRS = [(0.1, 0.1), (0.25, 0.25), (0.5, 0.5), (1.0, 1.0), (1.0, 2.0),
              (2.0, 2.0), (5.0, 5.0), (10.0, 10.0)]
     STRIKES = [0.5, 0.8, 1.0, 1.25, 2.0]
+    BLOCK_TOPS = [60.0, 120.0, 180.0, 200.0]
+
+    def sweep(self, request, curves, preset, alpha):
+        p = request.getfixturevalue(preset)
+        if alpha != "preset":
+            p = replace(p, alpha=alpha)
+        slices = [(t_e, T, np.array([m * curves.forward(T) for m in self.STRIKES]))
+                  for t_e, T in self.PAIRS]
+        return p, slices
 
     @pytest.mark.parametrize("preset", ["fig1", "sec5"])
     @pytest.mark.parametrize("alpha", [0.0, "preset", 2.0])
     def test_sweep_matches_reference(self, request, curves, preset, alpha):
         # An absolute yardstick: at t_e = 0.1, K = 2F the price is 2e-10, and
         # 64- and 128-node panels differ there by 1e-14 but 7e-6 relative.
-        p = request.getfixturevalue(preset)
-        if alpha != "preset":
-            p = replace(p, alpha=alpha)
-        slices = [(t_e, T, [m * curves.forward(T) for m in self.STRIKES]) for t_e, T in self.PAIRS]
+        # At alpha = 3 the RK4 step rule, not the grid, misses a 1600-step
+        # pass by 1.6e-9 on sec5 at t_e = 0.25 (ROADMAP item 5); the
+        # quadrature test below covers alpha = 3.
+        p, slices = self.sweep(request, curves, preset, alpha)
         for (t_e, T, strikes), prices in zip(slices, call_prices(slices, curves, p)):
             assert not isinstance(prices, Exception), (t_e, T, prices)
             reference = reference_call_prices(t_e, T, strikes, curves, p)
             bound = 1e-9 * curves.discount(T) * curves.forward(T)
             assert np.max(np.abs(prices - reference)) <= bound, (t_e, T)
+
+    @pytest.mark.parametrize("preset", ["fig1", "sec5"])
+    @pytest.mark.parametrize("alpha", ["preset", 3.0])
+    def test_grid_matches_uniform_panels_at_equal_steps(self, request, curves, preset, alpha):
+        # The quadrature error alone: each block of 10-wide 256-node panels
+        # takes the RK4 steps the pricer took there.  Beside the poles of
+        # the integrand at theta = -i and -i u*, 64-node panels miss sec5
+        # alpha = 3, t_e = 10 by 3.7e-6 D F and 128-node ones by 7.5e-11;
+        # the graded 24-node grid misses 256-node ones by 1.2e-13.
+        p, slices = self.sweep(request, curves, preset, alpha)
+        for (t_e, T, strikes), result in zip(slices, price_slices(slices, curves, p)):
+            integral, lo = 0.0, 0.0
+            for top, n_steps in zip(self.BLOCK_TOPS, result.steps):
+                thetas, weights = uniform_panels(256, lo, top)
+                terms = weighted_integrand(thetas, weights, t_e, T, strikes, curves, p, n_steps)
+                integral, lo = integral + terms.sum(axis=0), top
+            uniform = prices_from(integral, T, strikes, curves)
+            bound = 1e-12 * curves.discount(T) * curves.forward(T)
+            assert np.max(np.abs(result.prices - uniform)) <= bound, (t_e, T)
 
     def test_tail_test_sees_through_cancellation(self, curves, fig1):
         # At this strike the signed integral over the panel [50, 60]
