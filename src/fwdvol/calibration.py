@@ -1,15 +1,21 @@
 """Weighted least-squares fit of the model to implied-volatility quotes.
 
-The objective compares model and market Black-76 vols quote by quote;
-optimization runs derivative-free in a transformed unconstrained space
-(log for the positive rates and vols, atanh for correlations) because the
-characteristic-function overflow guard puts penalty cliffs into the
-objective that gradient methods handle badly.
+The objective compares model and market Black-76 vols quote by quote.
+`fit` minimizes it by Levenberg-Marquardt with geodesic acceleration on
+the residuals sqrt(w) (model vol - market vol), in a transformed
+unconstrained space (log for the positive rates and vols, atanh for
+correlations).  The Jacobian comes from forward differences: every point
+the search tries is priced together with its nine bumps in one stacked
+`call_prices` call, which costs about as much as four or five calls of
+one set.  A quote that cannot be priced adds a flat penalty to
+`objective`, but inside the search it reads as a bounded residual, so a
+failure is a step the finite differences can read, not a cliff.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -31,9 +37,25 @@ _LOG_FLOOR = 1e-8
 
 _FAILED_QUOTE_PENALTY = 1e3
 
-# An objective this small is the implied-vol solver's own noise floor;
-# no search step can improve on it meaningfully.
+# Inside the search a quote that cannot be priced reads as a miss of one
+# unit of vol (100 vol points), times the square root of its weight.
+# That is far beyond any fitted quote's error, so the step still moves
+# away from failures, yet bounded, so a bump that crosses into a failure
+# moves the Jacobian by the order of the residuals, not of 1e3.
+_FAILED_QUOTE_RESIDUAL = 1.0
+
+# Forward-difference step of each transformed coordinate, relative to its
+# size.
+_BUMP = 1e-6
+
+# An objective this small misses each quote by about 1e-6 in vol, far
+# inside any market quote's precision; the search stops there.
 _CONVERGED_OBJECTIVE = 1e-11
+
+# The search also stops once an accepted step lowers the squared
+# residuals by less than this fraction of them, or once the damped step
+# shrinks below this fraction of the point's own size.
+_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -62,12 +84,24 @@ class VolQuote:
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    """Best parameters seen, with bookkeeping for the search."""
+    """Best parameters seen, with bookkeeping for the search.
+
+    ``failures`` counts the quotes that could not be priced over the
+    whole fit, one per quote of each set priced, by exception class.
+    ``singular_values`` are those of the residual Jacobian at the
+    search's last accepted point, in the transformed coordinates, largest
+    first, as many as the lesser of the quotes and the nine parameters: a
+    value far below the largest marks a direction the quotes hardly
+    identify.  It is None when the budget cut the start's own Jacobian
+    short.
+    """
 
     params: ModelParams
     objective: float
     n_evals: int
     converged: bool
+    failures: dict[str, int]
+    singular_values: tuple[float, ...] | None
 
 
 def _to_vector(p: ModelParams) -> np.ndarray:
@@ -129,124 +163,108 @@ def objective(
     which that one call prices together; the result is then their
     objectives, as a list, each equal to its set's own call.
     """
-    if isinstance(p, ModelParams):
-        (value,) = _objectives([p], quotes, curves, q)
-        return value
-    return _objectives(p, quotes, curves, q)
+    single = isinstance(p, ModelParams)
+    groups = _by_slice(quotes)
+    gaps = _vol_gaps([p] if single else p, groups, curves, q)
+    values = [_objective_of(groups, set_gaps) for set_gaps in gaps]
+    return values[0] if single else values
 
 
-def _objectives(ps, quotes, curves, q=None) -> list[float]:
-    """`objective` of each set in ``ps``, the valid ones priced by one
-    `call_prices` call."""
+def _by_slice(quotes: Sequence[VolQuote]) -> list[list[VolQuote]]:
+    """The quotes grouped by (t_e, T), in order of first appearance."""
     if not quotes:
         raise DomainError("quotes must be nonempty")
-    values = [_FAILED_QUOTE_PENALTY * len(quotes)] * len(ps)
+    groups: dict[tuple[float, float], list[VolQuote]] = {}
+    for quote in quotes:
+        groups.setdefault((quote.t_e, quote.T), []).append(quote)
+    return list(groups.values())
+
+
+def _vol_gaps(ps, groups, curves, q=None) -> list[list]:
+    """Model minus market vol of each quote, per set in ``ps`` and per
+    slice of ``groups``; a slice that could not be priced holds the
+    exception that stopped it.  The valid sets are priced by one
+    `call_prices` call."""
+    out: list = [None] * len(ps)
     valid = []
     for i, p in enumerate(ps):
         try:
             validate_params(p)
-        except (FwdVolError, ValueError):
+        except (FwdVolError, ValueError) as exc:
+            out[i] = [exc] * len(groups)
             continue
         valid.append(i)
-    if not valid:
-        return values
-
-    groups: dict[tuple[float, float], list[VolQuote]] = {}
-    for quote in quotes:
-        groups.setdefault((quote.t_e, quote.T), []).append(quote)
-    slices = [(t_e, T, [quote.strike for quote in group]) for (t_e, T), group in groups.items()]
-    priced = call_prices(slices, curves, [ps[i] for i in valid], q)
-    for i, results in zip(valid, priced):
-        values[i] = _vol_errors(slices, groups.values(), results, curves)
-    return values
+    if valid:
+        slices = [(g[0].t_e, g[0].T, [quote.strike for quote in g]) for g in groups]
+        priced = call_prices(slices, curves, [ps[i] for i in valid], q)
+        for i, results in zip(valid, priced):
+            out[i] = [_slice_gaps(s, g, prices, curves)
+                      for s, g, prices in zip(slices, groups, results)]
+    return out
 
 
-def _vol_errors(slices, groups, results, curves: MarketCurves) -> float:
-    """One set's objective from its `call_prices` results, slice by slice."""
+def _slice_gaps(slice_, group, prices, curves: MarketCurves):
+    """One slice's vol gaps from its `call_prices` entry, or the exception."""
+    t_e, T, strikes = slice_
+    try:
+        if isinstance(prices, FwdVolError):
+            raise prices
+        F, D = curves.forward(T), curves.discount(T)
+        return [implied_vol(float(px), F, K, t_e, D, "call") - quote.market_vol
+                for K, px, quote in zip(strikes, prices, group)]
+    except (FwdVolError, ValueError, ArithmeticError) as exc:
+        return exc
+
+
+def _objective_of(groups, gaps) -> float:
+    """`objective` of one set from its `_vol_gaps`."""
     total = 0.0
-    for (t_e, T, strikes), group, prices in zip(slices, groups, results):
-        try:
-            if isinstance(prices, FwdVolError):
-                raise prices
-            F, D = curves.forward(T), curves.discount(T)
-            vols = [implied_vol(float(px), F, K, t_e, D, "call") for K, px in zip(strikes, prices)]
-        except (FwdVolError, ValueError, ArithmeticError):
+    for group, gap in zip(groups, gaps):
+        if isinstance(gap, Exception):
             total += _FAILED_QUOTE_PENALTY * len(group)
             continue
-        for quote, vol in zip(group, vols):
-            total += quote.weight * (vol - quote.market_vol) ** 2
+        for quote, g in zip(group, gap):
+            total += quote.weight * g**2
     return total
 
 
-class _BudgetStop(Exception):
-    pass
+def _residuals(groups, gaps) -> np.ndarray:
+    """The search's residuals of one set from its `_vol_gaps`, failures
+    read as `_FAILED_QUOTE_RESIDUAL`."""
+    return np.array([
+        math.sqrt(quote.weight)
+        * (_FAILED_QUOTE_RESIDUAL if isinstance(gap, Exception) else gap[k])
+        for group, gap in zip(groups, gaps)
+        for k, quote in enumerate(group)
+    ])
 
 
-def _nelder_mead(func, x0: np.ndarray, xatol: float, fatol: float) -> np.ndarray:
-    """Minimize by adaptive Nelder-Mead from ``x0``; return the best vertex.
+def _damped_step(J: np.ndarray, r: np.ndarray, lam: float) -> np.ndarray:
+    """The step that minimizes |r + J step|^2 + lam |step|^2."""
+    A = np.vstack([J, math.sqrt(lam) * np.eye(J.shape[1])])
+    return np.linalg.lstsq(A, np.concatenate([-r, np.zeros(J.shape[1])]), rcond=None)[0]
 
-    ``func`` maps an (m, n) array of points to their m values.  The
-    initial simplex and each shrink are one call; a reflection, expansion
-    or contraction is a call with one point.  Runs until the simplex is
-    within ``xatol`` of its best vertex in every coordinate and within
-    ``fatol`` of its best value; there is no evaluation cap, so a caller
-    ends the search early by raising from ``func``.
+
+def _accelerated(step, J, lam, bend) -> np.ndarray:
+    """``step`` plus half its geodesic acceleration, where that is small.
+
+    The acceleration is the damped step against the residuals' second
+    derivative along ``step`` (Transtrum & Sethna 2012, "Improvements to
+    the Levenberg-Marquardt algorithm for nonlinear least-squares
+    minimization", arXiv:1201.5885); it bends the step along a curved
+    valley, where the plain step crawls.  The derivative comes for free
+    from ``bend``, the last accepted step s with the change dJ it made to
+    the Jacobian: along ``step`` it reads (step . s / s . s) dJ step.  An
+    acceleration of more than 3/8 of the step is left out, as there the
+    estimate is not to be trusted.
     """
-    # The adaptive parameters of Gao & Han (2012), "Implementing the
-    # Nelder-Mead simplex algorithm with adaptive parameters", Comput. Optim.
-    # Appl. 51:259-277, with the initial simplex, the step order and the
-    # stopping test of scipy's BSD-3 `_minimize_neldermead` (scipy 1.17,
-    # `adaptive=True`, no bounds), so it evaluates the points scipy would,
-    # in the same order.  The reflection coefficient is 1 and is left out.
-    n = len(x0)
-    chi = 1 + 2 / n
-    psi = 0.75 - 1 / (2 * n)
-    sigma = 1 - 1 / n
-
-    def at(x):
-        (value,) = func(x[np.newaxis])
-        return value
-
-    sim = np.tile(x0, (n + 1, 1))
-    for k in range(n):
-        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.array(func(sim), dtype=float)
-
-    def ordered(sim, fsim):
-        ind = np.argsort(fsim)
-        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
-
-    # scipy sorts the initial simplex twice; tied values may move again.
-    sim, fsim = ordered(*ordered(sim, fsim))
-    while not (
-        np.max(np.abs(sim[1:] - sim[0])) <= xatol
-        and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
-    ):
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = 2 * xbar - sim[-1]
-        fxr = at(xr)
-        if fxr < fsim[0]:
-            xe = (1 + chi) * xbar - chi * sim[-1]
-            fxe = at(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            if fxr < fsim[-1]:
-                xc = (1 + psi) * xbar - psi * sim[-1]
-                fxc = at(xc)
-                accept = fxc <= fxr
-            else:
-                xc = (1 - psi) * xbar + psi * sim[-1]
-                fxc = at(xc)
-                accept = fxc < fsim[-1]
-            if accept:
-                sim[-1], fsim[-1] = xc, fxc
-            else:
-                sim[1:] = sim[0] + sigma * (sim[1:] - sim[0])
-                fsim[1:] = func(sim[1:])
-        sim, fsim = ordered(sim, fsim)
-    return sim[0]
+    if bend is None:
+        return step
+    dJ, s = bend
+    acceleration = _damped_step(J, (step @ s) / (s @ s) * (dJ @ step), lam)
+    if np.linalg.norm(acceleration) > 0.375 * np.linalg.norm(step):
+        return step
+    return step + 0.5 * acceleration
 
 
 def fit(
@@ -255,58 +273,92 @@ def fit(
     curves: MarketCurves,
     budget: int = 2000,
 ) -> CalibrationResult:
-    """Nelder-Mead search from ``initial``, capped at ``budget`` evaluations.
+    """Levenberg-Marquardt search from ``initial``, capped at ``budget``
+    evaluations.
 
-    The search is the adaptive Nelder-Mead of Gao & Han (2012), as scipy's
-    BSD-3 implementation runs it (``_nelder_mead``).  The returned
-    parameters are the best point actually evaluated, so the result never
-    regresses below the starting objective; exhausting the budget returns
-    that best point with ``converged`` false.  Quotes are priced with the
-    default `QuadratureConfig`.
+    Each call prices a point and its nine forward-difference bumps as one
+    stacked call, so a trial point comes with its Jacobian; the first
+    call prices ``initial`` itself with the bumps of its transform.  A
+    call that would pass the budget prices only the sets within it, and
+    the search stops there.  The damping is lam |step|^2 in the
+    transformed coordinates, which are all on one scale; it starts at
+    1e-3 of the largest squared column norm of the start's Jacobian and
+    follows the ratio of actual to predicted reduction (Nielsen 1999).
+    Each step adds its geodesic acceleration (`_accelerated`).  The search
+    converges once the objective reaches 1e-11, once an accepted step
+    lowers the squared residuals by less than 1e-10 of them, or once the
+    damped step shrinks below 1e-10 of the point.
+
+    The returned parameters are the best point evaluated by `objective`,
+    bumps included, so the result never regresses below the starting
+    objective, and each set priced counts as one evaluation.  Quotes are
+    priced with the default `QuadratureConfig`.
     """
     if budget < 1:
         raise DomainError("budget must be >= 1")
     validate_params(initial)
-    x0 = _to_vector(initial)
+    groups = _by_slice(quotes)
+    failures: Counter[str] = Counter()
+    n_evals = 0
+    best_value, best_params = math.inf, initial
 
-    # The start point is evaluated directly on `initial` rather than on
-    # its transform round trip, which would floor an exact beta = 0.
-    start_value = objective(initial, quotes, curves)
-    best_value = start_value
-    best_params = initial
-    n_evals = 1
-    if start_value <= _CONVERGED_OBJECTIVE:
-        return CalibrationResult(
-            params=initial, objective=start_value, n_evals=1, converged=True
-        )
-
-    def wrapped(xs: np.ndarray) -> list[float]:
-        # The points within the budget are priced by one call and counted
-        # in order; a point past it then stops the search.
-        nonlocal best_value, best_params, n_evals
-        fresh = [j for j, x in enumerate(xs) if not np.array_equal(x, x0)]
-        taken = fresh[: budget - n_evals]
-        params = [_from_vector(xs[j]) for j in taken]
-        values = [start_value] * len(xs)
-        for j, p, value in zip(taken, params, _objectives(params, quotes, curves)):
-            values[j] = value
+    def priced(x: np.ndarray, point: ModelParams | None = None):
+        # Residuals at x and their Jacobian, or None when the budget cuts
+        # the call short.
+        nonlocal n_evals, best_value, best_params
+        bumped = x + np.diag(_BUMP * np.maximum(1.0, np.abs(x)))
+        sets = [point if point is not None else _from_vector(x)]
+        sets += [_from_vector(y) for y in bumped[: budget - n_evals - 1]]
+        residuals = []
+        for p, gaps in zip(sets, _vol_gaps(sets, groups, curves)):
             n_evals += 1
+            for group, gap in zip(groups, gaps):
+                if isinstance(gap, Exception):
+                    failures[type(gap).__name__] += len(group)
+            value = _objective_of(groups, gaps)
             if value < best_value:
                 best_value, best_params = value, p
-        if len(taken) < len(fresh):
-            raise _BudgetStop
-        return values
+            residuals.append(_residuals(groups, gaps))
+        if len(residuals) <= len(bumped):
+            return None
+        return residuals[0], (np.array(residuals[1:]) - residuals[0]).T / (bumped.diagonal() - x)
 
-    try:
-        _nelder_mead(wrapped, x0, xatol=1e-4, fatol=1e-11)
-        # Tolerances met on the budget's last evaluation still read as a
-        # spent budget.
-        converged = n_evals < budget
-    except _BudgetStop:
-        converged = False
+    x = _to_vector(initial)
+    current = priced(x, initial)
+    converged = best_value <= _CONVERGED_OBJECTIVE
+    if current is None:
+        singular_values = None
+    else:
+        r, J = current
+        cost = r @ r
+        lam, nu, bend = 1e-3 * np.max(np.sum(J * J, axis=0)), 2.0, None
+        while not converged and n_evals < budget:
+            gauss_newton = _damped_step(J, r, lam)
+            step = _accelerated(gauss_newton, J, lam, bend)
+            if np.linalg.norm(step) <= _TOLERANCE * (np.linalg.norm(x) + _TOLERANCE):
+                converged = True
+                break
+            trial = priced(x + step)
+            if trial is None:
+                break
+            trial_cost = trial[0] @ trial[0]
+            if trial_cost < cost:
+                predicted = cost - np.sum((r + J @ gauss_newton) ** 2)
+                gain = (cost - trial_cost) / predicted if predicted > 0.0 else 0.0
+                converged = cost - trial_cost <= _TOLERANCE * cost
+                bend = (trial[1] - J, step)
+                x, (r, J), cost = x + step, trial, trial_cost
+                lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+                nu = 2.0
+            else:
+                lam, nu = lam * nu, 2.0 * nu
+            converged = converged or best_value <= _CONVERGED_OBJECTIVE
+        singular_values = tuple(np.linalg.svd(J, compute_uv=False).tolist())
     return CalibrationResult(
         params=best_params,
         objective=best_value,
         n_evals=n_evals,
         converged=converged,
+        failures=dict(failures),
+        singular_values=singular_values,
     )

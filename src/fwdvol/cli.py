@@ -237,6 +237,8 @@ def _calibrate(args, p, curves):
         "objective": result.objective,
         "n_evals": result.n_evals,
         "converged": result.converged,
+        "failures": result.failures,
+        "singular_values": result.singular_values,
     }, [args.quotes]
 
 

@@ -118,7 +118,9 @@ class QuadratureConfig:
     the first block whose last panel passes the tail test: the integral
     of |f(theta) / (theta^2 + i theta)| over that panel, which bounds its
     contribution at every strike, must stay below 1e-10.  ``theta_max``
-    caps the grid; a slice whose last panel still fails there raises
+    caps the grid; the last panel ends there and, unless it is the only
+    one, is 5 to 15 wide, so no cap leaves a sliver that passes the tail
+    test for free.  A slice whose last panel still fails at the cap raises
     `QuadratureTailError`.  Each block is one Riccati pass over the open
     slices of every set priced, and each slice takes
     ``charfn.default_ab_steps`` RK4 steps for the block's top theta.
@@ -211,12 +213,14 @@ def implied_vol(price: float, F: float, K: float, t_e: float, D: float, kind: st
             candidate = vol - diff / vega
         else:
             candidate = 0.5 * (lo + hi)
-        if not lo < candidate < hi:
-            candidate = 0.5 * (lo + hi)
         # The price tolerance alone is too loose where vega collapses
-        # (deep in/out of the money); demand a settled vol as well.
+        # (deep in/out of the money); demand a settled vol as well.  The
+        # test comes before the bracket's fallback: a settled Newton step
+        # can land on the bracket's edge, and its midpoint is no root.
         if abs(diff) <= tol and abs(candidate - vol) <= 1e-9 * max(1.0, vol):
             return float(candidate)
+        if not lo < candidate < hi:
+            candidate = 0.5 * (lo + hi)
         if hi - lo <= 1e-13 * max(1.0, hi):
             return float(candidate)
         vol = candidate
@@ -227,17 +231,21 @@ def implied_vol(price: float, F: float, K: float, t_e: float, D: float, kind: st
 def _theta_grid(q: QuadratureConfig):
     """Gauss-Legendre nodes and weights over (0, theta_max], and its blocks.
 
-    Panels are 10 wide, the last one ending at theta_max, and the first
-    is split at `_INNER_EDGES`; each carries ``q.n_nodes`` nodes.  Each
-    block is (node slice, its last panel's slice within the block, top
-    theta) for `_PANELS_PER_BLOCK` 10-wide panels; the last block ends at
-    theta_max.  Built once per config; the arrays are read-only because
-    they are shared.
+    Panels are 10 wide, except the last, which ends at theta_max and is 5
+    to 15 wide unless it is the only one, and the first, which is split at
+    `_INNER_EDGES`; each carries ``q.n_nodes`` nodes.  Each block is (node
+    slice, its last panel's slice within the block, top theta) for
+    `_PANELS_PER_BLOCK` panels; the last block ends at theta_max.  Built
+    once per config; the arrays are read-only because they are shared.
     """
     base_x, base_w = np.polynomial.legendre.leggauss(q.n_nodes)
     outer = [0.0]
     while outer[-1] + _PANEL_WIDTH < q.theta_max - 1e-12:
         outer.append(outer[-1] + _PANEL_WIDTH)
+    # A last panel narrower than half a panel joins the one before it, so
+    # the tail test never runs over a sliver that passes it for free.
+    if len(outer) > 1 and q.theta_max - outer[-1] < 0.5 * _PANEL_WIDTH:
+        outer.pop()
     outer.append(q.theta_max)
     inner = [edge for edge in _INNER_EDGES if edge < outer[1]]
     edges = np.array(outer[:1] + inner + outer[1:])

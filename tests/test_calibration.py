@@ -1,19 +1,28 @@
-"""Quote validation, the weighted vol objective, and Nelder-Mead fitting
-in the transformed parameter space."""
+"""Quote validation, the weighted vol objective, and Levenberg-Marquardt
+fitting in the transformed parameter space."""
 
 import numpy as np
 import pytest
 from dataclasses import replace
-from scipy.optimize import minimize
+from scipy.optimize import least_squares
 
-import fwdvol.calibration
 import fwdvol.charfn
 import fwdvol.pricing
-from fwdvol.calibration import _nelder_mead, _repair_correlations
+from fwdvol.calibration import (
+    _BUMP,
+    _by_slice,
+    _from_vector,
+    _objective_of,
+    _repair_correlations,
+    _residuals,
+    _to_vector,
+    _vol_gaps,
+)
 
 from fwdvol import (
     DomainError,
     InvalidModelParams,
+    QuadratureTailError,
     QuadratureConfig,
     VolQuote,
     fit,
@@ -161,6 +170,9 @@ class TestFit:
         result = fit(quotes, p, curves, budget=200)
         assert result.converged
         assert result.objective <= 1e-10
+        # The start is priced together with its nine bumps, so even a start
+        # already at the floor costs one ten-set call.
+        assert result.n_evals == 10
 
     def test_budget_one_returns_initial(self, curves):
         p = make()
@@ -206,157 +218,203 @@ class TestFit:
         assert result.params.sigma == pytest.approx(p.sigma, abs=0.02)
 
 
-class _Stop(Exception):
+# Criterion 11's start: every parameter of fig1 scaled by 0.8 or 1.2.
+ACCEPTANCE_FACTORS = {"sigma": 1.2, "beta1": 0.8, "beta2": 1.2, "R": 0.8, "rho": 0.8,
+                      "beta": 1.2, "alpha": 0.8, "rho1": 1.2, "rho2": 0.8}
+
+
+def acceptance_start(p):
+    return replace(p, **{k: getattr(p, k) * f for k, f in ACCEPTANCE_FACTORS.items()})
+
+
+class _Spent(Exception):
     pass
 
 
-def hex_point(x):
-    return tuple(map(float.hex, x))
+def scipy_least_squares_best(quotes, start, curves, budget, requested=None):
+    """The oracle: the least objective scipy's trust-region reflective
+    least squares, scaled by its Jacobian, reaches over the first
+    ``budget`` parameter sets it prices.  It runs on the fit's own
+    residuals and forward-difference Jacobian, which prices the nine bumps
+    of a point in one stacked call and reuses the point's residuals.  Each
+    set scipy asks for, priced or cut by the budget, is appended to
+    ``requested`` when given."""
+    groups = _by_slice(quotes)
+    values, last = [], {}
 
+    def price(xs):
+        sets = [_from_vector(x) for x in xs]
+        if requested is not None:
+            requested.extend(sets)
+        if len(values) + len(xs) > budget:
+            raise _Spent
+        gaps = _vol_gaps(sets, groups, curves)
+        values.extend(_objective_of(groups, g) for g in gaps)
+        return [_residuals(groups, g) for g in gaps]
 
-def own_points(func, x0, budget, xatol, fatol):
-    """Points `_nelder_mead` evaluates, in order, cut at ``budget``
-    evaluations the way scipy's ``maxfev`` cuts them; the best vertex, or
-    None if cut.  ``func`` takes one point; `_nelder_mead` hands over
-    batches, whose points are recorded and evaluated in order."""
-    points = []
+    def residuals(x):
+        (last[x.tobytes()],) = price([x])
+        return last[x.tobytes()]
 
-    def capped(xs):
-        assert xs.ndim == 2
-        values = []
-        for x in xs:
-            if len(points) >= budget:
-                raise _Stop
-            points.append(hex_point(x))
-            values.append(func(x))
-        return values
+    def jacobian(x):
+        bumped = x + np.diag(_BUMP * np.maximum(1.0, np.abs(x)))
+        base = last.get(x.tobytes())
+        if base is None:
+            base = residuals(x)
+        return (np.array(price(bumped)) - base).T / (bumped.diagonal() - x)
 
     try:
-        return points, _nelder_mead(capped, x0, xatol, fatol)
-    except _Stop:
-        return points, None
+        least_squares(residuals, _to_vector(start), jac=jacobian, method="trf",
+                      x_scale="jac")
+    except _Spent:
+        pass
+    return min(values)
 
 
-def scipy_nelder_mead(func, x0, budget, xatol, fatol):
-    """The oracle: scipy's adaptive Nelder-Mead without bounds."""
-    options = {"maxfev": budget, "xatol": xatol, "fatol": fatol, "adaptive": True}
-    return minimize(func, x0, method="Nelder-Mead", options=options)
+def sets_per_pass(monkeypatch):
+    """Record how many parameter sets each `integrate_ab_rows` pass
+    carries, in order."""
+    sizes = []
+    integrate = fwdvol.pricing.integrate_ab_rows
 
+    def counting_rows(theta, rows):
+        sizes.append(len({id(p) for *_, p in rows}))
+        return integrate(theta, rows)
 
-def scipy_points(func, x0, budget, xatol, fatol):
-    points = []
-
-    def recorded(x):
-        points.append(hex_point(x))
-        return func(x)
-
-    return points, scipy_nelder_mead(recorded, x0, budget, xatol, fatol)
-
-
-def quadratic_9d():
-    rng = np.random.default_rng(1)
-    a = rng.normal(size=(9, 9))
-    h = a @ a.T + 9.0 * np.eye(9)
-    c = rng.normal(size=9)
-    # Two zero coordinates take the 0.00025 initial step instead of 5%.
-    x0 = np.array([0.3, 0.0, -1.2, 2.0, 0.5, 0.0, 1.0, -0.7, 0.1])
-    return (lambda x: float((x - c) @ h @ (x - c))), x0
-
-
-def flat_past_a_ridge():
-    # Flat once x sums to 1: expansions tie with their reflections and
-    # contractions with theirs, which pins each step's tie-breaking.
-    return (lambda x: -min(float(x.sum()), 1.0)), np.zeros(3)
+    monkeypatch.setattr(fwdvol.pricing, "integrate_ab_rows", counting_rows)
+    return sizes
 
 
 class TestNelderMeadAgainstScipy:
-    @pytest.mark.parametrize("problem", [quadratic_9d, flat_past_a_ridge])
-    def test_converges_on_the_same_points(self, problem):
-        func, x0 = problem()
-        ours, best = own_points(func, x0, 20_000, 1e-6, 1e-12)
-        theirs, result = scipy_points(func, x0, 20_000, 1e-6, 1e-12)
-        assert result.success and best is not None
-        assert len(ours) < 20_000
-        assert ours == theirs
-        assert hex_point(best) == hex_point(result.x)
+    """Checks first written for the Nelder-Mead search, which the
+    Levenberg-Marquardt fit replaced, on what the two share: how each
+    call is batched, how the budget cuts the first call, and the fit of
+    the acceptance quotes against a scipy oracle over the same budget."""
 
-    def test_shrinks_on_the_same_points(self):
-        # Every point but x0 is tied at 1, so each reflection and inside
-        # contraction fails and every iteration shrinks the simplex.
-        x0 = np.array([0.5, -2.0, 0.0])
-        func = lambda x: float(np.any(x != x0))
-        ours, best = own_points(func, x0, 200, 1e-8, 1e-8)
-        theirs, result = scipy_points(func, x0, 200, 1e-8, 1e-8)
-        assert best is None and not result.success
-        assert ours == theirs
-        # Evaluations 0-3 build the simplex, 4 and 5 reflect and contract,
-        # 6-8 are the first shrink, toward x0 by sigma = 1 - 1/3.
-        vertices = [x0]
-        for k, step in enumerate((1.05 * x0[0], 1.05 * x0[1], 0.00025)):
-            y = x0.copy()
-            y[k] = step
-            vertices.append(y)
-        sigma = 1 - 1 / 3
-        assert ours[:4] == [hex_point(v) for v in vertices]
-        assert set(ours[6:9]) == {hex_point(x0 + sigma * (v - x0)) for v in vertices[1:]}
-
-    def test_simplex_and_shrinks_are_one_call_each(self):
-        # As in the test above every iteration shrinks: the simplex, then
-        # a reflection, a contraction and a shrink of n points, per call.
-        x0 = np.array([0.5, -2.0, 0.0])
-        sizes = []
-
-        def batch(xs):
-            sizes.append(len(xs))
-            if len(sizes) > 6:
-                raise _Stop
-            return [float(np.any(x != x0)) for x in xs]
-
-        with pytest.raises(_Stop):
-            _nelder_mead(batch, x0, 1e-8, 1e-8)
-        assert sizes == [4, 1, 1, 3, 1, 1, 3]
+    def test_simplex_and_shrinks_are_one_call_each(self, fig1, curves, monkeypatch):
+        # Where Nelder-Mead priced its simplex and each shrink as one call,
+        # the fit prices the start and each trial point with its nine
+        # bumps as one pass; the budget cuts the last call to five sets.
+        quotes = synthesize_quotes(fig1, curves)
+        sizes = sets_per_pass(monkeypatch)
+        result = fit(quotes, acceptance_start(fig1), curves, budget=35)
+        assert sizes == [10, 10, 10, 5]
+        assert (result.n_evals, result.converged) == (35, False)
+        assert result.singular_values is not None
 
     @pytest.mark.parametrize("budget", [1, 3])
-    def test_budget_cuts_the_initial_simplex(self, budget):
-        func, x0 = quadratic_9d()
-        ours, best = own_points(func, x0, budget, 1e-4, 1e-11)
-        theirs, result = scipy_points(func, x0, budget, 1e-4, 1e-11)
-        assert best is None and not result.success
-        assert ours == theirs
-        assert len(ours) == budget
+    def test_budget_cuts_the_initial_simplex(self, fig1, curves, monkeypatch, budget):
+        # The budget cuts the start's own call: the start and its first
+        # budget - 1 bumps are priced in one pass, and the best of them
+        # comes back.
+        quotes = synthesize_quotes(fig1, curves)
+        start = acceptance_start(fig1)
+        x = _to_vector(start)
+        bumped = x + np.diag(_BUMP * np.maximum(1.0, np.abs(x)))
+        candidates = [start] + [_from_vector(y) for y in bumped[: budget - 1]]
+        values = [objective(p, quotes, curves) for p in candidates]
+        sizes = sets_per_pass(monkeypatch)
+        result = fit(quotes, start, curves, budget=budget)
+        assert sizes == [budget]
+        assert (result.n_evals, result.converged) == (budget, False)
+        assert result.singular_values is None
+        assert result.objective == min(values)
+        assert result.params == candidates[int(np.argmin(values))]
+        if budget == 1:
+            assert result.params is start
 
     @pytest.mark.parametrize("budget", [4, 11, 40])
-    def test_fit_matches_scipy_on_acceptance_quotes(self, fig1, curves, monkeypatch, budget):
-        # scipy hands `fit` one point at a time, so its run is the
-        # sequential oracle of the batched one.
+    def test_fit_matches_scipy_on_acceptance_quotes(self, fig1, curves, monkeypatch,
+                                                    budget):
         quotes = synthesize_quotes(fig1, curves)
-        factors = {"sigma": 1.2, "beta1": 0.8, "beta2": 1.2, "R": 0.8,
-                   "rho": 0.8, "beta": 1.2, "alpha": 0.8, "rho1": 1.2, "rho2": 0.8}
-        start = replace(fig1, **{k: getattr(fig1, k) * f for k, f in factors.items()})
+        start = acceptance_start(fig1)
+        start_value = objective(start, quotes, curves)
+        theirs = []
+        scipy_best = scipy_least_squares_best(quotes, start, curves, budget, theirs)
 
-        def scipy_optimizer(func, x0, xatol, fatol):
-            one_point = lambda x: func(x[np.newaxis])[0]
-            return scipy_nelder_mead(one_point, x0, budget, xatol, fatol).x
+        ours = []
+        vol_gaps = fwdvol.calibration._vol_gaps
 
-        def fit_recording(optimizer):
-            # `fit` turns each point it evaluates into parameters first,
-            # in order, so this records exactly the evaluated points.
-            points = []
-            from_vector = fwdvol.calibration._from_vector
+        def recorded(ps, groups, curves):
+            ours.extend(ps)
+            return vol_gaps(ps, groups, curves)
 
-            def recorded(x):
-                points.append(hex_point(x))
-                return from_vector(x)
+        monkeypatch.setattr(fwdvol.calibration, "_vol_gaps", recorded)
+        result = fit(quotes, start, curves, budget=budget)
+        assert len(ours) == result.n_evals == budget
+        assert result.objective <= start_value
+        # The first call is the start and its bumps, the very sets of
+        # scipy's first residual and Jacobian, cut at the budget; only the
+        # start is priced as given, where scipy prices its transform's
+        # round trip.
+        first = min(budget, 10)
+        assert ours[0] is start and theirs[0] == _from_vector(_to_vector(start))
+        assert ours[1:first] == theirs[1:first]
+        if budget > 10:
+            # The first trial is the Levenberg step on that Jacobian, its
+            # damping 1e-3 of the largest squared column norm.
+            groups = _by_slice(quotes)
+            rs = [_residuals(groups, g) for g in _vol_gaps(ours[:10], groups, curves)]
+            x = _to_vector(start)
+            h = _BUMP * np.maximum(1.0, np.abs(x))
+            J = (np.array(rs[1:]) - rs[0]).T / h
+            lam = 1e-3 * np.max(np.sum(J * J, axis=0))
+            step = np.linalg.solve(J.T @ J + lam * np.eye(9), -J.T @ rs[0])
+            assert _to_vector(ours[10]) == pytest.approx(x + step, rel=1e-7, abs=1e-12)
+        if budget == 11:
+            # Scipy's first trust-region step lands lower than that plain
+            # Levenberg step; both descend.
+            assert result.objective < 0.1 * start_value
+            assert scipy_best < 0.1 * start_value
+        else:
+            assert result.objective <= scipy_best
 
-            with monkeypatch.context() as patch:
-                patch.setattr(fwdvol.calibration, "_nelder_mead", optimizer)
-                patch.setattr(fwdvol.calibration, "_from_vector", recorded)
-                return points, fit(quotes, start, curves, budget=budget)
 
-        theirs, oracle = fit_recording(scipy_optimizer)
-        ours, result = fit_recording(_nelder_mead)
-        assert len(ours) == budget - 1
-        assert ours == theirs
-        assert result == oracle
-        assert result.objective.hex() == oracle.objective.hex()
-        assert (result.n_evals, result.converged) == (budget, False)
+class TestLevenbergMarquardt:
+    def test_no_worse_than_scipy_least_squares(self, fig1, curves):
+        # Run to its own tolerances scipy goes on far below the fit's
+        # 1e-11 floor, pricing several times as many sets, so the two are
+        # compared at the fit's own count of sets priced.
+        quotes = synthesize_quotes(fig1, curves)
+        start = acceptance_start(fig1)
+        result = fit(quotes, start, curves)
+        assert result.converged and result.n_evals < 500
+        assert result.objective <= 1e-11
+        assert result.objective <= scipy_least_squares_best(quotes, start, curves,
+                                                            result.n_evals)
+        assert result.failures == {}
+        # Nine directions, one of which the twelve quotes hardly see.
+        values = result.singular_values
+        assert len(values) == 9 and list(values) == sorted(values, reverse=True)
+        assert values[-1] < 1e-3 * values[0]
+
+    def test_budget_four_is_one_stacked_pass(self, fig1, curves, monkeypatch):
+        quotes = synthesize_quotes(fig1, curves)
+        start = acceptance_start(fig1)
+        start_value = objective(start, quotes, curves)
+        sizes = sets_per_pass(monkeypatch)
+        result = fit(quotes, start, curves, budget=4)
+        # The start and its first three bumps; the budget cuts the
+        # Jacobian short, so the search never steps.
+        assert sizes == [4]
+        assert (result.n_evals, result.converged) == (4, False)
+        assert result.singular_values is None
+        assert result.objective <= start_value
+
+    def test_start_with_a_failing_slice_never_regresses(self, fig1, curves):
+        # At t_e = 0.001 the ATM slice still fails its tail test at the
+        # default theta_max, for the start and every set near it.
+        F = curves.forward(0.001)
+        quotes = synthesize_quotes(fig1, curves, expiries=(1.0,)) + [
+            VolQuote(t_e=0.001, T=0.001, strike=F, market_vol=0.4)
+        ]
+        start = replace(fig1, sigma=fig1.sigma * 1.2)
+        start_value = objective(start, quotes, curves)
+        with pytest.raises(QuadratureTailError):
+            smile_slice([F], 0.001, 0.001, curves, start)
+        result = fit(quotes, start, curves, budget=40)
+        # The quotes that price are fitted; the failing one still pays.
+        assert result.objective <= start_value
+        assert result.objective - 1e3 <= 1e-10
+        assert result.failures == {"QuadratureTailError": result.n_evals}
+        validate_params(result.params)

@@ -48,6 +48,13 @@ class TestPriceCommand:
         (result,) = price_slices([(0.1, 0.1, [1.0])], curves, make())
         assert (result.theta_stop, result.steps) == (120.0, (30, 30))
 
+    @pytest.mark.parametrize("theta_max", [60, 60.01])
+    def test_cap_just_past_a_panel_edge_fails_as_the_edge_does(self, capsys, theta_max):
+        # The 0.1y slice's tail test fails over [50, 60]; at 60.01 it used
+        # to pass over a [60, 60.01] sliver instead.
+        assert run(["price", "--t-e", 0.1, "--strike", 1, "--theta-max", theta_max]) == 3
+        assert "last quadrature panel contributes up to 1.274e-09" in capsys.readouterr().err
+
     def test_tiny_strike_prices_the_forward(self, capsys):
         assert run(["price", "--t-e", 1, "--strike", 1e-8]) == 0
         value = float(capsys.readouterr().out.split("price =")[1].split()[0])
@@ -180,6 +187,18 @@ class TestCalibrateCommand:
         payload = json.loads(out.read_text())
         assert "params" in payload and "objective" in payload
         assert payload["params"]["sigma"] > 0
+        # Three quotes: three singular values, largest first.
+        assert payload["failures"] == {}
+        values = payload["singular_values"]
+        assert len(values) == 3 and values == sorted(values, reverse=True)
+
+    def test_budget_short_of_one_jacobian_reports_no_singular_values(self, tmp_path):
+        qfile = tmp_path / "quotes.json"
+        qfile.write_text(json.dumps([{"t_e": 1.0, "T": 1.0, "K": 1.0, "vol": 0.3}]))
+        out = tmp_path / "fitted.json"
+        assert run(["calibrate", "--quotes", qfile, "--budget", 4, "--out", out]) == 0
+        payload = json.loads(out.read_text())
+        assert (payload["n_evals"], payload["singular_values"]) == (4, None)
 
     def test_malformed_quotes_is_input_error(self, tmp_path):
         qfile = tmp_path / "quotes.json"

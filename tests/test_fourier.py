@@ -175,7 +175,7 @@ class TestBlack76:
             [{"t_e": 1.0, "T": 1.0, "K": K, "vol": 0.3} for K in (0.9, 1.0, 1.1)]
         ))
         commands = [
-            ["calibrate", "--quotes", str(quotes), "--budget", "4"],
+            ["calibrate", "--quotes", str(quotes), "--budget", "40"],
             ["price", "--t-e", "1", "--T", "2", "--strike", "1.1"],
             ["mc-price", "--t-e", "1", "--strike", "1", "--paths", "2000", "--steps", "10"],
             ["drift-study", "--alphas", "0,1", "--paths", "2000", "--steps", "10",
@@ -226,6 +226,15 @@ class TestImpliedVol:
         # the vol is not recoverable from the price by any solver.
         assume(price - intrinsic > 1e-9)
         assert implied_vol(price, 1.0, moneyness, t_e, 0.95, kind) == pytest.approx(vol, abs=1e-8)
+
+    def test_settled_newton_step_is_returned(self):
+        # At vol 0.3055, t_e = 0.5, K = 1.2 the last Newton step lands on
+        # the bracket's edge, and the bracket's midpoint, 7.5e-10 away,
+        # used to come back in its place.
+        for vol in np.linspace(0.3, 0.5, 201):
+            for t_e, K in ((0.5, 1.2), (1.0, 1.0), (2.0, 1.4), (0.5, 0.8)):
+                price = black76_price(1.0, K, vol**2 * t_e, 0.97)
+                assert implied_vol(price, 1.0, K, t_e, 0.97) == pytest.approx(vol, rel=1e-13)
 
     def test_intrinsic_price_maps_to_zero_vol(self):
         assert implied_vol(0.3 * 0.95, 1.3, 1.0, 1.0, 0.95) == 0.0
@@ -393,6 +402,37 @@ class TestCallPrices:
             assert abs(weights[block][tail].sum() - 10.0) <= 1e-12
         assert 0.0 < nodes[0] and np.all(np.diff(nodes) > 0.0) and nodes[-1] < quad.theta_max
         assert abs(weights.sum() - quad.theta_max) <= 1e-12
+
+    def test_default_theta_grid_node_for_node(self, quad):
+        # Its last panel, [190, 200], is a full one, so folding a sliver
+        # last panel into the one before leaves every node, weight and
+        # block of the default grid as it was.
+        n = quad.n_nodes
+        x, w = np.polynomial.legendre.leggauss(n)
+        edges = np.array([0.0, 0.25, 0.75, 1.75, 3.75] + [10.0 * k for k in range(1, 21)])
+        half = 0.5 * np.diff(edges)[:, None]
+        nodes, weights, blocks = _theta_grid(quad)
+        assert np.array_equal(nodes, (half * (x + 1.0) + edges[:-1, None]).ravel())
+        assert np.array_equal(weights, (half * w).ravel())
+        tail = slice(-n, None)
+        assert blocks == (
+            (slice(0, 10 * n), tail, 60.0), (slice(10 * n, 16 * n), tail, 120.0),
+            (slice(16 * n, 22 * n), tail, 180.0), (slice(22 * n, 24 * n), tail, 200.0),
+        )
+
+    @pytest.mark.parametrize("theta_max", [60.0, 60.01, 64.99])
+    def test_cap_past_a_panel_edge_leaves_no_sliver(self, fig1, curves, theta_max):
+        # 60.01 used to end the grid with a [60, 60.01] panel whose tail
+        # test the 0.1y slice passed almost for nothing, while at 60 the
+        # panel [50, 60] reads 1.27e-9.  A last panel under 5 wide now
+        # joins the one before it, so every cap here fails alike.
+        q = QuadratureConfig(theta_max=theta_max)
+        nodes, weights, ((block, tail, top),) = _theta_grid(q)
+        assert top == theta_max
+        assert nodes[block][tail][0] > 50.0
+        assert abs(weights[block][tail].sum() - (theta_max - 50.0)) <= 1e-12
+        (result,) = call_prices([(0.1, 0.1, [1.0])], curves, fig1, q)
+        assert isinstance(result, QuadratureTailError)
 
     def test_theta_grid_is_built_once_and_read_only(self):
         nodes, weights, _ = _theta_grid(QuadratureConfig())
