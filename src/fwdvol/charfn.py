@@ -11,8 +11,21 @@ The coefficients solve
               + i theta B alpha sigma (rho1 exp(-beta1 (T - t_e + tau))
                                        + R rho2 exp(-beta2 (T - t_e + tau)))
 
-integrated here with a fixed-step classical Runge-Kutta scheme, vectorized
-over theta.  The system sees tau only through T - t_e + tau, so one row,
+The forcing -(theta^2 + i theta) sigma_F^2 / 2 does not depend on B, so
+its integral is known in closed form: with q = -(theta^2 + i theta) / 2
+and V(tau) the variance accrued over the last tau years before expiry
+(`model.variance_before_expiry`), c = B - q V solves
+
+    dc/dtau = B (alpha^2 B / 2 + i theta alpha sigma (...) - beta),
+    B = c + q V(tau),
+
+and that system is integrated here with a fixed-step classical
+Runge-Kutta scheme, vectorized over theta, in the manner of an
+integrating-factor method (Hochbruck & Ostermann, Acta Numerica 2010).
+A accumulates beta times the stages' B, so at alpha = 0, where
+dc/dtau = -beta B, A + c stays 0 and A + B = q V(t_e) is exact at any
+step count; the steps only have to follow the alpha terms.  The system
+sees tau only through T - t_e + tau, so one row,
 a parameter set at one lag T - t_e and step h read off after each
 expiry's step count, serves every expiry of that set with that lag and
 step.  `integrate_ab_rows` advances many rows, of any sets, lags and
@@ -20,11 +33,11 @@ steps, as one (rows, theta) state, so a pricing call takes one pass per
 block of its quadrature grid.
 
 The step size comes from the inputs (`default_ab_steps`): an accuracy
-term per year of expiry plus a stability term.  Near its equilibrium the
-Jacobian of the B equation has modulus up to about
-theta alpha sigma_F + beta, so the step that RK4 can take shrinks as the
-largest node theta grows; a grid that stops at a lower theta needs fewer
-steps.
+term per year of expiry that grows with alpha, plus a stability term.
+Near its equilibrium the Jacobian of the B equation has modulus up to
+about theta alpha sigma_F + beta, so the step that RK4 can take shrinks
+as the largest node theta grows; a grid that stops at a lower theta
+needs fewer steps.
 """
 
 from __future__ import annotations
@@ -35,7 +48,7 @@ import operator
 import numpy as np
 
 from .errors import DomainError, NonConvergence, NumericalError
-from .model import ModelParams, variance_rate
+from .model import ModelParams, variance_before_expiry, variance_rate
 
 __all__ = [
     "ab_ode_rhs",
@@ -49,24 +62,18 @@ __all__ = [
 # Diverging Riccati iterates trip this bound long before overflow.
 _B_OVERFLOW = 1e12
 
-# Steps a year for the time dependence of sigma_F^2 and the cross term.
-# At alpha = 0 RK4 integrates A + B by Simpson's rule on the variance
-# rate; at t_e = T = 1 the rule's 64 steps hold that exponent within
-# 6.1e-9 at theta = 50 on fig1 (acceptance criterion 2 asks 1e-8; 52 a
-# year reads 1.4e-8).  That bound is measured on fig1 only: Simpson's
-# error grows with sigma^2 theta^2, so sec5 (sigma = 0.6) reads 1.85e-8
-# there at its 60 steps.  Prices do not see it, since |f| = e^-409 at
-# that theta.  With the stability term, both presets at alpha 0, 1
-# and 2 and expiries 0.1-10 price within 2.6e-10 D F of a fixed grid:
-# 128-node 10-wide panels to theta = 200 at 200 steps a year
-# (tests/test_fourier.py).  At alpha = 3 their 0.25y slices miss a
-# 1600-step pass by 1.1e-9 (fig1) and 1.6e-9 (sec5).
-_ACCURACY_STEPS_PER_YEAR = 60
-# Simpson's error there grows as (2 beta_i h)^4, so factors that revert
-# faster than 5 a year take 12 steps a year per unit of the larger of
-# beta1 and beta2: fig1 with beta2 = 10 then prices within 2.3e-10 D F
-# of that grid, against 1.4e-9 at 60 a year.
-_STEPS_PER_YEAR_PER_REVERSION = 12
+# Steps a year for accuracy: a base rate plus a rate per unit of alpha.
+# The variance-rate forcing is integrated exactly (see the module
+# docstring), so at alpha = 0 the exponent A + B is exact at any step
+# count and the step only has to follow the alpha^2 B^2 / 2 and cross
+# terms.  With the stability term, both presets at alpha 0 to 3 and fig1
+# with beta2 = 10, expiries 0.1-10, price within 5.1e-10 D F of a
+# 1600-steps-a-year pass (3.7e-10 at alpha <= 2); the worst slices are
+# the 0.25y and 0.5y ones at alpha 2 and 3 (tests/test_fourier.py checks
+# them against a fixed grid at 1e-9).  At 10 + 20 alpha the worst reads
+# 1.4e-9.
+_ACCURACY_STEPS_PER_YEAR = 10
+_ACCURACY_STEPS_PER_YEAR_PER_ALPHA = 30
 # Steps a year per unit of the Jacobian bound: h |J| <= 2, inside RK4's
 # stability interval [-2.785, 0] with room for the complex transient.
 _STEPS_PER_JACOBIAN = 0.5
@@ -79,8 +86,10 @@ _STEPS_PER_YEAR_QUANTUM = 4
 # the nodes; 4 steps keep the tables small.
 _STEPS_PER_CHUNK = 4
 # Short expiries put weight on large theta, where the error per step is
-# largest: with a floor of 20 steps the sweep above reads 4.9e-10 D F.
-_MIN_STEPS = 30
+# largest: at a floor of 16 steps the sweep above reads 9.5e-10 D F.  A
+# floor of 30 would take the calibration quotes' 0.5y slice off the row
+# that its 1y and 2y slices share.
+_MIN_STEPS = 20
 
 
 def _vol_bound(lag: float, p: ModelParams) -> float:
@@ -101,19 +110,16 @@ def default_ab_steps(
 ) -> int:
     """RK4 step count for an expiry of t_e years on nodes up to ``theta_top``.
 
-    Steps a year are max(60, 12 max(beta1, beta2)) for accuracy plus
+    Steps a year are 10 + 30 alpha for accuracy plus
     (theta_top alpha max sigma_F + beta) / 2 for stability, with max sigma_F
-    bounded over distances to settlement >= ``lag``; without ``p`` only
-    the 60 a year apply.  Steps a year round up to a multiple of 4, and no
-    expiry takes fewer than 30 steps.
-
-    The accuracy floor holds the alpha = 0 exponent within 1e-8 at
-    theta = 50 on fig1 (6.1e-9 at t_e = T = 1); on sec5 (sigma = 0.6) it
-    reads 1.85e-8 there, where |f| = e^-409 and prices do not see it.
+    bounded over distances to settlement >= ``lag``.  Without ``p`` only
+    the 10 a year of alpha = 0 apply, so ``default_ab_steps(t_e)`` is
+    max(20, ceil(12 t_e)).  Steps a year round up to a multiple of 4, and
+    no expiry takes fewer than 20 steps.
     """
     rate = float(_ACCURACY_STEPS_PER_YEAR)
     if p is not None:
-        rate = max(rate, _STEPS_PER_YEAR_PER_REVERSION * max(p.beta1, p.beta2))
+        rate += _ACCURACY_STEPS_PER_YEAR_PER_ALPHA * p.alpha
         jacobian = theta_top * p.alpha * _vol_bound(lag, p) + p.beta
         rate += _STEPS_PER_JACOBIAN * jacobian
     rate = _STEPS_PER_YEAR_QUANTUM * math.ceil(rate / _STEPS_PER_YEAR_QUANTUM)
@@ -149,7 +155,7 @@ def _row_coefficients(rows, tables, shape):
     beta as a (rows, 1, ...) column; alpha^2 / 2, h, h / 2 and h / 6 as
     complex arrays of ``shape``, each row's value in its row, which
     multiply the state as that row's Python float would, bit for bit,
-    without broadcasting a column each time; and the rate and cross
+    without broadcasting a column each time; and the V and cross
     tables as (stages, rows, 1, ...) arrays, zero past a row's end.
     """
     ones = (1,) * (len(shape) - 1)
@@ -182,8 +188,8 @@ def integrate_ab_rows(theta, rows):
     A row is (lag, h, stops, p): parameter set ``p`` at distance to
     settlement ``lag`` with step ``h``, read off after each step count in
     ``stops`` (see `integrate_ab_snapshots`).  The rows advance as one
-    (rows, theta) state: each row brings its own sigma_F^2 and cross
-    tables, one `variance_rate` call each, and its own beta, alpha^2 / 2
+    (rows, theta) state: each row brings its own V and cross tables, one
+    `variance_before_expiry` call each, and its own beta, alpha^2 / 2
     and h (see `_row_coefficients`).  A row leaves the state after its
     last stop, or at the step where its |B| left the overflow guard,
     failing its later stops alone.  Every row's snapshots are those of its
@@ -213,65 +219,73 @@ def integrate_ab_rows(theta, rows):
     for row, index in wanted.pop(0, ()):
         out[row][index] = tuple(np.zeros(theta.shape, dtype=complex) for _ in "AB")
 
-    # sigma_F^2 and the cross term of each row at its distances to
-    # settlement on the stage grid tau = k h / 2, k = 0 .. 2 last.
-    tables = {}
+    # V and the cross term of each row on the stage grid tau = k h / 2,
+    # k = 0 .. 2 last, and S_n, the sum over steps m < n of
+    # V_2m + 4 V_2m+1 + V_2m+2.
+    tables, simpson = {}, {}
     for row, (lag, h, _, p) in enumerate(checked):
         if last[row]:
-            dist = lag + 0.5 * h * np.arange(2 * last[row] + 1)
-            rate = variance_rate(dist[-1] - dist, dist[-1], p)
+            tau = 0.5 * h * np.arange(2 * last[row] + 1)
+            variance = variance_before_expiry(lag, tau, p)
             cross = p.alpha * p.sigma * (
-                p.rho1 * np.exp(-p.beta1 * dist) + p.R * p.rho2 * np.exp(-p.beta2 * dist)
+                p.rho1 * np.exp(-p.beta1 * (lag + tau))
+                + p.R * p.rho2 * np.exp(-p.beta2 * (lag + tau))
             )
-            tables[row] = rate, cross
+            tables[row] = variance, cross
+            sums = np.cumsum(variance[:-1:2] + 4.0 * variance[1::2] + variance[2::2])
+            simpson[row] = np.concatenate(([0.0], sums))
     q = -0.5 * (theta**2 + 1j * theta)
     i_theta = 1j * theta
     # Longest pass first, so rows that finish leave from the end.
     active = sorted(tables, key=lambda row: -last[row])
+    # B = c + V q at the start of each step, and c itself.
     b_val = np.zeros((len(active),) + theta.shape, dtype=complex)
-    # B1 + 2 B2 + 2 B3 + B4 = 6 B + h (D1 + D2 + D3), so A after n steps is
-    # beta h (sum of B) + beta h^2 / 6 (sum of D1 + D2 + D3).
-    b_total = np.zeros_like(b_val)
+    c_val = np.zeros_like(b_val)
+    # The stages' B sum to 6 c + h (D1 + D2 + D3) + (V_0 + 4 V_1 + V_2) q,
+    # so A after n steps is beta h (sum of c) + beta h^2 / 6 (sum of
+    # D1 + D2 + D3) + beta h / 6 S_n q.
+    c_total = np.zeros_like(b_val)
     d_total = np.zeros_like(b_val)
     step = 0
     while active:
-        beta, half_alpha_sq, h, half_h, sixth_h, rate, cross = _row_coefficients(
+        beta, half_alpha_sq, h, half_h, sixth_h, variance, cross = _row_coefficients(
             [checked[row] for row in active], [tables[row] for row in active], b_val.shape
         )
         d1, d2, d3, b_mid, scratch = (np.empty_like(b_val) for _ in range(5))
 
-        def stage(b, forcing, linear, out):
-            """forcing + b (alpha^2 / 2 b + linear) into ``out``."""
+        def stage(b, linear, out):
+            """b (alpha^2 / 2 b + linear) into ``out``."""
             np.add(np.multiply(half_alpha_sq, b, out=scratch), linear, out=scratch)
-            return np.add(forcing, np.multiply(b, scratch, out=scratch), out=out)
+            return np.multiply(b, scratch, out=out)
 
         exit_step = last[active[-1]]
         leaving: set[int] = set()
         while not leaving:
-            # Every stage's forcing rate_k q and linear coefficient
-            # i theta cross_k - beta for the next steps at once.
+            # Every stage's V_k q and linear coefficient i theta cross_k - beta
+            # for the next steps at once.
             chunk = range(step, min(exit_step, step + _STEPS_PER_CHUNK))
             stages = slice(2 * chunk.start, 2 * chunk.stop + 1)
-            forcing, linear = rate[stages] * q, i_theta * cross[stages]
+            forcing, linear = variance[stages] * q, i_theta * cross[stages]
             linear -= beta
             for k in range(0, 2 * len(chunk), 2):
                 # Every update keeps the operand order of
-                #   D = forcing + B (alpha^2 / 2 B + linear),
-                #   B_next = B + h / 6 ((D1 + (D2 + D3)) + (D2 + D3) + D4),
+                #   D = B (alpha^2 / 2 B + linear), B = c + forcing,
+                #   c_next = c + h / 6 ((D1 + (D2 + D3)) + (D2 + D3) + D4),
                 # written in place into the scratch arrays.
-                stage(b_val, forcing[k], linear[k], out=d1)
-                np.add(b_val, np.multiply(half_h, d1, out=b_mid), out=b_mid)
-                stage(b_mid, forcing[k + 1], linear[k + 1], out=d2)
-                np.add(b_val, np.multiply(half_h, d2, out=b_mid), out=b_mid)
-                stage(b_mid, forcing[k + 1], linear[k + 1], out=d3)
-                np.add(b_val, np.multiply(h, d3, out=b_mid), out=b_mid)
-                stage(b_mid, forcing[k + 2], linear[k + 2], out=b_mid)
+                stage(b_val, linear[k], out=d1)
+                np.add(c_val, np.multiply(half_h, d1, out=b_mid), out=b_mid)
+                stage(np.add(b_mid, forcing[k + 1], out=b_mid), linear[k + 1], out=d2)
+                np.add(c_val, np.multiply(half_h, d2, out=b_mid), out=b_mid)
+                stage(np.add(b_mid, forcing[k + 1], out=b_mid), linear[k + 1], out=d3)
+                np.add(c_val, np.multiply(h, d3, out=b_mid), out=b_mid)
+                stage(np.add(b_mid, forcing[k + 2], out=b_mid), linear[k + 2], out=b_mid)
                 d_mid = np.add(d2, d3, out=d2)
                 d_head = np.add(d1, d_mid, out=d1)
-                b_total += b_val
+                c_total += c_val
                 d_total += d_head
                 d_sum = np.add(np.add(d_head, d_mid, out=d3), b_mid, out=d3)
-                np.add(b_val, np.multiply(sixth_h, d_sum, out=d3), out=b_val)
+                np.add(c_val, np.multiply(sixth_h, d_sum, out=d3), out=c_val)
+                np.add(c_val, forcing[k + 2], out=b_val)
                 step += 1
                 # NaN fails the comparison too.
                 if not np.abs(b_val).max(initial=0.0) <= _B_OVERFLOW:
@@ -284,9 +298,11 @@ def integrate_ab_rows(theta, rows):
                     if out[row][index] is None:
                         j = active.index(row)
                         _, h_row, _, p = checked[row]
-                        a_val = (p.beta * h_row) * b_total[j] + (
-                            p.beta * h_row * (h_row / 6.0)
-                        ) * d_total[j]
+                        a_val = (
+                            (p.beta * h_row) * c_total[j]
+                            + (p.beta * h_row * (h_row / 6.0)) * d_total[j]
+                            + (p.beta * (h_row / 6.0) * simpson[row][step]) * q
+                        )
                         out[row][index] = (a_val, b_val[j].copy())
                 if leaving:
                     break
@@ -296,7 +312,7 @@ def integrate_ab_rows(theta, rows):
         active = [active[j] for j in keep]
         # Rows that finish leave from the end, so most exits are a slice.
         kept = slice(len(keep)) if keep == list(range(len(keep))) else keep
-        b_val, b_total, d_total = b_val[kept], b_total[kept], d_total[kept]
+        b_val, c_val, c_total, d_total = b_val[kept], c_val[kept], c_total[kept], d_total[kept]
     return out
 
 
@@ -306,9 +322,9 @@ def integrate_ab_snapshots(theta, lag: float, h: float, stops, p: ModelParams):
     The right-hand side depends on tau only through the distance to
     settlement T - t_e + tau, so every slice (t_e, T) with
     T - t_e = ``lag`` whose step t_e / n equals ``h`` is the snapshot at
-    step n of one pass.  sigma_F^2 and the cross term are evaluated once
-    on the half-step stage grid; each stage is then
-    rate_k q + B (alpha^2 B / 2 + (i theta cross_k - beta)) with
+    step n of one pass.  V and the cross term are evaluated once on the
+    half-step stage grid; each stage reads B = c + V_k q and steps c by
+    B (alpha^2 B / 2 + (i theta cross_k - beta)) with
     q = -(theta^2 + i theta) / 2, and A accumulates the same RK4 update
     as dA = beta B.  This is the one-row call of `integrate_ab_rows`.
 

@@ -44,6 +44,7 @@ __all__ = [
     "validate_params",
     "variance_rate",
     "integrated_variance",
+    "variance_before_expiry",
     "factorize_correlation",
 ]
 
@@ -261,6 +262,16 @@ def variance_rate(t, T, p: ModelParams):
     return float(out) if out.ndim == 0 else out
 
 
+def _channels(p: ModelParams):
+    """sigma_F^2 / sigma^2 as (weight, rate) pairs: the sum of weight
+    exp(-rate (T - t)) over its three decay channels."""
+    return (
+        (1.0, 2.0 * p.beta1),
+        (p.R**2, 2.0 * p.beta2),
+        (2.0 * p.rho * p.R, p.beta1 + p.beta2),
+    )
+
+
 def _decay_integral(c: float, t0: float, t1: float, T: float) -> float:
     """Integral of exp(-c (T - s)) over s in [t0, t1], stable for small c.
 
@@ -271,9 +282,11 @@ def _decay_integral(c: float, t0: float, t1: float, T: float) -> float:
     decay is factored from t1 instead:
     exp(-c (T - t1)) (1 - exp(-c (t1 - t0))) / c.  The two forms agree
     within 2.1e-13 relative where both are accurate, but not bit for bit,
-    so the switch sits just short of the first form's failure.
+    so the switch sits just short of the first form's failure.  Where the
+    decay over [t0, T] is below 1e-16 the integral is t1 - t0 to double
+    precision; a subnormal c would otherwise lose its digits in c (t1 - t0).
     """
-    if c == 0.0:
+    if c * (T - t0) < 1e-16:
         return t1 - t0
     if c * (T - t0) > 700.0:
         return math.exp(-c * (T - t1)) * -math.expm1(-c * (t1 - t0)) / c
@@ -290,9 +303,32 @@ def integrated_variance(t0: float, t1: float, T: float, p: ModelParams) -> float
         raise DomainError("integrated_variance requires 0 <= t0 <= t1 <= T")
     if t0 == t1:
         return 0.0
-    total = _decay_integral(2.0 * p.beta1, t0, t1, T)
-    total += p.R**2 * _decay_integral(2.0 * p.beta2, t0, t1, T)
-    total += 2.0 * p.rho * p.R * _decay_integral(p.beta1 + p.beta2, t0, t1, T)
+    total = sum(weight * _decay_integral(c, t0, t1, T) for weight, c in _channels(p))
+    return p.sigma**2 * total
+
+
+def variance_before_expiry(lag: float, tau, p: ModelParams):
+    """Variance the forward accrues over the last ``tau`` years before an
+    expiry ``lag`` years short of its settlement.
+
+    V(tau) = integral of sigma_F^2 at distance to settlement lag + s over
+    s in [0, tau], that is ``integrated_variance(t_e - tau, t_e, T, p)``
+    with T - t_e = lag.  Each decay channel is written from the expiry's
+    end, exp(-c lag) (1 - exp(-c tau)) / c with the bracket in expm1 form,
+    whose exponents are never positive.  As in `_decay_integral`, a
+    channel that decays by less than 1e-16 over the whole window is
+    ``tau`` to double precision and is taken as such.  Vectorized over
+    ``tau`` >= 0.
+    """
+    tau = np.asarray(tau, dtype=float)
+    window = lag + np.max(tau, initial=0.0)
+    total = np.zeros(tau.shape)
+    for weight, c in _channels(p):
+        if c * window < 1e-16:
+            channel = tau
+        else:
+            channel = (math.exp(-c * lag) / c) * -np.expm1(-c * tau)
+        total += weight * channel
     return p.sigma**2 * total
 
 

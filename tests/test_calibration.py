@@ -85,42 +85,42 @@ class TestObjective:
     @staticmethod
     def count_passes(monkeypatch):
         """Record each Riccati pass as (nodes, last step of each row) and
-        each variance_rate call by its number of points."""
+        each variance_before_expiry call by its number of points."""
         passes, rates = [], []
         integrate = fwdvol.pricing.integrate_ab_rows
-        rate = fwdvol.charfn.variance_rate
+        rate = fwdvol.charfn.variance_before_expiry
 
         def counting_rows(theta, rows):
             passes.append((np.size(theta), [max(stops) for _, _, stops, _ in rows]))
             return integrate(theta, rows)
 
-        def counting_rate(t, T, p):
-            rates.append(np.size(t))
-            return rate(t, T, p)
+        def counting_rate(lag, tau, p):
+            rates.append(np.size(tau))
+            return rate(lag, tau, p)
 
         monkeypatch.setattr(fwdvol.pricing, "integrate_ab_rows", counting_rows)
-        monkeypatch.setattr(fwdvol.charfn, "variance_rate", counting_rate)
+        monkeypatch.setattr(fwdvol.charfn, "variance_before_expiry", counting_rate)
         return passes, rates
 
     def test_one_riccati_pass_per_evaluation(self, fig1, curves, monkeypatch):
         quotes = synthesize_quotes(fig1, curves)
         passes, rates = self.count_passes(monkeypatch)
         assert objective(fig1, quotes, curves) <= 1e-11
-        # Expiries 0.5, 1 and 2 read off steps 38, 76 and 152 of one pass on
+        # Expiries 0.5, 1 and 2 read off steps 28, 56 and 112 of one pass on
         # the 240 nodes of the first block, theta <= 60.
-        assert passes == [(240, [152])]
-        assert rates == [305]
+        assert passes == [(240, [112])]
+        assert rates == [225]
 
     def test_one_riccati_pass_for_several_sets(self, fig1, curves, monkeypatch):
         quotes = synthesize_quotes(fig1, curves)
-        # sigma = 0.5 takes 160 steps for 2y, the others 152.
+        # sigma = 0.5 takes 120 steps for 2y, the others 112.
         sets = [replace(fig1, sigma=0.5), fig1, replace(fig1, rho=-0.2)]
         alone = [objective(p, quotes, curves) for p in sets]
         passes, rates = self.count_passes(monkeypatch)
         together = objective(sets, quotes, curves)
         assert [value.hex() for value in together] == [value.hex() for value in alone]
-        assert passes == [(240, [160, 152, 152])]
-        assert rates == [321, 305, 305]
+        assert passes == [(240, [120, 112, 112])]
+        assert rates == [241, 225, 225]
 
     def test_invalid_set_pays_full_penalty_beside_valid_ones(self, fig1, curves):
         quotes = synthesize_quotes(fig1, curves)

@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fwdvol import NonConvergence, QuadratureConfig, integrated_variance, variance_rate
+from fwdvol import (
+    NonConvergence,
+    QuadratureConfig,
+    integrated_variance,
+    variance_before_expiry,
+    variance_rate,
+)
 from fwdvol.charfn import (
     ab_ode_rhs,
     charfn_value,
@@ -25,7 +31,8 @@ from test_model_core import make
 
 
 def reference_ab(theta, t_e, T, p, n_steps):
-    """Plain RK4 over `ab_ode_rhs`, one stage call at a time: the oracle."""
+    """Classical RK4 over `ab_ode_rhs`, one stage call at a time: the
+    oracle that the pricer's scheme converges to."""
     a_val = np.zeros(theta.shape, dtype=complex)
     b_val = np.zeros(theta.shape, dtype=complex)
     h = t_e / n_steps
@@ -45,10 +52,46 @@ def reference_ab(theta, t_e, T, p, n_steps):
     return a_val, b_val
 
 
+def transformed_rhs(tau, c_val, theta, t_e, T, p):
+    """(dA/dtau, dc/dtau) of the system in c = B - q V(tau), where
+    q = -(theta^2 + i theta) / 2 and V(tau) is the variance accrued over
+    the last tau years before t_e, taken from `integrated_variance`."""
+    b_val = c_val - 0.5 * (theta**2 + 1j * theta) * integrated_variance(t_e - tau, t_e, T, p)
+    lag = T - t_e + tau
+    cross = p.alpha * p.sigma * (
+        p.rho1 * math.exp(-p.beta1 * lag) + p.R * p.rho2 * math.exp(-p.beta2 * lag)
+    )
+    return p.beta * b_val, b_val * (0.5 * p.alpha**2 * b_val + 1j * theta * cross - p.beta)
+
+
+def reference_transformed(theta, t_e, T, p, n_steps):
+    """Classical RK4 on the transformed system, one stage call at a time:
+    the oracle of the pricer's own scheme.  B = c + q V(t_e)."""
+    a_val = np.zeros(theta.shape, dtype=complex)
+    c_val = np.zeros(theta.shape, dtype=complex)
+    h = t_e / n_steps
+    for n in range(n_steps):
+        tau = n * h
+        da1, dc1 = transformed_rhs(tau, c_val, theta, t_e, T, p)
+        da2, dc2 = transformed_rhs(tau + 0.5 * h, c_val + 0.5 * h * dc1, theta, t_e, T, p)
+        da3, dc3 = transformed_rhs(tau + 0.5 * h, c_val + 0.5 * h * dc2, theta, t_e, T, p)
+        da4, dc4 = transformed_rhs(min(tau + h, t_e), c_val + h * dc3, theta, t_e, T, p)
+        a_val = a_val + (h / 6.0) * (da1 + 2.0 * da2 + 2.0 * da3 + da4)
+        c_val = c_val + (h / 6.0) * (dc1 + 2.0 * dc2 + 2.0 * dc3 + dc4)
+    q = -0.5 * (theta**2 + 1j * theta)
+    return a_val, c_val + q * integrated_variance(0.0, t_e, T, p)
+
+
+# Gap in exp(A + B) between the default steps and a classical pass at 1600
+# steps a year on the pricing grid: 6.1e-10 at worst (fig1, t_e = 0.5,
+# 44 steps), 2.5e-11 at t_e = 2.
+CONVERGED = 1e-9
+
+
 # Parameters whose 400-step Riccati pass on all 576 nodes of the pricing
-# grid diverges at tau = 1.915: the 0.5y and 1y snapshots of a 2y pass are
+# grid diverges at tau = 1.285: the 0.5y and 1y snapshots of a 2y pass are
 # still good.  Steps sized from the grid's top theta do not diverge.
-LATE_DIVERGENCE = dict(sigma=0.8, beta1=0.01, beta=0.0, alpha=4.0)
+LATE_DIVERGENCE = dict(sigma=0.8, beta1=0.01, beta=0.0, alpha=4.05)
 
 
 def charfn_gap(ab, other):
@@ -93,6 +136,22 @@ class TestIntegrateAb:
             assert value.dtype == complex
             np.testing.assert_array_equal(value, 0j)
 
+    @pytest.mark.parametrize("preset", ["fig1", "sec5"])
+    @pytest.mark.parametrize("t_e", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("lag", [0.0, 1.0])
+    def test_gaussian_exponent_is_exact_at_any_step_count(self, request, preset, t_e, lag):
+        # At alpha = 0 the stages' forcing is q V exactly, and A + c = 0
+        # step by step, so A + B = q V(t_e) up to rounding at any step
+        # count.  Measured: 4.7e-15 |q V| at worst (fig1, t_e = 10, where
+        # |q V| = 1.3e4 at theta = 200 and the gap 5.3e-11); sec5 has
+        # beta = 0, so A = c = 0 and the gap is V's own rounding.
+        p = replace(request.getfixturevalue(preset), alpha=0.0)
+        thetas = np.append(_theta_grid(QuadratureConfig())[0], 200.0)
+        want = -0.5 * (thetas**2 + 1j * thetas) * integrated_variance(0.0, t_e, t_e + lag, p)
+        for n_steps in (None, 3):
+            a_val, b_val = integrate_ab(thetas, t_e, t_e + lag, p, n_steps=n_steps)
+            assert np.all(np.abs(a_val + b_val - want) <= 1e-14 * np.abs(want))
+
     def test_gaussian_limit_identity(self):
         # Without vol of vol the combined exponent is the deterministic
         # total variance times -(theta^2 + i theta)/2.
@@ -127,21 +186,27 @@ class TestIntegrateAb:
         thetas = _theta_grid(QuadratureConfig())[0]
         assert thetas.size == 576
         n_steps = default_ab_steps(t_e, p, thetas.max(), T - t_e)
-        oracle = reference_ab(thetas, t_e, T, p, n_steps)
-        assert charfn_gap(integrate_ab(thetas, t_e, T, p), oracle) <= 1e-14
+        got = integrate_ab(thetas, t_e, T, p)
+        assert charfn_gap(got, reference_transformed(thetas, t_e, T, p, n_steps)) <= 1e-14
+        # Both schemes converge to one solution: classical RK4 at 1600
+        # steps a year sits within CONVERGED of the default steps.
+        converged = reference_ab(thetas, t_e, T, p, math.ceil(1600 * t_e))
+        assert charfn_gap(got, converged) <= CONVERGED
 
     def test_default_step_count_floor(self, fig1):
-        # 60 a year, rounded up to a multiple of 4, and at least 30.
-        assert default_ab_steps(0.01) == 30
-        assert default_ab_steps(1.0) == 60
-        assert default_ab_steps(2.5) == 150
-        # Stability adds (theta_top alpha max sigma_F + beta) / 2 a year:
-        # 60 * 1 * 0.4 sqrt(1.25) + 0.5 = 27.3 on fig1 at lag 0.
-        assert default_ab_steps(1.0, fig1, 60.0) == 76
-        assert default_ab_steps(1.0, fig1, 200.0) == 108
-        assert default_ab_steps(1.0, replace(fig1, alpha=0.0), 200.0) == 64
+        # 10 a year without a set, rounded up to 12, and at least 20.
+        assert default_ab_steps(0.01) == 20
+        assert default_ab_steps(1.0) == 20
+        assert default_ab_steps(2.5) == 30
+        # alpha adds 30 a year and stability (theta_top alpha max sigma_F
+        # + beta) / 2: 40 + (60 * 1 * 0.4 sqrt(1.25) + 0.5) / 2 = 53.7 on
+        # fig1 at lag 0.
+        assert default_ab_steps(1.0, fig1, 60.0) == 56
+        assert default_ab_steps(1.0, fig1, 200.0) == 88
+        assert default_ab_steps(1.0, replace(fig1, alpha=0.0), 200.0) == 20
+        assert default_ab_steps(1.0, replace(fig1, alpha=3.0), 200.0) == 236
         # sigma_F decays with the lag, and so does the stability term.
-        assert default_ab_steps(1.0, fig1, 200.0, lag=10.0) < 108
+        assert default_ab_steps(1.0, fig1, 200.0, lag=10.0) < 88
 
 
 class TestSnapshots:
@@ -198,18 +263,28 @@ class TestSnapshots:
             alone = integrate_ab_snapshots(thetas, *row)
             assert list(map(exact, snapshots)) == list(map(exact, alone))
 
-    def test_counts_one_vectorized_variance_rate_call(self, fig1, monkeypatch):
+    def test_counts_one_vectorized_variance_before_expiry_call(self, fig1, monkeypatch):
         import fwdvol.charfn as charfn
 
         calls = []
 
-        def counting(t, T, p):
-            calls.append(np.size(t))
-            return variance_rate(t, T, p)
+        def counting(lag, tau, p):
+            calls.append(np.size(tau))
+            return variance_before_expiry(lag, tau, p)
 
-        monkeypatch.setattr(charfn, "variance_rate", counting)
+        monkeypatch.setattr(charfn, "variance_before_expiry", counting)
         integrate_ab_snapshots(np.array([1.0]), 0.0, 0.005, [100, 200, 400], fig1)
         assert calls == [801]
+
+    def test_variance_table_matches_integrated_variance(self, fig1, sec5):
+        # Each stage's V(tau) is the closed form integrated_variance(t_e -
+        # tau, t_e, T) written from the expiry's end.
+        for p in (fig1, sec5, replace(fig1, beta1=5e-324), replace(fig1, beta2=40.0)):
+            for lag in (0.0, 1.0, 10.0):
+                tau = np.linspace(0.0, 2.0, 9)
+                want = [integrated_variance(2.0 - s, 2.0, 2.0 + lag, p) for s in tau]
+                np.testing.assert_allclose(variance_before_expiry(lag, tau, p), want,
+                                           rtol=1e-13, atol=1e-300)
 
 
 class TestCharfnValue:

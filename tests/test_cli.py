@@ -35,18 +35,18 @@ class TestPriceCommand:
         assert "implied_vol" in out
 
     def test_quadrature_line_reports_what_ran(self, capsys, curves):
-        # The 1y slice stops after the first block (theta <= 60) with 76
-        # steps; the 0.1y slice needs a second block, each at the 30-step
+        # The 1y slice stops after the first block (theta <= 60) with 56
+        # steps; the 0.1y slice needs a second block, each at the 20-step
         # floor.  The flags default to the pricer's own `QuadratureConfig`.
         q = QuadratureConfig()
         assert run(["price", "--t-e", 1, "--strike", 1]) == 0
         assert (f"quadrature: theta_stop=60 theta_max={q.theta_max:g} "
-                f"nodes_per_panel={q.n_nodes} ode_steps=76" in capsys.readouterr().out)
+                f"nodes_per_panel={q.n_nodes} ode_steps=56" in capsys.readouterr().out)
         assert run(["price", "--t-e", 0.1, "--strike", 1, "--option", "put"]) == 0
         assert (f"quadrature: theta_stop=120 theta_max={q.theta_max:g} "
-                f"nodes_per_panel={q.n_nodes} ode_steps=30+30" in capsys.readouterr().out)
+                f"nodes_per_panel={q.n_nodes} ode_steps=20+20" in capsys.readouterr().out)
         (result,) = price_slices([(0.1, 0.1, [1.0])], curves, make())
-        assert (result.theta_stop, result.steps) == (120.0, (30, 30))
+        assert (result.theta_stop, result.steps) == (120.0, (20, 20))
 
     @pytest.mark.parametrize("theta_max", [60, 60.01])
     def test_cap_just_past_a_panel_edge_fails_as_the_edge_does(self, capsys, theta_max):
