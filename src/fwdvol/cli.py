@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import sys
@@ -286,7 +287,10 @@ def _add_expiry(sp, **t_e) -> None:
     sp.add_argument("--T", dest="T", type=float, default=None, help="defaults to t_e")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parsing
+    leaves it as it was, and each call gets a fresh namespace."""
     simulation = argparse.ArgumentParser(add_help=False)
     simulation.add_argument("--seed", type=int, default=0, help="RNG seed")
     simulation.add_argument("--threads", type=int, default=1, help="worker threads")

@@ -10,10 +10,12 @@ where f is the characteristic function of ln(F(t_e,T)/F(0,T)) started from
 x = 0, v = 1.  The integrand decays rapidly and is smooth on the real
 line, but it is singular just below theta = 0, so the composite
 Gauss-Legendre panels narrow geometrically toward theta = 0 and are 10
-wide beyond theta = 10 (`QuadratureConfig`).  Each slice integrates them
-block by block outward from theta = 0 and stops at the first block whose
-last panel passes a tail test, so short expiries, whose characteristic
-function decays slowly, reach further than long ones.  Each block is one
+wide beyond theta = 10 (`QuadratureConfig`); at 16 nodes a panel the
+first block, theta <= 60, holds 176 nodes and each later block 96.
+Each slice integrates them block by block outward from theta = 0 and
+stops at the first block whose last panel passes a tail test, so short
+expiries, whose characteristic function decays slowly, reach further
+than long ones.  Each block is one
 Riccati pass over every open slice of every parameter set priced
 together; a set's slices that share the lag T - t_e and step read their
 characteristic functions off one row of it (`price_slices`).  Puts come
@@ -66,9 +68,11 @@ _PANEL_WIDTH = 10.0
 # converges at a rate set by a singularity's distance against the
 # panel's width, so the panels widen with their distance from theta = 0
 # (Lord & Kahl 2007).  Sixty-four nodes on all of [0, 10] miss sec5 at
-# alpha = 3, t_e = 10 by 3.7e-6 D F; 24 on each of these panels miss by
-# 1.2e-13.
-_INNER_EDGES = (0.25, 0.75, 1.75, 3.75)
+# alpha = 3, t_e = 10 by 3.7e-6 D F.  Sixteen on each of these panels
+# miss it by 5.6e-16 against 128 on each; without the edge at 0.0625
+# they miss by 3.5e-9, all of it on [0, 0.25], and with it at 0.1 by
+# 2.7e-14.
+_INNER_EDGES = (0.0625, 0.25, 0.75, 1.75, 3.75)
 # A slice closes once its last panel's bound falls below this (see
 # `QuadratureConfig`).
 _TAIL_TOLERANCE = 1e-10
@@ -109,15 +113,16 @@ class QuadratureConfig:
 
     The transform integral is evaluated with ``n_nodes`` Gauss-Legendre
     nodes on each panel.  Panels are 10 wide, in blocks of six from
-    theta = 0, except the first, [0, 10], which is split at 0.25, 0.75,
-    1.75 and 3.75 because the integrand is singular just below theta = 0.
-    So the first block carries 10 ``n_nodes`` nodes and each later one 6
-    ``n_nodes``: 240 and 144 at the default 24.  On both presets at alpha
-    0 to 3 and expiries 0.1-10 that prices within 1.2e-13 D F of
-    256-node 10-wide panels at the same RK4 steps.  A slice stops after
-    the first block whose last panel passes the tail test: the integral
-    of |f(theta) / (theta^2 + i theta)| over that panel, which bounds its
-    contribution at every strike, must stay below 1e-10.  ``theta_max``
+    theta = 0, except the first, [0, 10], which is split at 0.0625, 0.25,
+    0.75, 1.75 and 3.75 because the integrand is singular just below
+    theta = 0.  So the first block carries 11 ``n_nodes`` nodes and each
+    later one 6 ``n_nodes``: 176 and 96 at the default 16.  On both
+    presets at alpha 0 to 3 and expiries 0.1-10 that prices within
+    7.5e-15 D F of 256-node 10-wide panels at the same RK4 steps.  A
+    slice stops after the first block whose last panel passes the tail
+    test: the integral of |f(theta) / (theta^2 + i theta)| over that
+    panel, which bounds its contribution at every strike, must stay below
+    1e-10.  ``theta_max``
     caps the grid; the last panel ends there and, unless it is the only
     one, is 5 to 15 wide, so no cap leaves a sliver that passes the tail
     test for free.  A slice whose last panel still fails at the cap raises
@@ -127,7 +132,7 @@ class QuadratureConfig:
     """
 
     theta_max: float = 200.0
-    n_nodes: int = 24
+    n_nodes: int = 16
 
     def __post_init__(self):
         if self.theta_max <= 0.0:

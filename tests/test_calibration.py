@@ -107,8 +107,8 @@ class TestObjective:
         passes, rates = self.count_passes(monkeypatch)
         assert objective(fig1, quotes, curves) <= 1e-11
         # Expiries 0.5, 1 and 2 read off steps 28, 56 and 112 of one pass on
-        # the 240 nodes of the first block, theta <= 60.
-        assert passes == [(240, [112])]
+        # the 176 nodes of the first block, theta <= 60.
+        assert passes == [(176, [112])]
         assert rates == [225]
 
     def test_one_riccati_pass_for_several_sets(self, fig1, curves, monkeypatch):
@@ -119,7 +119,7 @@ class TestObjective:
         passes, rates = self.count_passes(monkeypatch)
         together = objective(sets, quotes, curves)
         assert [value.hex() for value in together] == [value.hex() for value in alone]
-        assert passes == [(240, [120, 112, 112])]
+        assert passes == [(176, [120, 112, 112])]
         assert rates == [241, 225, 225]
 
     def test_invalid_set_pays_full_penalty_beside_valid_ones(self, fig1, curves):

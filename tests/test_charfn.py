@@ -30,14 +30,17 @@ from fwdvol.pricing import _theta_grid
 from test_model_core import make
 
 
-def reference_ab(theta, t_e, T, p, n_steps):
+def reference_ab(theta, t_e, T, p, n_steps, stops=None):
     """Classical RK4 over `ab_ode_rhs`, one stage call at a time: the
-    oracle that the pricer's scheme converges to."""
+    oracle that the pricer's scheme converges to.  With ``stops``, the
+    (A, B) after each of those step counts, up to ``n_steps``, of the
+    one pass."""
     a_val = np.zeros(theta.shape, dtype=complex)
     b_val = np.zeros(theta.shape, dtype=complex)
     h = t_e / n_steps
     tau = 0.0
-    for _ in range(n_steps):
+    wanted, snapshots = set(stops or ()), {}
+    for step in range(1, n_steps + 1):
         da1, db1 = ab_ode_rhs(tau, a_val, b_val, theta, t_e, T, p)
         da2, db2 = ab_ode_rhs(
             tau + 0.5 * h, a_val + 0.5 * h * da1, b_val + 0.5 * h * db1, theta, t_e, T, p
@@ -49,7 +52,9 @@ def reference_ab(theta, t_e, T, p, n_steps):
         a_val = a_val + (h / 6.0) * (da1 + 2.0 * da2 + 2.0 * da3 + da4)
         b_val = b_val + (h / 6.0) * (db1 + 2.0 * db2 + 2.0 * db3 + db4)
         tau += h
-    return a_val, b_val
+        if step in wanted:
+            snapshots[step] = a_val, b_val
+    return (a_val, b_val) if stops is None else [snapshots[n] for n in stops]
 
 
 def transformed_rhs(tau, c_val, theta, t_e, T, p):
@@ -88,10 +93,20 @@ def reference_transformed(theta, t_e, T, p, n_steps):
 CONVERGED = 1e-9
 
 
-# Parameters whose 400-step Riccati pass on all 576 nodes of the pricing
-# grid diverges at tau = 1.285: the 0.5y and 1y snapshots of a 2y pass are
-# still good.  Steps sized from the grid's top theta do not diverge.
-LATE_DIVERGENCE = dict(sigma=0.8, beta1=0.01, beta=0.0, alpha=4.05)
+# Nodes for the divergence tests, built here so that no change to the
+# pricing grid can move them.
+DIVERGENCE_THETAS = np.linspace(0.5, 200.0, 400)
+
+# Parameters whose 400-step Riccati pass at h = 0.005 on DIVERGENCE_THETAS
+# diverges at step 330 (tau = 1.65): the 0.5y and 1y snapshots of a 2y
+# pass are still good.  The negative cross term cancels most of sigma_F at
+# settlement (0.36, against 0.78 at 2.6 years from it), so the pass
+# stiffens as tau grows and leaves RK4's stability region late; alpha
+# 4.45 and 4.55 diverge at steps 336 and 331.  Steps sized from the top
+# theta do not.
+LATE_DIVERGENCE = dict(
+    sigma=0.8, beta1=0.01, beta2=2.0, R=1.0, rho=-0.9, rho2=-0.3, beta=0.0, alpha=4.5
+)
 
 
 def charfn_gap(ab, other):
@@ -184,7 +199,7 @@ class TestIntegrateAb:
     def test_matches_stagewise_oracle_on_pricing_grid(self, request, preset, t_e, T):
         p = request.getfixturevalue(preset)
         thetas = _theta_grid(QuadratureConfig())[0]
-        assert thetas.size == 576
+        assert thetas.size == 400
         n_steps = default_ab_steps(t_e, p, thetas.max(), T - t_e)
         got = integrate_ab(thetas, t_e, T, p)
         assert charfn_gap(got, reference_transformed(thetas, t_e, T, p, n_steps)) <= 1e-14
@@ -228,7 +243,7 @@ class TestSnapshots:
 
     def test_divergence_fails_only_later_stops(self, fig1):
         p = replace(fig1, **LATE_DIVERGENCE)
-        thetas = _theta_grid(QuadratureConfig())[0]
+        thetas = DIVERGENCE_THETAS
         half, one, two = integrate_ab_snapshots(thetas, 0.0, 0.005, [100, 200, 400], p)
         assert isinstance(two, NonConvergence)
         with pytest.raises(NonConvergence):
@@ -241,8 +256,8 @@ class TestSnapshots:
 
     def test_rows_equal_their_one_row_passes(self, fig1, sec5):
         # Rows of every length, lag, step and set, one of which diverges
-        # at tau = 1.915 while the others carry on past it.
-        thetas = _theta_grid(QuadratureConfig())[0]
+        # at tau = 1.65 while the others carry on past it.
+        thetas = DIVERGENCE_THETAS
         rows = [
             (0.0, 0.005, [100, 400], fig1),
             (0.0, 0.005, [100, 200, 400], replace(fig1, **LATE_DIVERGENCE)),

@@ -289,6 +289,28 @@ def test_manifest_of_every_subcommand(command, tmp_path, monkeypatch):
     assert (out.read_bytes(), manifest_file.read_bytes()) == first
 
 
+def test_one_parser_serves_every_call_in_a_process(tmp_path, monkeypatch):
+    # The parser is built once per process.  Subcommands run through it
+    # one after another each record their own flags, with no default or
+    # value left over from the call before.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "quotes.json").write_text(json.dumps(
+        [{"t_e": 1.0, "T": 1.0, "K": K, "vol": 0.4} for K in (0.9, 1.0, 1.1)]))
+    runs = [
+        ["mc-price", "--t-e", "1", "--strike", "1", "--paths", "2000", "--steps", "8",
+         "--seed", "3", "--out", "mc.json"],
+        ["price", "--t-e", "2", "--T", "3", "--strike", "1.1", "--panel-nodes", "32",
+         "--out", "price.json"],
+        ["calibrate", "--quotes", "quotes.json", "--budget", "4", "--out", "fit.json"],
+        ["price", "--t-e", "1", "--strike", "1", "--out", "price-default.json"],
+    ]
+    assert _build_parser() is _build_parser()
+    for argv in runs:
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / (argv[-1] + ".manifest.json")).read_text())
+        assert manifest["config"] == vars(_build_parser.__wrapped__().parse_args(argv))
+
+
 class TestEntryPoints:
     def test_module_help_runs(self):
         proc = subprocess.run(

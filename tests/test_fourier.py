@@ -61,12 +61,10 @@ def uniform_panels(n_nodes, lo=0.0, hi=200.0):
     return (half * (x + 1.0) + edges[:-1, None]).ravel(), (half * w).ravel()
 
 
-def weighted_integrand(
-    thetas, weights, t_e, T, strikes, curves, p, n_steps, integrate=integrate_ab
-):
+def weighted_integrand(thetas, weights, ab, T, strikes, curves, p):
     """Each node's weighted share of the call integral, per strike, from
-    one RK4 pass of ``n_steps`` over ``thetas`` by ``integrate``."""
-    a_val, b_val = integrate(thetas, t_e, T, p, n_steps)
+    the exponents ``ab`` = (A, B) on ``thetas``."""
+    a_val, b_val = ab
     kernel = np.exp(a_val + b_val * p.v0) / (thetas**2 + 1j * thetas)
     phases = np.exp(-1j * np.outer(thetas, np.log(strikes / curves.forward(T))))
     return weights[:, None] * np.real(kernel[:, None] * phases)
@@ -78,27 +76,40 @@ def prices_from(integral, T, strikes, curves):
     return np.clip(prices, D * np.maximum(F - strikes, 0.0), D * F)
 
 
-def reference_call_prices(t_e, T, strikes, curves, p, n_steps=None):
+def reference_call_prices(slices, curves, p, n_steps=None):
     """The fixed-grid pricer that `call_prices` replaced: the oracle.
 
-    Every node of 128-node uniform panels out to theta = 200, one
-    classical RK4 pass (`reference_ab`, stage by stage over `ab_ode_rhs`)
-    of max(50, ceil(200 t_e)) steps, and the signed tail test on the last
-    panel.  On both presets at alpha 0 to 3 that pass prices within
-    2.3e-10 D F of one at 1600 steps a year (sec5 alpha = 3, t_e = 0.25).
+    Every node of 128-node uniform panels out to theta = 200, classical
+    RK4 (`reference_ab`, stage by stage over `ab_ode_rhs`) of
+    max(50, ceil(200 t_e)) steps, and the signed tail test on the last
+    panel.  Slices that share the lag T - t_e and the step read their
+    exponents off one pass, run from the longest of them.  On both
+    presets at alpha 0 to 3 that pass prices within 2.3e-10 D F of one
+    at 1600 steps a year (sec5 alpha = 3, t_e = 0.25).
+
+    Returns the call prices of each (t_e, T, strikes) slice.
     """
     n_nodes = 128
     thetas, weights = uniform_panels(n_nodes)
-    if n_steps is None:
-        n_steps = max(50, math.ceil(200 * t_e))
-    strikes = np.asarray(strikes, dtype=float)
-    terms = weighted_integrand(
-        thetas, weights, t_e, T, strikes, curves, p, n_steps, integrate=reference_ab
-    )
-    tail = np.abs(terms[-n_nodes:].sum(axis=0))
-    if np.max(tail) > _TAIL_TOLERANCE:
-        raise QuadratureTailError(f"reference tail {np.max(tail):.3e}")
-    return prices_from(terms.sum(axis=0), T, strikes, curves)
+    # The slices of one pass, as (index, steps), by lag and step.
+    passes = {}
+    for index, (t_e, T, _) in enumerate(slices):
+        n = n_steps or max(50, math.ceil(200 * t_e))
+        passes.setdefault((T - t_e, t_e / n), []).append((index, n))
+    out = [None] * len(slices)
+    for members in passes.values():
+        longest, n_longest = max(members, key=lambda member: member[1])
+        t_e, T, _ = slices[longest]
+        stops = [n for _, n in members]
+        for (index, _), ab in zip(members, reference_ab(thetas, t_e, T, p, n_longest, stops)):
+            _, T, strikes = slices[index]
+            strikes = np.asarray(strikes, dtype=float)
+            terms = weighted_integrand(thetas, weights, ab, T, strikes, curves, p)
+            tail = np.abs(terms[-n_nodes:].sum(axis=0))
+            if np.max(tail) > _TAIL_TOLERANCE:
+                raise QuadratureTailError(f"reference tail {np.max(tail):.3e}")
+            out[index] = prices_from(terms.sum(axis=0), T, strikes, curves)
+    return out
 
 
 class TestSpecs:
@@ -368,12 +379,13 @@ class TestCallPrices:
             assert prices[0] == uncapped[0]
 
     def test_late_divergence_prices(self, curves, fig1):
-        # A 400-step pass on all 576 nodes diverges at tau = 1.285 (see
-        # test_charfn); steps sized from each block's top theta do not.
+        # A 400-step pass up to theta = 200 diverges near tau = 1.65 (see
+        # test_charfn); steps sized from each block's top theta, 600 and
+        # 904 here, do not, and price within 1.9e-11 of the reference.
         p = replace(fig1, **LATE_DIVERGENCE)
         strikes = [0.8, 1.0, 1.25]
         (prices,) = call_prices([(2.0, 2.0, strikes)], curves, p)
-        reference = reference_call_prices(2.0, 2.0, strikes, curves, p, n_steps=1600)
+        (reference,) = reference_call_prices([(2.0, 2.0, strikes)], curves, p, n_steps=1600)
         assert np.max(np.abs(prices - reference)) <= 1e-9
 
     def test_rejects_bad_slices(self, curves, fig1):
@@ -393,13 +405,13 @@ class TestCallPrices:
             price_slices(slices, curves, [fig1, not_psd])
 
     def test_theta_grid_structure(self, quad):
-        # The first block is [0, 10] split in five plus five 10-wide
+        # The first block is [0, 10] split in six plus five 10-wide
         # panels, each later one six 10-wide panels; theta_max ends the last.
         nodes, weights, blocks = _theta_grid(quad)
         assert [top for _, _, top in blocks] == [60.0, 120.0, 180.0, 200.0]
         assert [(block.start, block.stop) for block, _, _ in blocks] == [
-            (0, 10 * quad.n_nodes), (10 * quad.n_nodes, 16 * quad.n_nodes),
-            (16 * quad.n_nodes, 22 * quad.n_nodes), (22 * quad.n_nodes, 24 * quad.n_nodes),
+            (0, 11 * quad.n_nodes), (11 * quad.n_nodes, 17 * quad.n_nodes),
+            (17 * quad.n_nodes, 23 * quad.n_nodes), (23 * quad.n_nodes, 25 * quad.n_nodes),
         ]
         for block, tail, top in blocks:
             last_panel = nodes[block][tail]
@@ -415,15 +427,16 @@ class TestCallPrices:
         # block of the default grid as it was.
         n = quad.n_nodes
         x, w = np.polynomial.legendre.leggauss(n)
-        edges = np.array([0.0, 0.25, 0.75, 1.75, 3.75] + [10.0 * k for k in range(1, 21)])
+        edges = np.array([0.0, 0.0625, 0.25, 0.75, 1.75, 3.75] + [10.0 * k for k in range(1, 21)])
         half = 0.5 * np.diff(edges)[:, None]
         nodes, weights, blocks = _theta_grid(quad)
         assert np.array_equal(nodes, (half * (x + 1.0) + edges[:-1, None]).ravel())
         assert np.array_equal(weights, (half * w).ravel())
+        assert (n, nodes.size) == (16, 400)
         tail = slice(-n, None)
         assert blocks == (
-            (slice(0, 10 * n), tail, 60.0), (slice(10 * n, 16 * n), tail, 120.0),
-            (slice(16 * n, 22 * n), tail, 180.0), (slice(22 * n, 24 * n), tail, 200.0),
+            (slice(0, 11 * n), tail, 60.0), (slice(11 * n, 17 * n), tail, 120.0),
+            (slice(17 * n, 23 * n), tail, 180.0), (slice(23 * n, 25 * n), tail, 200.0),
         )
 
     @pytest.mark.parametrize("theta_max", [60.0, 60.01, 64.99])
@@ -470,9 +483,9 @@ class TestAgainstFixedGrid:
         # 64- and 128-node panels differ there by 1e-14 but 7e-6 relative.
         # The worst gap is 4.8e-10 D F (sec5, alpha = 3, t_e = 0.1).
         p, slices = self.sweep(request, curves, preset, alpha)
-        for (t_e, T, strikes), prices in zip(slices, call_prices(slices, curves, p)):
+        references = reference_call_prices(slices, curves, p)
+        for (t_e, T, _), prices, reference in zip(slices, call_prices(slices, curves, p), references):
             assert not isinstance(prices, Exception), (t_e, T, prices)
-            reference = reference_call_prices(t_e, T, strikes, curves, p)
             bound = 1e-9 * curves.discount(T) * curves.forward(T)
             assert np.max(np.abs(prices - reference)) <= bound, (t_e, T)
 
@@ -483,13 +496,15 @@ class TestAgainstFixedGrid:
         # takes the RK4 steps the pricer took there.  Beside the poles of
         # the integrand at theta = -i and -i u*, 64-node panels miss sec5
         # alpha = 3, t_e = 10 by 3.7e-6 D F and 128-node ones by 7.5e-11;
-        # the graded 24-node grid misses 256-node ones by 1.2e-13.
+        # the graded 16-node grid misses 256-node ones by 7.5e-15 at worst
+        # (sec5, t_e = 10).
         p, slices = self.sweep(request, curves, preset, alpha)
         for (t_e, T, strikes), result in zip(slices, price_slices(slices, curves, p)):
             integral, lo = 0.0, 0.0
             for top, n_steps in zip(self.BLOCK_TOPS, result.steps):
                 thetas, weights = uniform_panels(256, lo, top)
-                terms = weighted_integrand(thetas, weights, t_e, T, strikes, curves, p, n_steps)
+                ab = integrate_ab(thetas, t_e, T, p, n_steps)
+                terms = weighted_integrand(thetas, weights, ab, T, strikes, curves, p)
                 integral, lo = integral + terms.sum(axis=0), top
             uniform = prices_from(integral, T, strikes, curves)
             bound = 1e-12 * curves.discount(T) * curves.forward(T)
@@ -501,7 +516,7 @@ class TestAgainstFixedGrid:
         # worth 2.2e-8; the bound on |integrand| sends the slice on.
         p = replace(fig1, alpha=2.0)
         (prices,) = call_prices([(0.05, 0.05, [1.7955])], curves, p)
-        reference = reference_call_prices(0.05, 0.05, [1.7955], curves, p)
+        (reference,) = reference_call_prices([(0.05, 0.05, [1.7955])], curves, p)
         assert abs(prices[0] - reference[0]) <= 1e-9
 
     def test_fast_reversion_matches_reference(self, curves, fig1):
@@ -510,8 +525,8 @@ class TestAgainstFixedGrid:
         # slice set reads 2.6e-10 against a 1600-steps-a-year pass.
         p = replace(fig1, beta2=10.0)
         slices = [(t_e, t_e, self.STRIKES) for t_e in (0.25, 1.0, 2.0)]
-        for (t_e, T, strikes), prices in zip(slices, call_prices(slices, curves, p)):
-            reference = reference_call_prices(t_e, T, strikes, curves, p)
+        references = reference_call_prices(slices, curves, p)
+        for (t_e, _, _), prices, reference in zip(slices, call_prices(slices, curves, p), references):
             assert np.max(np.abs(prices - reference)) <= 1e-9, t_e
 
 
