@@ -197,19 +197,21 @@ def _vol_gaps(ps, groups, curves, q=None) -> list[list]:
     if valid:
         slices = [(g[0].t_e, g[0].T, [quote.strike for quote in g]) for g in groups]
         priced = call_prices(slices, curves, [ps[i] for i in valid], q)
+        # F(0, T) and D(T) of each slice, shared by every set.
+        curve_values = [(curves.forward(T), curves.discount(T)) for _, T, _ in slices]
         for i, results in zip(valid, priced):
-            out[i] = [_slice_gaps(s, g, prices, curves)
-                      for s, g, prices in zip(slices, groups, results)]
+            out[i] = [_slice_gaps(s, g, prices, *FD)
+                      for s, g, prices, FD in zip(slices, groups, results, curve_values)]
     return out
 
 
-def _slice_gaps(slice_, group, prices, curves: MarketCurves):
-    """One slice's vol gaps from its `call_prices` entry, or the exception."""
-    t_e, T, strikes = slice_
+def _slice_gaps(slice_, group, prices, F: float, D: float):
+    """One slice's vol gaps from its `call_prices` entry and its forward
+    and discount factor, or the exception."""
+    t_e, _, strikes = slice_
     try:
         if isinstance(prices, FwdVolError):
             raise prices
-        F, D = curves.forward(T), curves.discount(T)
         return [implied_vol(float(px), F, K, t_e, D, "call") - quote.market_vol
                 for K, px, quote in zip(strikes, prices, group)]
     except (FwdVolError, ValueError, ArithmeticError) as exc:

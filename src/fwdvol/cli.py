@@ -22,6 +22,7 @@ import argparse
 import csv
 import functools
 import hashlib
+import io
 import json
 import sys
 from dataclasses import fields
@@ -45,14 +46,6 @@ from .pricing import (
 from .presets import PRESETS, flat_curves
 
 __all__ = ["main"]
-
-
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 def _parse_file(path: str, what: str, build):
@@ -82,16 +75,24 @@ def _settlement(args) -> float:
     return args.T if args.T is not None else args.t_e
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write_csv(handle, header: list[str], rows) -> None:
+def _csv_text(header: list[str], rows) -> str:
+    handle = io.StringIO()
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(header)
     writer.writerows([str(x) for x in row] for row in rows)
+    return handle.getvalue()
+
+
+def _write(path: str, text: str) -> str:
+    """Write ``text`` to ``path`` as UTF-8 in one write; its sha256."""
+    data = text.encode("utf-8")
+    with open(path, "wb") as handle:
+        handle.write(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def _emit(args, output, inputs: list[str]) -> None:
@@ -99,13 +100,9 @@ def _emit(args, output, inputs: list[str]) -> None:
     payload to --out only; with --out, write the run manifest beside it."""
     if not args.out:
         if not isinstance(output, dict):
-            _write_csv(sys.stdout, *output)
+            sys.stdout.write(_csv_text(*output))
         return
-    if isinstance(output, dict):
-        _write_json(args.out, output)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            _write_csv(handle, *output)
+    text = _json_text(output) if isinstance(output, dict) else _csv_text(*output)
     # Everything needed to reproduce the run bit-exactly.
     manifest = {
         "command": args.command,
@@ -113,9 +110,9 @@ def _emit(args, output, inputs: list[str]) -> None:
         "config": vars(args),
         "seed": getattr(args, "seed", None),
         "version": __version__,
-        "outputs": {args.out: _sha256(args.out)},
+        "outputs": {args.out: _write(args.out, text)},
     }
-    _write_json(args.out + ".manifest.json", manifest)
+    _write(args.out + ".manifest.json", _json_text(manifest))
 
 
 # Each subcommand takes the parsed flags, the resolved parameters and

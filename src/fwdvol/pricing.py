@@ -17,8 +17,9 @@ stops at the first block whose last panel passes a tail test, so short
 expiries, whose characteristic function decays slowly, reach further
 than long ones.  Each block is one
 Riccati pass over every open slice of every parameter set priced
-together; a set's slices that share the lag T - t_e and step read their
-characteristic functions off one row of it (`price_slices`).  Puts come
+together; a set's slices that share the lag T - t_e read their
+characteristic functions off one row of it, whose tau grid is cut at
+each of their expiries (`price_slices`).  Puts come
 from parity; implied volatilities invert the Black-76 formula with a
 bracketed Newton iteration.
 """
@@ -127,8 +128,11 @@ class QuadratureConfig:
     one, is 5 to 15 wide, so no cap leaves a sliver that passes the tail
     test for free.  A slice whose last panel still fails at the cap raises
     `QuadratureTailError`.  Each block is one Riccati pass over the open
-    slices of every set priced, and each slice takes
-    ``charfn.default_ab_steps`` RK4 steps for the block's top theta.
+    slices of every set priced, with one row per set and lag; each row's
+    tau grid is cut at the expiries of its slices, and its pieces take
+    ``charfn.default_ab_steps`` RK4 steps for the block's top theta, so a
+    slice alone takes the steps of its expiry and a slice behind a shorter
+    one fewer.
     """
 
     theta_max: float = 200.0
@@ -275,7 +279,8 @@ class SliceResult:
 
     ``prices`` holds a call price per strike, or the `FwdVolError` that
     stopped the slice.  ``theta_stop`` is where its theta integral stopped
-    and ``steps`` the RK4 step count of each block pass it took.
+    and ``steps`` the RK4 steps its row took to its expiry in each block
+    pass.
     """
 
     prices: np.ndarray | FwdVolError
@@ -294,8 +299,10 @@ def price_slices(
     ``p`` is one parameter set, or a sequence of them priced together.
     Every open slice of every set integrates the next block of the theta
     grid, and each block is one `integrate_ab_rows` pass on that block's
-    nodes: a set's slices that share the lag T - t_e and the RK4 step
-    t_e / `default_ab_steps` are snapshots of one row of it.  A slice
+    nodes: a set's open slices that share the lag T - t_e are snapshots of
+    one row of it, whose tau grid is cut at each of their expiries, each
+    piece on the steps `default_ab_steps` gives it.  ``steps`` of a
+    `SliceResult` counts the steps to the slice's own expiry.  A slice
     closes once the last panel of a block passes the tail test (see
     `QuadratureConfig`), or with `QuadratureTailError` when it still fails
     at ``q.theta_max``, or with `NonConvergence` if B diverged before its
@@ -322,43 +329,53 @@ def price_slices(
         if np.any(strikes <= 0.0):
             raise DomainError("strikes must be > 0")
 
+    # F(0, T) and D(T) of each slice, looked up once per call.
+    forwards = [curves.forward(T) for _, T, _ in slices]
+    discounts = [curves.discount(T) for _, T, _ in slices]
     integrals = [[np.zeros(strikes.shape) for _, _, strikes in slices] for _ in ps]
     steps: list[list[list[int]]] = [[[] for _ in slices] for _ in ps]
     out: list[list] = [[None] * len(slices) for _ in ps]
     for block, tail_panel, theta_top in blocks:
         at_cap = theta_top == blocks[-1][2]
-        # One row per set, lag and step: its open slices' indices and steps.
-        rows: dict[tuple[int, float, float], list[tuple[int, int]]] = {}
-        for i, p_i in enumerate(ps):
+        # One row per set and lag: its open slices' indices.
+        groups: dict[tuple[int, float], list[int]] = {}
+        for i in range(len(ps)):
             for index, (t_e, T, _) in enumerate(slices):
                 if out[i][index] is None:
-                    n_steps = default_ab_steps(t_e, p_i, theta_top, T - t_e)
-                    rows.setdefault((i, T - t_e, t_e / n_steps), []).append((index, n_steps))
-                    steps[i][index].append(n_steps)
-        if not rows:
+                    groups.setdefault((i, T - t_e), []).append(index)
+        if not groups:
             break
+        # Each row's tau grid is cut at each of its expiries, which read
+        # their snapshots off its knots.
+        rows = []
+        for (i, lag), members in groups.items():
+            expiries = sorted({slices[index][0] for index in members})
+            knots = dict(zip(expiries, default_ab_steps(expiries, ps[i], theta_top, lag)))
+            stops = [knots[slices[index][0]] for index in members]
+            rows.append((lag, list(knots.items()), stops, ps[i]))
+            for index, n in zip(members, stops):
+                steps[i][index].append(n)
         nodes, node_weights = thetas[block], weights[block]
         denominator = nodes**2 + 1j * nodes
         # Each slice's strike phases on this block, shared by every set.
         phases: dict[int, np.ndarray] = {}
-        passes = integrate_ab_rows(
-            nodes,
-            [(lag, h, [n for _, n in members], ps[i]) for (i, lag, h), members in rows.items()],
-        )
-        for ((i, _, _), members), snapshots in zip(rows.items(), passes):
-            for (index, _), snapshot in zip(members, snapshots):
+        passes = integrate_ab_rows(nodes, rows)
+        for ((i, _), members), snapshots in zip(groups.items(), passes):
+            for index, snapshot in zip(members, snapshots):
                 result = snapshot
                 if not isinstance(snapshot, FwdVolError):
                     _, T, strikes = slices[index]
                     if index not in phases:
-                        log_moneyness = np.log(strikes / curves.forward(T))
+                        log_moneyness = np.log(strikes / forwards[index])
                         phases[index] = np.exp(-1j * np.outer(nodes, log_moneyness))
                     a_val, b_val = snapshot
                     kernel = np.exp(a_val + b_val * ps[i].v0) / denominator
                     integrals[i][index] += node_weights @ np.real(kernel[:, None] * phases[index])
                     tail = float(node_weights[tail_panel] @ np.abs(kernel[tail_panel]))
                     if tail <= _TAIL_TOLERANCE:
-                        result = _prices_from_integral(strikes, integrals[i][index], T, curves)
+                        result = _prices_from_integral(
+                            strikes, integrals[i][index], forwards[index], discounts[index]
+                        )
                     elif at_cap:
                         result = QuadratureTailError(
                             f"last quadrature panel contributes up to {tail:.3e} > tail "
@@ -370,9 +387,7 @@ def price_slices(
     return out if stacked else out[0]
 
 
-def _prices_from_integral(strikes, integral, T, curves: MarketCurves) -> np.ndarray:
-    F = curves.forward(T)
-    D = curves.discount(T)
+def _prices_from_integral(strikes, integral, F: float, D: float) -> np.ndarray:
     prices = D * (F - 0.5 * strikes - (strikes / math.pi) * integral)
     return np.clip(prices, D * np.maximum(F - strikes, 0.0), D * F)
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fwdvol import (
+    DomainError,
     NonConvergence,
     QuadratureConfig,
     integrated_variance,
@@ -69,14 +70,19 @@ def transformed_rhs(tau, c_val, theta, t_e, T, p):
     return p.beta * b_val, b_val * (0.5 * p.alpha**2 * b_val + 1j * theta * cross - p.beta)
 
 
-def reference_transformed(theta, t_e, T, p, n_steps):
+def reference_transformed(theta, t_e, T, p, grid):
     """Classical RK4 on the transformed system, one stage call at a time:
-    the oracle of the pricer's own scheme.  B = c + q V(t_e)."""
+    the oracle of the pricer's own scheme.  ``grid`` is a step count, for
+    equal steps, or the ascending tau nodes of the steps, from 0 to t_e.
+    B = c + q V(t_e)."""
     a_val = np.zeros(theta.shape, dtype=complex)
     c_val = np.zeros(theta.shape, dtype=complex)
-    h = t_e / n_steps
-    for n in range(n_steps):
-        tau = n * h
+    if np.ndim(grid) == 0:
+        h = t_e / grid
+        steps = [(n * h, h) for n in range(grid)]
+    else:
+        steps = list(zip(grid[:-1], np.diff(grid)))
+    for tau, h in steps:
         da1, dc1 = transformed_rhs(tau, c_val, theta, t_e, T, p)
         da2, dc2 = transformed_rhs(tau + 0.5 * h, c_val + 0.5 * h * dc1, theta, t_e, T, p)
         da3, dc3 = transformed_rhs(tau + 0.5 * h, c_val + 0.5 * h * dc2, theta, t_e, T, p)
@@ -85,6 +91,16 @@ def reference_transformed(theta, t_e, T, p, n_steps):
         c_val = c_val + (h / 6.0) * (dc1 + 2.0 * dc2 + 2.0 * dc3 + dc4)
     q = -0.5 * (theta**2 + 1j * theta)
     return a_val, c_val + q * integrated_variance(0.0, t_e, T, p)
+
+
+def tau_nodes(knots):
+    """The tau nodes of a row's grid of ``knots`` (tau_k, n_k): equal steps
+    from one knot to the next."""
+    nodes, start, first = [0.0], 0.0, 0
+    for tau, n in knots:
+        nodes += [start + (tau - start) / (n - first) * k for k in range(1, n - first)] + [tau]
+        start, first = tau, n
+    return np.array(nodes)
 
 
 # Gap in exp(A + B) between the default steps and a classical pass at 1600
@@ -277,6 +293,42 @@ class TestSnapshots:
         for row, snapshots in zip(rows, together, strict=True):
             alone = integrate_ab_snapshots(thetas, *row)
             assert list(map(exact, snapshots)) == list(map(exact, alone))
+
+    @pytest.mark.parametrize("preset", ["fig1", "sec5"])
+    @pytest.mark.parametrize("lag", [0.0, 1.0])
+    def test_graded_row_matches_stagewise_oracle(self, request, preset, lag):
+        # A row cut at each expiry steps every piece with its own h; each
+        # snapshot is classical RK4 on the transformed system over the same
+        # tau nodes.
+        p = replace(request.getfixturevalue(preset), alpha=2.0)
+        thetas = _theta_grid(QuadratureConfig())[0][:176]
+        expiries = [0.25, 0.5, 1.0, 2.0]
+        knots = list(zip(expiries, default_ab_steps(expiries, p, 60.0, lag)))
+        assert len({round((t - s) / (n - m), 12) for (s, m), (t, n) in
+                    zip([(0.0, 0)] + knots, knots)}) == len(knots)
+        snapshots = integrate_ab_snapshots(thetas, lag, knots, [n for _, n in knots], p)
+        for k, ((t_e, _), got) in enumerate(zip(knots, snapshots)):
+            want = reference_transformed(thetas, t_e, t_e + lag, p, tau_nodes(knots[: k + 1]))
+            assert charfn_gap(got, want) <= 1e-14
+
+    def test_one_piece_grid_is_the_uniform_step(self, fig1, sec5):
+        # Knots (t_e, n) make the grid of h = t_e / n, bit for bit; a row of
+        # two pieces reads its first knot as the one-piece row does.
+        thetas = DIVERGENCE_THETAS
+        for p, lag in ((fig1, 0.0), (sec5, 1.0)):
+            uniform = integrate_ab_snapshots(thetas, lag, 0.5 / 28, [14, 28], p)
+            graded = integrate_ab_snapshots(thetas, lag, [(0.5, 28), (1.5, 60)], [14, 28], p)
+            for a, b in zip(uniform, graded):
+                assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    def test_rejects_bad_knots(self, fig1):
+        thetas = np.array([1.0])
+        for knots, stops in (([(0.5, 10), (0.5, 20)], [20]), ([(0.5, 10), (1.0, 10)], [10]),
+                             ([(0.5, 10)], [11])):
+            with pytest.raises(DomainError):
+                integrate_ab_snapshots(thetas, 0.0, knots, stops, fig1)
+        with pytest.raises(DomainError):
+            default_ab_steps([1.0, 0.5], fig1, 60.0)
 
     def test_counts_one_vectorized_variance_before_expiry_call(self, fig1, monkeypatch):
         import fwdvol.charfn as charfn

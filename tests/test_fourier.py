@@ -38,7 +38,7 @@ from fwdvol import (
     variance_rate,
 )
 import fwdvol.pricing
-from fwdvol.charfn import default_ab_steps, integrate_ab
+from fwdvol.charfn import default_ab_steps, integrate_ab_snapshots
 from fwdvol.pricing import _TAIL_TOLERANCE, _theta_grid
 
 from test_charfn import LATE_DIVERGENCE, reference_ab
@@ -314,10 +314,20 @@ class TestCallPrices:
     ]
 
     def test_together_equals_one_by_one(self, curves, fig1, quad):
+        # Slices of one lag read their prices off one row whose tau grid is
+        # cut at each of their expiries.  The first piece of a row is the
+        # pass of its expiry alone, so the shortest expiry of each lag
+        # prices bit for bit as it does alone; a later one takes fewer
+        # steps than alone, and both sit within the pricer's accuracy.
         together = call_prices(self.SLICES, curves, fig1, quad)
-        for slice_, prices in zip(self.SLICES, together):
-            (alone,) = call_prices([slice_], curves, fig1, quad)
-            assert np.max(np.abs(prices - alone)) <= 1e-14
+        shortest = {}
+        for t_e, T, _ in self.SLICES:
+            shortest[T - t_e] = min(t_e, shortest.get(T - t_e, t_e))
+        for (t_e, T, strikes), prices in zip(self.SLICES, together):
+            (alone,) = call_prices([(t_e, T, strikes)], curves, fig1, quad)
+            if shortest[T - t_e] == t_e:
+                assert list(map(float.hex, prices)) == list(map(float.hex, alone))
+            assert np.max(np.abs(prices - alone)) <= 1e-9
 
     @pytest.mark.parametrize("theta_max", [200.0, 60.0])
     def test_stacked_sets_equal_one_set_calls(self, curves, fig1, sec5, theta_max, monkeypatch):
@@ -363,7 +373,8 @@ class TestCallPrices:
 
     def test_failures_stay_per_slice(self, curves, fig1):
         # Capped at theta = 60, the 0.1y slice's slowly decaying tail fails
-        # the tail test; the others stop after that first block anyway.
+        # the tail test; the others stop after that first block anyway, and
+        # price there exactly as without the cap.
         capped = QuadratureConfig(theta_max=60.0)
         slices = [(0.1, 0.1, [1.0]), (0.5, 0.5, [1.0]), (1.0, 1.0, [1.0]),
                   (2.0, 2.0, [1.0]), (0.3, 1.7, [1.0])]
@@ -371,12 +382,12 @@ class TestCallPrices:
         assert isinstance(short, QuadratureTailError)
         with pytest.raises(QuadratureTailError):
             smile_table([1.0], 0.1, 0.1, curves, fig1, capped)
-        for (t_e, T, _), prices in zip(slices[1:], rest):
+        _, *uncapped = call_prices(slices, curves, fig1)
+        for (t_e, T, _), prices, free in zip(slices[1:], rest, uncapped):
+            assert prices[0] == free[0]
             assert prices[0] == pytest.approx(
-                smile_table([1.0], t_e, T, curves, fig1, capped)[0][3], abs=1e-15
+                smile_table([1.0], t_e, T, curves, fig1, capped)[0][3], abs=1e-9
             )
-            (uncapped,) = call_prices([(t_e, T, [1.0])], curves, fig1)
-            assert prices[0] == uncapped[0]
 
     def test_late_divergence_prices(self, curves, fig1):
         # A 400-step pass up to theta = 200 diverges near tau = 1.65 (see
@@ -493,22 +504,51 @@ class TestAgainstFixedGrid:
     @pytest.mark.parametrize("alpha", ["preset", 3.0])
     def test_grid_matches_uniform_panels_at_equal_steps(self, request, curves, preset, alpha):
         # The quadrature error alone: each block of 10-wide 256-node panels
-        # takes the RK4 steps the pricer took there.  Beside the poles of
-        # the integrand at theta = -i and -i u*, 64-node panels miss sec5
+        # takes the tau grid the pricer took there, cut at the expiries of
+        # the slices of that lag still open.  Beside the poles of the
+        # integrand at theta = -i and -i u*, 64-node panels miss sec5
         # alpha = 3, t_e = 10 by 3.7e-6 D F and 128-node ones by 7.5e-11;
         # the graded 16-node grid misses 256-node ones by 7.5e-15 at worst
         # (sec5, t_e = 10).
         p, slices = self.sweep(request, curves, preset, alpha)
-        for (t_e, T, strikes), result in zip(slices, price_slices(slices, curves, p)):
+        results = price_slices(slices, curves, p)
+        for (t_e, T, strikes), result in zip(slices, results):
             integral, lo = 0.0, 0.0
             for top, n_steps in zip(self.BLOCK_TOPS, result.steps):
+                expiries = sorted(t for (t, S, _), other in zip(slices, results)
+                                  if S - t == T - t_e and other.theta_stop >= top)
+                knots = list(zip(expiries, default_ab_steps(expiries, p, top, T - t_e)))
+                assert (t_e, n_steps) in knots
                 thetas, weights = uniform_panels(256, lo, top)
-                ab = integrate_ab(thetas, t_e, T, p, n_steps)
+                (ab,) = integrate_ab_snapshots(thetas, T - t_e, knots, [n_steps], p)
                 terms = weighted_integrand(thetas, weights, ab, T, strikes, curves, p)
                 integral, lo = integral + terms.sum(axis=0), top
             uniform = prices_from(integral, T, strikes, curves)
             bound = 1e-12 * curves.discount(T) * curves.forward(T)
             assert np.max(np.abs(result.prices - uniform)) <= bound, (t_e, T)
+
+    @pytest.mark.parametrize("preset", ["fig1", "sec5"])
+    @pytest.mark.parametrize("alpha, lag", [(0.0, 0.0), (1.0, 1.0), (2.0, 0.0), (3.0, 1.0)])
+    def test_graded_rows_match_classical_steps(self, request, curves, preset, alpha, lag):
+        # One row of expiries 0.25-10 at one lag, each piece of its tau
+        # grid on its own steps, against one classical pass of 1600 steps
+        # a year on the nodes the pricer used.
+        p = replace(request.getfixturevalue(preset), alpha=alpha)
+        expiries = [0.25, 0.5, 1.0, 2.0, 5.0, 10.0]
+        slices = [(t_e, t_e + lag, np.array([m * curves.forward(t_e + lag) for m in self.STRIKES]))
+                  for t_e in expiries]
+        results = price_slices(slices, curves, p)
+        nodes, weights, _ = _theta_grid(QuadratureConfig())
+        reach = nodes < max(result.theta_stop for result in results)
+        stops = [round(1600 * t_e) for t_e in expiries]
+        passes = reference_ab(nodes[reach], 10.0, 10.0 + lag, p, stops[-1], stops)
+        for (t_e, T, strikes), result, ab in zip(slices, results, passes):
+            used = nodes[reach] < result.theta_stop
+            terms = weighted_integrand(nodes[reach][used], weights[reach][used],
+                                       (ab[0][used], ab[1][used]), T, strikes, curves, p)
+            reference = prices_from(terms.sum(axis=0), T, strikes, curves)
+            bound = 1e-9 * curves.discount(T) * curves.forward(T)
+            assert np.max(np.abs(result.prices - reference)) <= bound, (t_e, T)
 
     def test_tail_test_sees_through_cancellation(self, curves, fig1):
         # At this strike the signed integral over the panel [50, 60]
