@@ -200,8 +200,8 @@ def _vol_gaps(ps, groups, curves, q=None) -> list[list]:
         # F(0, T) and D(T) of each slice, shared by every set.
         curve_values = [(curves.forward(T), curves.discount(T)) for _, T, _ in slices]
         for i, results in zip(valid, priced):
-            out[i] = [_slice_gaps(s, g, prices, *FD)
-                      for s, g, prices, FD in zip(slices, groups, results, curve_values)]
+            out[i] = [_slice_gaps(s, g, prices, F, D)
+                      for s, g, prices, (F, D) in zip(slices, groups, results, curve_values)]
     return out
 
 
