@@ -32,14 +32,16 @@ equal steps.  `integrate_ab_rows` advances many rows, of any sets, lags
 and grids, as one (rows, theta) state, so a pricing call takes one pass
 per block of its quadrature grid.
 
-The step counts come from the inputs (`default_ab_steps`): for the first
-piece, an accuracy term per year of expiry that grows with alpha, plus a
-stability term.  Near its equilibrium the Jacobian of the B equation has
-modulus up to about theta alpha sigma_F + beta, so the step that RK4 can
-take shrinks as the largest node theta grows; a grid that stops at a
-lower theta needs fewer steps.  A later piece weighs a narrower theta
-range, so it takes a falling share of its expiry's accuracy steps, but
-never fewer than stability allows.
+The step counts come from the inputs (`default_ab_steps`).  A pass to
+one expiry, and the first piece of a row, takes the larger of an
+accuracy count, which grows like alpha sqrt(t_e) because a longer expiry
+weighs a narrower theta range, and a stability count.  Near its
+equilibrium the Jacobian of the B equation has modulus up to about
+theta alpha sigma_F + beta, so the step that RK4 can take shrinks as the
+largest node theta grows; a grid that stops at a lower theta needs fewer
+steps.  A later piece weighs a narrower theta range still, so it takes a
+falling share of its expiry's accuracy steps, but never fewer than the
+Jacobian at its start allows.
 """
 
 from __future__ import annotations
@@ -63,104 +65,165 @@ __all__ = [
 
 # Diverging Riccati iterates trip this bound long before overflow.
 _B_OVERFLOW = 1e12
+# 1 / 3 as a complex scalar: numpy multiplies a complex array by it without
+# first converting a float.
+_THIRD = complex(1.0 / 3.0)
 
-# Steps a year for accuracy: a base rate plus a rate per unit of alpha.
+# Accuracy steps of a pass to t_e: ACCURACY alpha^POWER sqrt(t_e sigma).
 # The variance-rate forcing is integrated exactly (see the module
 # docstring), so at alpha = 0 the exponent A + B is exact at any step
-# count and the step only has to follow the alpha^2 B^2 / 2 and cross
-# terms.  With the stability term, both presets at alpha 0 to 3 and fig1
-# with beta2 = 10, expiries 0.1-10, price within 5.1e-10 D F of a
-# 1600-steps-a-year pass (3.7e-10 at alpha <= 2); the worst slices are
-# the 0.25y and 0.5y ones at alpha 2 and 3 (tests/test_fourier.py checks
-# them against a fixed grid at 1e-9).  At 10 + 20 alpha the worst reads
-# 1.4e-9.
-_ACCURACY_STEPS_PER_YEAR = 10
-_ACCURACY_STEPS_PER_YEAR_PER_ALPHA = 30
-# Steps a year per unit of the Jacobian bound: h |J| <= 2, inside RK4's
-# stability interval [-2.785, 0] with room for the complex transient.
-_STEPS_PER_JACOBIAN = 0.5
-# Steps a year of a pass to one expiry round up to a multiple of 4.
-_STEPS_PER_YEAR_QUANTUM = 4
+# count and the steps only have to follow the alpha^2 B^2 / 2 and cross
+# terms.  With the terms below, this is the least count that keeps every
+# single slice within 5e-10 D F of a 3200-steps-a-year pass on the first
+# theta block (4e-10 on the second), for fig1, sec5, fig1 with beta2 = 10
+# and two calibration starts (fig1 scaled by 0.8-1.2) at alpha 0.5 to 3,
+# expiries 0.1-10 and lags 0 and 1.
+_ACCURACY = 41.22
+_ACCURACY_ALPHA_POWER = 1.1
+# Steps a year that follow the decay of sigma_F: a base rate plus a rate
+# per unit of the decay rate of sigma_F^2 at the pass's distance to
+# settlement (`_decay_rate`).  A pass takes equal steps, so one whose
+# sigma_F changes fast near its expiry (fig1 with beta2 = 10 at lag 0
+# needs 18 more steps a year than fig1) pays for it over its whole length.
+_DECAY_STEPS_PER_YEAR = 3.0
+_DECAY_STEPS_PER_RATE = 4.5
+# Steps a year per unit of the Jacobian bound: h |J| <= 1 for a pass from
+# B = 0, whose transient the steps must follow, inside RK4's stability
+# interval [-2.785, 0]; h |J| <= 1.28 for a later piece, which starts on
+# the solution.  Looser bounds hold stability but not accuracy: sec5 at
+# alpha 3, t_e = 10 needs 573 steps for 5e-10 D F where h |J| = 2 gives
+# 527.
+_STEPS_PER_JACOBIAN = 1.0
+_PIECE_STEPS_PER_JACOBIAN = 0.78
 # Steps whose stage tables are built at once: the forcing and linear
 # coefficients of (2 chunk + 1) stages x rows x nodes.  Building them
 # once per chunk spares each step the broadcast of a row column across
 # the nodes; 4 steps keep the tables small.
 _STEPS_PER_CHUNK = 4
-# Short expiries put weight on large theta, where the error per step is
-# largest: at a floor of 16 steps the sweep above reads 9.5e-10 D F.
+# No pass takes fewer than MIN steps up to FLOOR_EXPIRY, nor fewer than
+# MIN sqrt(FLOOR_EXPIRY / t_e) past it: a short expiry weighs theta up to
+# about 1 / (sigma_F sqrt(t_e)).
 _MIN_STEPS = 20
-# A later piece [a, b] of a row, read at b, takes this share of the steps
-# a year that a pass to b alone would take: min(1, max(0.4,
-# (0.25 / b)^0.42)), so 0.75 at b = 0.5, 0.56 at 1 and 0.42 at 2.  Its
-# error at b is nearly all made on the piece itself (the pieces before it
-# are finer), over the theta range that b still weighs, which narrows as
-# b grows.  The share is the least step count that reads 4e-10 D F at b
-# against a 3200-steps-a-year pass on pieces from [0.1, 0.25] to [5, 10],
-# on five sets at alpha 0.5-3; sec5 at alpha = 3, whose sigma_F hardly
-# decays with the distance to settlement, sets the floor.
-_PIECE_SHARE_EXPIRY = 0.25
-_PIECE_SHARE_POWER = 0.42
-_PIECE_SHARE_FLOOR = 0.4
+_FLOOR_EXPIRY = 0.1
+# A later piece [a, b] of a row, read at b, takes a share min(1, SHARE
+# b^-POWER sigma_F(lag + a) / sigma_F(lag)) of b's accuracy steps a year:
+# its error at b is made over the theta range that b still weighs, which
+# narrows as b grows, and over which the stiffness falls with sigma_F.
+# The share keeps the rows of the calibration quotes (0.5, 1 and 2 years)
+# and of expiries 0.1-10 within 5.1e-10 D F of 3200 steps a year on the
+# sets above; sec5, whose sigma_F hardly decays, sets the share.
+_PIECE_SHARE = 0.88
+_PIECE_SHARE_POWER = 0.28
 
 
 def _vol_bound(lag: float, p: ModelParams) -> float:
-    """Upper bound of sigma_F(t, T) over every t with T - t >= lag.
+    """Supremum of sigma_F(t, T) over every t with T - t >= lag.
 
-    Each term of `variance_rate` decays with the distance to settlement
-    once a negative cross term is dropped, so the bound is their value
-    at ``lag``.
+    sigma_F^2 / sigma^2 = x^2 + y^2 + 2 rho' x y with x = exp(-beta1 d),
+    y = |R| exp(-beta2 d), rho' = rho sign(R), at distance d.  It falls
+    with d except where b2 r^2 + rho' (b1 + b2) r + b1 < 0, r = y / x,
+    so its supremum on [lag, inf) is its value at lag, its limit, or its
+    value where r sits at a root, taken as logs so that subnormal rates
+    neither overflow nor vanish.
     """
-    e1 = math.exp(-p.beta1 * lag)
-    e2 = abs(p.R) * math.exp(-p.beta2 * lag)
-    cross = max(p.rho * math.copysign(1.0, p.R), 0.0)
-    return p.sigma * math.sqrt(e1 * e1 + e2 * e2 + 2.0 * cross * e1 * e2)
+    rho, R, b1, b2 = p.rho * math.copysign(1.0, p.R), abs(p.R), p.beta1, p.beta2
+
+    def rate(x: float, y: float) -> float:
+        return x * x + y * y + 2.0 * rho * x * y
+
+    best = max(rate(math.exp(-b1 * lag), R * math.exp(-b2 * lag)),
+               rate(float(b1 == 0.0), R * (b2 == 0.0)))
+    disc = rho * rho - 4.0 * (b2 / (b1 + b2)) * (b1 / (b1 + b2)) if b1 != b2 else -1.0
+    if rho < 0.0 and R > 0.0 and disc >= 0.0:
+        log_q, log_s = math.log(0.5 * (math.sqrt(disc) - rho)), math.log(b1 + b2)
+        log_roots = [log_q - math.log(b2) + log_s] if b2 > 0.0 else []
+        if b1 > 0.0:
+            log_roots.append(math.log(b1) - log_s - log_q)
+        gap = b2 - b1
+        for log_r in log_roots:
+            # (b2 - b1) d at the root; d >= lag.
+            spread = math.log(R) - log_r
+            if (spread >= lag * gap) if gap > 0.0 else (spread <= lag * gap):
+                best = max(best, rate(math.exp(-spread * (b1 / gap)),
+                                      R * math.exp(-spread * (b2 / gap))))
+    return p.sigma * math.sqrt(best)
 
 
-def _first_steps(t_e: float, p: ModelParams | None, theta_top: float, lag: float) -> int:
-    """Steps of a pass from tau = 0 to one expiry t_e (see `default_ab_steps`)."""
-    rate = float(_ACCURACY_STEPS_PER_YEAR)
-    if p is not None:
-        rate += _ACCURACY_STEPS_PER_YEAR_PER_ALPHA * p.alpha
-        jacobian = theta_top * p.alpha * _vol_bound(lag, p) + p.beta
-        rate += _STEPS_PER_JACOBIAN * jacobian
-    rate = _STEPS_PER_YEAR_QUANTUM * math.ceil(rate / _STEPS_PER_YEAR_QUANTUM)
-    # Rounding keeps t_e * rate = 40.000000000000004 at 40 steps.
-    return max(_MIN_STEPS, math.ceil(round(t_e * rate, 9)))
+def _decay_rate(lag: float, p: ModelParams) -> float:
+    """Decay rate of sigma_F^2 at distance ``lag``: its three channels'
+    rates, weighted by the channels' sizes there."""
+    channels = [(abs(w), c) for w, c in ((1.0, 2.0 * p.beta1), (p.R**2, 2.0 * p.beta2),
+                                         (2.0 * p.rho * p.R, p.beta1 + p.beta2)) if w]
+    slowest = min(c for _, c in channels)
+    weights = [(w * math.exp(-(c - slowest) * lag), c) for w, c in channels]
+    return sum(w * c for w, c in weights) / sum(w for w, _ in weights)
+
+
+def _jacobian(lag: float, p: ModelParams, theta_top: float) -> float:
+    """Bound of the Riccati Jacobian's modulus on nodes up to ``theta_top``
+    at distances to settlement >= ``lag``: theta alpha sigma_F + beta."""
+    return theta_top * p.alpha * _vol_bound(lag, p) + p.beta
+
+
+def _accuracy_count(t_e: float, p: ModelParams | None, lag: float) -> float:
+    """Steps that a pass from tau = 0 to t_e needs for accuracy, before
+    rounding up (see `default_ab_steps`)."""
+    decay = _DECAY_STEPS_PER_YEAR * t_e
+    if p is None:
+        return decay
+    decay += _DECAY_STEPS_PER_RATE * _decay_rate(lag, p) * t_e
+    alpha_power = p.alpha * abs(p.alpha) ** (_ACCURACY_ALPHA_POWER - 1.0)
+    return _ACCURACY * alpha_power * math.sqrt(t_e * p.sigma) + decay
+
+
+def _steps(count: float) -> int:
+    # Rounding keeps a count of 40.000000000000004 at 40 steps.
+    return math.ceil(round(count, 9))
 
 
 def _later_steps(a: float, b: float, p: ModelParams | None, theta_top: float, lag: float) -> int:
     """Steps of a row's piece [a, b] past its first expiry (see `default_ab_steps`)."""
-    share = min(1.0, max(_PIECE_SHARE_FLOOR, (_PIECE_SHARE_EXPIRY / b) ** _PIECE_SHARE_POWER))
-    rate = share * _first_steps(b, p, theta_top, lag) / b
+    share = _PIECE_SHARE * b**-_PIECE_SHARE_POWER
     if p is not None:
-        jacobian = theta_top * p.alpha * _vol_bound(lag + a, p) + p.beta
-        rate = max(rate, _STEPS_PER_JACOBIAN * jacobian)
-    return max(1, math.ceil(round((b - a) * rate, 9)))
+        share *= _vol_bound(lag + a, p) / _vol_bound(lag, p)
+    rate = min(1.0, share) * _accuracy_count(b, p, 0.0) / b
+    if p is not None:
+        rate = max(rate, _PIECE_STEPS_PER_JACOBIAN * _jacobian(a, p, theta_top))
+    return max(1, _steps((b - a) * rate))
 
 
 def default_ab_steps(t_e, p: ModelParams | None = None, theta_top: float = 0.0, lag: float = 0.0):
     """RK4 step count for an expiry of t_e years on nodes up to ``theta_top``.
 
-    Steps a year are 10 + 30 alpha for accuracy plus
-    (theta_top alpha max sigma_F + beta) / 2 for stability, with max sigma_F
-    bounded over distances to settlement >= ``lag``.  Without ``p`` only
-    the 10 a year of alpha = 0 apply, so ``default_ab_steps(t_e)`` is
-    max(20, ceil(12 t_e)).  Steps a year round up to a multiple of 4, and
-    no expiry takes fewer than 20 steps.
+    The larger of an accuracy count, 41.22 alpha^1.1 sqrt(t_e sigma) +
+    (3 + 4.5 kappa) t_e with kappa the decay rate of sigma_F^2 at
+    distance ``lag`` (`_decay_rate`), and a stability count,
+    (theta_top alpha max sigma_F + beta) t_e with max sigma_F the supremum
+    over distances to settlement >= ``lag`` (`_vol_bound`), rounded up.
+    No count falls below 20 up to t_e = 0.1, nor below 20 sqrt(0.1 / t_e)
+    past it.  Without ``p`` only 3 t_e and the floor apply.
 
     ``t_e`` may also be a list of ascending expiries t_1 < t_2 < ...,
     read off one row whose tau grid is cut at each of them (see
     `integrate_ab_rows`); the result is then the list of step counts at
     which each is read.  The first piece, [0, t_1], takes the count of t_1
-    alone, so a one-expiry row is the pass above.  Each later piece
-    [t_k-1, t_k] takes the larger of two rates: a share of t_k's own steps
-    a year, 1 up to t_k = 0.25 and falling to 0.4 from t_k = 2.2 on (see
-    `_PIECE_SHARE_EXPIRY`), and the stability rate with max sigma_F
-    bounded over distances >= lag + t_k-1.
+    alone, so a one-expiry row is the pass above.  Each later piece [a, b]
+    takes the larger of two rates a year: a share min(1, 0.88 b^-0.28
+    sigma_F(lag + a) / sigma_F(lag)) of the accuracy count of b alone at
+    lag 0, per year of b, and 0.78 (theta_top alpha max sigma_F + beta)
+    with max sigma_F taken over distances >= a.  Both are read as if the
+    row were at lag 0: a row at a larger lag has a lower sigma_F, so its
+    price weighs a wider theta range, and it needs no fewer steps.  On the
+    calibration quotes' row (0.5, 1 and 2 years, theta <= 60) fig1 takes
+    22 + 14 + 17 = 53 steps.
     """
     if np.ndim(t_e) == 0:
-        return _first_steps(t_e, p, theta_top, lag)
-    counts = [_first_steps(t_e[0], p, theta_top, lag)]
+        count = _accuracy_count(t_e, p, lag)
+        if p is not None:
+            count = max(count, _STEPS_PER_JACOBIAN * _jacobian(lag, p, theta_top) * t_e)
+        floor = _MIN_STEPS * math.sqrt(_FLOOR_EXPIRY / max(t_e, _FLOOR_EXPIRY))
+        return max(_steps(floor), _steps(count))
+    counts = [default_ab_steps(t_e[0], p, theta_top, lag)]
     for a, b in zip(t_e, t_e[1:]):
         if not b > a:
             raise DomainError("expiries of a row must ascend")
@@ -215,27 +278,52 @@ def _pieces(grid, last: int) -> list[tuple[float, float, int, int]]:
     return pieces
 
 
-def _row_coefficients(params, steps, tables, shape):
-    """Coefficients of the rows stepping together, for a state of ``shape``.
+class _Grid:
+    """The rows of a pass that step on one tau grid: one set of pieces.
 
-    beta as a (rows, 1, ...) column; alpha^2 / 2 and each row's current
-    step h, h / 2 and h / 6 as complex arrays of ``shape``, each row's
-    value in its row, which multiply the state as that row's Python float
-    would, bit for bit, without broadcasting a column each time; and the
-    V and cross tables as (stages, rows, 1, ...) arrays, zero past a
-    row's end.
+    They share the grid's tau nodes, their snapshots' steps and their
+    knots, so each of those costs one vectorized update for all of them.
+    Holds, per row, beta, the V and cross tables on the stage points and
+    S_n, the sum over the steps m < n of n's piece of V_2m + 4 V_2m+1 +
+    V_2m+2; and the grid's current piece.
     """
-    ones = (1,) * (len(shape) - 1)
-    values = np.array(
-        [(p.beta, 0.5 * p.alpha**2, h, 0.5 * h, h / 6.0) for p, h in zip(params, steps)]
-    )
-    beta, *factors = values.T.reshape((5, len(params)) + ones)
-    factors = [np.broadcast_to(f, shape).astype(complex) for f in factors]
-    stages = np.zeros((2, max(len(rate) for rate, _ in tables), len(params)) + ones)
-    for j, row_tables in enumerate(tables):
-        for table, column in zip(stages, row_tables):
-            table[: len(column), j] = column.reshape((-1,) + ones)
-    return (beta, *factors, *stages)
+
+    def __init__(self, rows, checked):
+        self.rows = rows
+        self.pieces = checked[rows[0]][1]
+        self.last = self.pieces[-1][3]
+        self.piece = 0
+        # Each piece's tau = start + k h / 2, k = 0 .. 2 (end - first),
+        # where a knot ends one piece and starts the next.
+        tau = np.concatenate([
+            start + 0.5 * h * np.arange(2 * (end - first) + (end == self.last))
+            for start, h, first, end in self.pieces
+        ])
+        ps = [checked[row][3] for row in rows]
+        lags = np.array([[checked[row][0]] for row in rows])
+        self.variance = np.array([variance_before_expiry(checked[row][0], tau, checked[row][3])
+                                  for row in rows])
+        beta1, beta2, scale, rho1, rho2 = np.array(
+            [(-p.beta1, -p.beta2, p.alpha * p.sigma, p.rho1, p.R * p.rho2) for p in ps]
+        ).T[:, :, None]
+        distance = lags + tau
+        self.cross = scale * (rho1 * np.exp(beta1 * distance) + rho2 * np.exp(beta2 * distance))
+        self.beta = np.array([p.beta for p in ps])
+        v = self.variance
+        triples = v[:, :-1:2] + 4.0 * v[:, 1::2] + v[:, 2::2]
+        self.simpson = np.zeros((len(rows), self.last + 1))
+        for _, _, first, end in self.pieces:
+            self.simpson[:, first + 1 : end + 1] = np.cumsum(triples[:, first:end], axis=1)
+
+    @property
+    def h(self) -> float:
+        return self.pieces[self.piece][1]
+
+    def keep(self, kept: list[int]) -> None:
+        """Keep only the rows at positions ``kept``."""
+        self.rows = [self.rows[j] for j in kept]
+        for name in ("variance", "cross", "beta", "simpson"):
+            setattr(self, name, getattr(self, name)[kept])
 
 
 def _diverged(out: list, stops, tau: float, step: int, theta: np.ndarray) -> None:
@@ -261,17 +349,20 @@ def integrate_ab_rows(theta, rows):
     [t_k-1, t_k] in its own step count.  The rows advance as one
     (rows, theta) state: each row brings its own V and cross tables on
     its own stage points, one `variance_before_expiry` call each, and its
-    own beta, alpha^2 / 2 and current step (see `_row_coefficients`).  A
-    accumulates piece by piece, so a one-piece row takes the formula and
-    the bits of a uniform step h.  A row leaves the state after its last
-    stop, or at the step where its |B| left the overflow guard, failing
-    its later stops alone.  Every row's snapshots are those of its own
-    `integrate_ab_snapshots` call, bit for bit.
+    own beta, alpha^2 / 2 and current step.  Rows on one tau grid
+    (`_Grid`) share its nodes and take their snapshots and knot updates
+    together.  A accumulates piece by piece, so a one-piece row takes the
+    formula and the bits of a uniform step h.  A row leaves the state
+    after its last stop, or at the step where its |B| left the overflow
+    guard, failing its later stops alone.  Every row's snapshots are
+    those of its own `integrate_ab_snapshots` call, bit for bit.
 
     Returns a list aligned with ``rows``, each entry a list aligned with
     that row's ``stops`` as `integrate_ab_snapshots` returns it.
     """
     theta = np.asarray(theta, dtype=float)
+    # The pass runs on the nodes as a vector; snapshots take their shape.
+    node_shape, theta = theta.shape, theta.ravel()
     checked = []
     for lag, grid, stops, p in rows:
         if lag < 0.0:
@@ -281,150 +372,186 @@ def integrate_ab_rows(theta, rows):
             raise DomainError("stops must be >= 0")
         checked.append((lag, _pieces(grid, max(stops, default=0)), stops, p))
     out = [[None] * len(stops) for _, _, stops, _ in checked]
-    last = [max(stops, default=0) for _, _, stops, _ in checked]
-    # The snapshots due after each step, as (row, index into its stops),
-    # and the rows that pass a knot there.
-    wanted: dict[int, list[tuple[int, int]]] = {}
-    knots: dict[int, list[int]] = {}
+    by_pieces: dict[tuple, list[int]] = {}
     for row, (_, pieces, stops, _) in enumerate(checked):
         for index, n in enumerate(stops):
-            wanted.setdefault(n, []).append((row, index))
-        for *_, end in pieces[:-1]:
-            knots.setdefault(end, []).append(row)
-    for row, index in wanted.pop(0, ()):
-        out[row][index] = tuple(np.zeros(theta.shape, dtype=complex) for _ in "AB")
-
-    # V and the cross term of each row on its stage grid, each piece's
-    # tau = start + k h / 2, k = 0 .. 2 (end - first), where a knot ends
-    # one piece and starts the next; and S_n, the sum over the steps m < n
-    # of n's piece of V_2m + 4 V_2m+1 + V_2m+2.
-    tables, simpson = {}, {}
-    for row, (lag, pieces, _, p) in enumerate(checked):
-        if last[row]:
-            tau = np.concatenate([
-                start + 0.5 * h * np.arange(2 * (end - first) + (end == last[row]))
-                for start, h, first, end in pieces
-            ])
-            variance = variance_before_expiry(lag, tau, p)
-            cross = p.alpha * p.sigma * (
-                p.rho1 * np.exp(-p.beta1 * (lag + tau))
-                + p.R * p.rho2 * np.exp(-p.beta2 * (lag + tau))
-            )
-            tables[row] = variance, cross
-            triples = variance[:-1:2] + 4.0 * variance[1::2] + variance[2::2]
-            sums = np.zeros(last[row] + 1)
-            for _, _, first, end in pieces:
-                sums[first + 1 : end + 1] = np.cumsum(triples[first:end])
-            simpson[row] = sums
+            if n == 0:
+                out[row][index] = tuple(np.zeros(node_shape, dtype=complex) for _ in "AB")
+        if max(stops, default=0):
+            by_pieces.setdefault(tuple(pieces), []).append(row)
+    # Longest pass first, so grids that finish leave from the end.
+    grids = sorted((_Grid(members, checked) for members in by_pieces.values()),
+                   key=lambda grid: -grid.last)
+    # The grids with a snapshot or a knot after each step.
+    events: dict[int, list[_Grid]] = {}
+    for grid in grids:
+        due = {n for row in grid.rows for n in checked[row][2]}
+        due.update(end for *_, end in grid.pieces[:-1])
+        for n in due - {0}:
+            events.setdefault(n, []).append(grid)
     q = -0.5 * (theta**2 + 1j * theta)
-    i_theta = 1j * theta
-    # Each row's piece, and its step there.
-    piece = [0] * len(checked)
-
-    def step_of(row: int) -> float:
-        return checked[row][1][piece[row]][1]
-
-    # Longest pass first, so rows that finish leave from the end.
-    active = sorted(tables, key=lambda row: -last[row])
-    # B = c + V q at the start of each step, and c itself.
-    b_val = np.zeros((len(active),) + theta.shape, dtype=complex)
-    c_val = np.zeros_like(b_val)
-    # The stages' B sum to 6 c + h (D1 + D2 + D3) + (V_0 + 4 V_1 + V_2) q,
-    # so A over n steps of a piece is beta h (sum of c) + beta h^2 / 6
-    # (sum of D1 + D2 + D3) + beta h / 6 S_n q, and A past a knot adds
-    # that of the pieces before it, a_done.
-    c_total = np.zeros_like(b_val)
-    d_total = np.zeros_like(b_val)
+    shape = (sum(len(grid.rows) for grid in grids),) + theta.shape
+    # B = c + V q at the start of each step; c and the stages' E1 + E2 +
+    # E3, E = D h / 2, side by side, so that one addition adds both to
+    # their sums.
+    b_val = np.zeros(shape, dtype=complex)
+    c_and_e = np.zeros((2,) + shape, dtype=complex)
+    # The stages' B sum to 6 c + 2 (E1 + E2 + E3) + (V_0 + 4 V_1 + V_2) q,
+    # so A over n steps of a piece is beta h (sum of c) + beta h / 3 (sum
+    # of E1 + E2 + E3) + beta h / 6 S_n q, and A past a knot adds that of
+    # the pieces before it, a_done.
+    totals = np.zeros_like(c_and_e)
     a_done = np.zeros_like(b_val)
-
-    def a_value(row: int, j: int):
-        """A of ``row``, at ``j`` in the state, after ``step`` steps."""
-        beta_row, h_row = checked[row][3].beta, step_of(row)
-        a_val = (
-            (beta_row * h_row) * c_total[j]
-            + (beta_row * h_row * (h_row / 6.0)) * d_total[j]
-            + (beta_row * (h_row / 6.0) * simpson[row][step]) * q
-        )
-        return a_val + a_done[j] if piece[row] else a_val
-
+    # Steps where some grid passes a knot: no chunk of stage tables, which
+    # carry each row's step, runs past one.
+    knot_steps = sorted({end for grid in grids for *_, end in grid.pieces[:-1]})
     step = 0
-    while active:
-        beta, half_alpha_sq, h, half_h, sixth_h, variance, cross = _row_coefficients(
-            [checked[row][3] for row in active],
-            [step_of(row) for row in active],
-            [tables[row] for row in active],
-            b_val.shape,
+
+    def a_value(grid, rows: slice):
+        """A of ``grid``'s rows, at ``rows`` in the state, after ``step`` steps."""
+        beta, h = grid.beta[:, None], grid.h
+        a_val = (
+            (beta * h) * totals[0, rows]
+            + (beta * (h / 3.0)) * totals[1, rows]
+            + (beta * (h / 6.0) * grid.simpson[:, step, None]) * q
         )
-        d1, d2, d3, b_mid, scratch = (np.empty_like(b_val) for _ in range(5))
+        return a_val + a_done[rows] if grid.piece else a_val
+
+    while grids:
+        # Each grid's rows, as a slice of the state.
+        spans, start = {}, 0
+        for grid in grids:
+            spans[id(grid)] = slice(start, start + len(grid.rows))
+            start += len(grid.rows)
+        ps = [checked[row][3] for grid in grids for row in grid.rows]
+        beta = np.concatenate([grid.beta for grid in grids])
+        # Each row's h / 2, and its alpha^2 h / 4 as an array of the
+        # state's shape, which multiplies it as that row's Python float
+        # would, bit for bit, without broadcasting a column each time.
+        half_alpha_sq = np.array([0.5 * p.alpha**2 for p in ps])
+        half_h = np.empty(len(ps))
+        scaled_alpha_sq = np.empty(shape, dtype=complex)
+
+        def set_steps(grid):
+            rows = spans[id(grid)]
+            half_h[rows] = 0.5 * grid.h
+            scaled_alpha_sq[rows] = (half_alpha_sq[rows] * half_h[rows])[:, None]
+
+        for grid in grids:
+            set_steps(grid)
+        # The V and cross tables as (stages, rows) arrays; a grid's rows
+        # leave the state before its tables end.
+        width = max(grid.variance.shape[1] for grid in grids)
+        variance, cross = (
+            np.concatenate([
+                np.pad(getattr(grid, name), ((0, 0), (0, width - grid.variance.shape[1])))
+                for grid in grids
+            ]).T
+            for name in ("variance", "cross")
+        )
+        c_val, e1 = c_and_e
+        e2, e3, b_mid, c_mid, scratch = (np.empty_like(b_val) for _ in range(5))
+        # The forcing and linear tables of a chunk, written in place.
+        tables = np.empty((2, 2 * _STEPS_PER_CHUNK + 1) + shape, dtype=complex)
+        parts = b_val.view(float)
+        magnitude = np.empty_like(parts)
 
         def stage(b, linear, out):
-            """b (alpha^2 / 2 b + linear) into ``out``."""
-            np.add(np.multiply(half_alpha_sq, b, out=scratch), linear, out=scratch)
+            """E = b (alpha^2 h / 4 b + linear h / 2) into ``out``."""
+            np.add(np.multiply(scaled_alpha_sq, b, out=scratch), linear, out=scratch)
             return np.multiply(b, scratch, out=out)
 
-        exit_step = last[active[-1]]
+        exit_step = grids[-1].last
         leaving: set[int] = set()
         while not leaving:
-            # Every stage's V_k q and linear coefficient i theta cross_k - beta
-            # for the next steps at once.
-            chunk = range(step, min(exit_step, step + _STEPS_PER_CHUNK))
-            stages = slice(2 * chunk.start, 2 * chunk.stop + 1)
-            forcing, linear = variance[stages] * q, i_theta * cross[stages]
-            linear -= beta
-            for k in range(0, 2 * len(chunk), 2):
-                # Every update keeps the operand order of
-                #   D = B (alpha^2 / 2 B + linear), B = c + forcing,
-                #   c_next = c + h / 6 ((D1 + (D2 + D3)) + (D2 + D3) + D4),
-                # written in place into the scratch arrays.
-                stage(b_val, linear[k], out=d1)
-                np.add(c_val, np.multiply(half_h, d1, out=b_mid), out=b_mid)
-                stage(np.add(b_mid, forcing[k + 1], out=b_mid), linear[k + 1], out=d2)
-                np.add(c_val, np.multiply(half_h, d2, out=b_mid), out=b_mid)
-                stage(np.add(b_mid, forcing[k + 1], out=b_mid), linear[k + 1], out=d3)
-                np.add(c_val, np.multiply(h, d3, out=b_mid), out=b_mid)
-                stage(np.add(b_mid, forcing[k + 2], out=b_mid), linear[k + 2], out=b_mid)
-                d_mid = np.add(d2, d3, out=d2)
-                d_head = np.add(d1, d_mid, out=d1)
-                c_total += c_val
-                d_total += d_head
-                d_sum = np.add(np.add(d_head, d_mid, out=d3), b_mid, out=d3)
-                np.add(c_val, np.multiply(sixth_h, d_sum, out=d3), out=c_val)
+            # Every stage's V_k q and linear coefficient (i theta cross_k -
+            # beta) h / 2 for the next steps at once, up to the next knot,
+            # written as real and imaginary parts: outer products of float
+            # vectors cost a fraction of broadcasting a row column against
+            # complex nodes, and form the same products.
+            stop = min(exit_step, step + _STEPS_PER_CHUNK,
+                       next((n for n in knot_steps if n > step), exit_step))
+            stages = slice(2 * step, 2 * stop + 1)
+            count = stages.stop - stages.start
+            forcing, linear = tables[0, :count], tables[1, :count]
+            np.multiply.outer(variance[stages], q.view(float),
+                              out=forcing.view(float).reshape(count, len(ps), -1))
+            parts_of = linear.view(float).reshape(linear.shape + (2,))
+            parts_of[..., 0] = (-beta * half_h)[:, None]
+            np.multiply.outer(cross[stages] * half_h, theta, out=parts_of[..., 1])
+            for k in range(0, 2 * (stop - step), 2):
+                # E = (h / 2) B (alpha^2 / 2 B + linear); stages 2, 3 and 4
+                # read B = c + forcing_k + E1, E2 and 2 E3 (stages 2 and 3
+                # share c + forcing at the midpoint), and
+                #   c_next = c + ((E1 + (E2 + E3)) + (E2 + E3) + E4) / 3,
+                # all written in place into the scratch arrays.
+                stage(b_val, linear[k], out=e1)
+                np.add(c_val, forcing[k + 1], out=c_mid)
+                stage(np.add(c_mid, e1, out=b_mid), linear[k + 1], out=e2)
+                stage(np.add(c_mid, e2, out=b_mid), linear[k + 1], out=e3)
+                np.add(np.add(c_val, forcing[k + 2], out=b_mid), e3, out=b_mid)
+                stage(np.add(b_mid, e3, out=b_mid), linear[k + 2], out=b_mid)
+                e_mid = np.add(e2, e3, out=e2)
+                np.add(e1, e_mid, out=e1)
+                totals += c_and_e
+                e_sum = np.add(np.add(e1, e_mid, out=e3), b_mid, out=e3)
+                np.add(c_val, np.multiply(e_sum, _THIRD, out=e3), out=c_val)
                 np.add(c_val, forcing[k + 2], out=b_val)
                 step += 1
-                # NaN fails the comparison too.
-                if not np.abs(b_val).max(initial=0.0) <= _B_OVERFLOW:
-                    peaks = np.abs(b_val).reshape(len(active), -1).max(axis=1)
-                    for j, peak in enumerate(peaks.tolist()):
-                        if not peak <= _B_OVERFLOW:
-                            row = active[j]
-                            start, h_row, first, _ = checked[row][1][piece[row]]
-                            tau = start + (step - first) * h_row
-                            leaving.add(j)
-                            _diverged(out[row], checked[row][2], tau, step, theta)
-                for row, index in wanted.get(step, ()):
-                    if out[row][index] is None:
-                        j = active.index(row)
-                        out[row][index] = (a_value(row, j), b_val[j].copy())
-                # A row past a knot folds its piece's A into a_done and
-                # takes the next piece's step.
-                for row in knots.get(step, ()):
-                    if row in active:
-                        j = active.index(row)
-                        a_done[j] = a_value(row, j)
-                        c_total[j] = d_total[j] = 0.0
-                        piece[row] += 1
-                        h_row = step_of(row)
-                        h[j], half_h[j], sixth_h[j] = h_row, 0.5 * h_row, h_row / 6.0
+                # |B| <= 2 max(|Re B|, |Im B|), so only a state past half the
+                # guard needs |B| itself.  NaN fails the comparison too.
+                if not np.abs(parts, out=magnitude).max(initial=0.0) <= 0.5 * _B_OVERFLOW:
+                    peaks = np.abs(b_val).reshape(len(ps), -1).max(axis=1).tolist()
+                    at = 0
+                    for grid in grids:
+                        start, h_row, first, _ = grid.pieces[grid.piece]
+                        for j, row in enumerate(grid.rows):
+                            if not peaks[at + j] <= _B_OVERFLOW:
+                                leaving.add(at + j)
+                                _diverged(out[row], checked[row][2],
+                                          start + (step - first) * h_row, step, theta)
+                        at += len(grid.rows)
+                for grid in events.get(step, ()):
+                    if id(grid) not in spans:
+                        continue
+                    rows = spans[id(grid)]
+                    snapshot = None
+                    for j, row in enumerate(grid.rows):
+                        for index, n in enumerate(checked[row][2]):
+                            if n == step and out[row][index] is None:
+                                if snapshot is None:
+                                    snapshot = a_value(grid, rows), b_val[rows].copy()
+                                out[row][index] = tuple(
+                                    part[j].reshape(node_shape) for part in snapshot)
+                    # Past a knot, the grid folds its piece's A into
+                    # a_done and takes the next piece's step.
+                    if grid.piece + 1 < len(grid.pieces) and grid.pieces[grid.piece][3] == step:
+                        a_done[rows] = a_value(grid, rows)
+                        totals[:, rows] = 0.0
+                        grid.piece += 1
+                        set_steps(grid)
                 if leaving:
                     break
             if step == exit_step:
-                leaving.update(j for j, row in enumerate(active) if last[row] == step)
-        keep = [j for j in range(len(active)) if j not in leaving]
-        active = [active[j] for j in keep]
+                for grid in grids:
+                    if grid.last == step:
+                        rows = spans[id(grid)]
+                        leaving.update(range(rows.start, rows.stop))
+        keep = [j for j in range(len(ps)) if j not in leaving]
+        at, kept_grids = 0, []
+        for grid in grids:
+            mine = [j - at for j in keep if at <= j < at + len(grid.rows)]
+            at += len(grid.rows)
+            if mine:
+                if len(mine) < len(grid.rows):
+                    grid.keep(mine)
+                kept_grids.append(grid)
+        grids = kept_grids
+        shape = (len(keep),) + theta.shape
         # Rows that finish leave from the end, so most exits are a slice.
         kept = slice(len(keep)) if keep == list(range(len(keep))) else keep
-        b_val, c_val = b_val[kept], c_val[kept]
-        c_total, d_total, a_done = c_total[kept], d_total[kept], a_done[kept]
+        b_val, a_done = b_val[kept], a_done[kept]
+        c_and_e, totals = c_and_e[:, kept], totals[:, kept]
     return out
 
 

@@ -24,6 +24,8 @@ import functools
 import hashlib
 import io
 import json
+import os
+import stat
 import sys
 from dataclasses import fields
 
@@ -88,10 +90,18 @@ def _csv_text(header: list[str], rows) -> str:
 
 
 def _write(path: str, text: str) -> str:
-    """Write ``text`` to ``path`` as UTF-8 in one write; its sha256."""
+    """Write ``text`` to ``path`` as UTF-8 in one write; its sha256.
+
+    An existing file is written over in place and then cut to the new
+    length, not truncated first: on ext4 a file truncated to zero starts
+    its writeback on close, which costs more than the write itself.  Only
+    a regular file is cut, so pipes and /dev/stdout work as before.
+    """
     data = text.encode("utf-8")
-    with open(path, "wb") as handle:
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as handle:
         handle.write(data)
+        if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+            handle.truncate()
     return hashlib.sha256(data).hexdigest()
 
 

@@ -106,22 +106,22 @@ class TestObjective:
         quotes = synthesize_quotes(fig1, curves)
         passes, rates = self.count_passes(monkeypatch)
         assert objective(fig1, quotes, curves) <= 1e-11
-        # Expiries 0.5, 1 and 2 read off steps 28, 44 and 68 of one pass on
+        # Expiries 0.5, 1 and 2 read off steps 22, 36 and 53 of one pass on
         # the 176 nodes of the first block, theta <= 60: its tau grid takes
-        # 28, 16 and 24 steps on [0, 0.5], [0.5, 1] and [1, 2].
-        assert passes == [(176, [68])]
-        assert rates == [137]
+        # 22, 14 and 17 steps on [0, 0.5], [0.5, 1] and [1, 2].
+        assert passes == [(176, [53])]
+        assert rates == [107]
 
     def test_one_riccati_pass_for_several_sets(self, fig1, curves, monkeypatch):
         quotes = synthesize_quotes(fig1, curves)
-        # sigma = 0.5 takes 73 steps for 2y, the others 68.
+        # sigma = 0.5 takes 60 steps for 2y, rho = -0.2 52 and fig1 53.
         sets = [replace(fig1, sigma=0.5), fig1, replace(fig1, rho=-0.2)]
         alone = [objective(p, quotes, curves) for p in sets]
         passes, rates = self.count_passes(monkeypatch)
         together = objective(sets, quotes, curves)
         assert [value.hex() for value in together] == [value.hex() for value in alone]
-        assert passes == [(176, [73, 68, 68])]
-        assert rates == [147, 137, 137]
+        assert passes == [(176, [60, 53, 52])]
+        assert rates == [121, 107, 105]
 
     def test_invalid_set_pays_full_penalty_beside_valid_ones(self, fig1, curves):
         quotes = synthesize_quotes(fig1, curves)

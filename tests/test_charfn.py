@@ -225,19 +225,23 @@ class TestIntegrateAb:
         assert charfn_gap(got, converged) <= CONVERGED
 
     def test_default_step_count_floor(self, fig1):
-        # 10 a year without a set, rounded up to 12, and at least 20.
+        # 3 a year without a set, and at least 20 up to 0.1 years, falling
+        # as 20 sqrt(0.1 / t_e) past it.
         assert default_ab_steps(0.01) == 20
-        assert default_ab_steps(1.0) == 20
-        assert default_ab_steps(2.5) == 30
-        # alpha adds 30 a year and stability (theta_top alpha max sigma_F
-        # + beta) / 2: 40 + (60 * 1 * 0.4 sqrt(1.25) + 0.5) / 2 = 53.7 on
-        # fig1 at lag 0.
-        assert default_ab_steps(1.0, fig1, 60.0) == 56
-        assert default_ab_steps(1.0, fig1, 200.0) == 88
-        assert default_ab_steps(1.0, replace(fig1, alpha=0.0), 200.0) == 20
-        assert default_ab_steps(1.0, replace(fig1, alpha=3.0), 200.0) == 236
+        assert default_ab_steps(0.1) == 20
+        assert default_ab_steps(1.0) == 7
+        assert default_ab_steps(2.5) == 8
+        assert default_ab_steps(10.0) == 30
+        # Accuracy 41.22 alpha^1.1 sqrt(t_e sigma) + (3 + 4.5 kappa) t_e:
+        # 26.07 + 5.96 = 32.03 on fig1 at t_e = 1, lag 0; stability
+        # theta_top alpha max sigma_F + beta: 60 * 1 * 0.38987 + 0.5 =
+        # 23.89 at theta_top = 60, and 78.47 at 200.
+        assert default_ab_steps(1.0, fig1, 60.0) == 33
+        assert default_ab_steps(1.0, fig1, 200.0) == 79
+        assert default_ab_steps(1.0, replace(fig1, alpha=0.0), 200.0) == 7
+        assert default_ab_steps(1.0, replace(fig1, alpha=3.0), 200.0) == 235
         # sigma_F decays with the lag, and so does the stability term.
-        assert default_ab_steps(1.0, fig1, 200.0, lag=10.0) < 88
+        assert default_ab_steps(1.0, fig1, 200.0, lag=10.0) < 79
 
 
 class TestSnapshots:

@@ -35,13 +35,13 @@ class TestPriceCommand:
         assert "implied_vol" in out
 
     def test_quadrature_line_reports_what_ran(self, capsys, curves):
-        # The 1y slice stops after the first block (theta <= 60) with 56
+        # The 1y slice stops after the first block (theta <= 60) with 33
         # steps; the 0.1y slice needs a second block, each at the 20-step
         # floor.  The flags default to the pricer's own `QuadratureConfig`.
         q = QuadratureConfig()
         assert run(["price", "--t-e", 1, "--strike", 1]) == 0
         assert (f"quadrature: theta_stop=60 theta_max={q.theta_max:g} "
-                f"nodes_per_panel={q.n_nodes} ode_steps=56" in capsys.readouterr().out)
+                f"nodes_per_panel={q.n_nodes} ode_steps=33" in capsys.readouterr().out)
         assert run(["price", "--t-e", 0.1, "--strike", 1, "--option", "put"]) == 0
         assert (f"quadrature: theta_stop=120 theta_max={q.theta_max:g} "
                 f"nodes_per_panel={q.n_nodes} ode_steps=20+20" in capsys.readouterr().out)
@@ -81,6 +81,19 @@ class TestPriceCommand:
         manifest = json.loads((tmp_path / "price.json.manifest.json").read_text())
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert manifest["outputs"][str(out)] == digest
+
+    def test_shorter_output_over_a_longer_file_leaves_only_its_bytes(self, tmp_path):
+        # Outputs are written over an existing file in place and then cut
+        # to their own length.
+        out = tmp_path / "price.json"
+        manifest = tmp_path / "price.json.manifest.json"
+        out.write_bytes(b"x" * 10_000)
+        manifest.write_bytes(b"y" * 10_000)
+        assert run(["price", "--t-e", 1, "--strike", 1.1, "--out", out]) == 0
+        payload = json.loads(out.read_text())
+        assert {"price", "implied_vol"} <= payload.keys()
+        recorded = json.loads(manifest.read_text())["outputs"][str(out)]
+        assert recorded == hashlib.sha256(out.read_bytes()).hexdigest()
 
 
 class TestTermStructureCommand:

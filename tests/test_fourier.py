@@ -39,8 +39,9 @@ from fwdvol import (
 )
 import fwdvol.pricing
 from fwdvol.charfn import default_ab_steps, integrate_ab_snapshots
-from fwdvol.pricing import _TAIL_TOLERANCE, _theta_grid
+from fwdvol.pricing import _TAIL_TOLERANCE, _implied_vol, _price_and_vega, _theta_grid
 
+from test_calibration import acceptance_start
 from test_charfn import LATE_DIVERGENCE, reference_ab
 from test_model_core import make
 
@@ -253,6 +254,21 @@ class TestImpliedVol:
                 price = black76_price(1.0, K, vol**2 * t_e, 0.97)
                 assert implied_vol(price, 1.0, K, t_e, 0.97) == pytest.approx(vol, rel=1e-13)
 
+    def test_started_inversion_does_not_depend_on_its_start(self):
+        # The calibration starts each quote's iteration from the vol of the
+        # set before; each set's vols must still be those of its own call.
+        for vol in np.linspace(0.1, 1.0, 31):
+            for t_e, K, kind in ((0.5, 0.8, "call"), (1.0, 1.0, "put"), (2.0, 1.4, "call")):
+                price = black76_price(1.0, K, vol**2 * t_e, 0.97, kind)
+                starts = (vol * (1.0 + 1e-6), vol * (1.0 - 1e-9), 0.3, 2.0 * vol, vol / 3.0)
+                got = {_implied_vol(price, 1.0, K, t_e, 0.97, kind, s).hex() for s in starts}
+                assert len(got) == 1
+                assert float.fromhex(got.pop()) == pytest.approx(vol, rel=1e-13)
+                # Its Newton steps price as the public formulas do, bit for bit.
+                assert _price_and_vega(vol, 1.0, K, t_e, 0.97, kind, math.log(1.0 / K),
+                                       math.sqrt(t_e)) == (
+                    price, black76_vega(1.0, K, t_e, vol, 0.97))
+
     def test_intrinsic_price_maps_to_zero_vol(self):
         assert implied_vol(0.3 * 0.95, 1.3, 1.0, 1.0, 0.95) == 0.0
         assert implied_vol(0.0, 1.0, 1.4, 1.0, 1.0) == 0.0
@@ -398,6 +414,16 @@ class TestCallPrices:
         (prices,) = call_prices([(2.0, 2.0, strikes)], curves, p)
         (reference,) = reference_call_prices([(2.0, 2.0, strikes)], curves, p, n_steps=1600)
         assert np.max(np.abs(prices - reference)) <= 1e-9
+
+    def test_too_few_steps_fail_as_nonconvergence(self, curves, fig1, monkeypatch):
+        # Two steps for alpha = 2 at t_e = 0.1 leave |f| far above 1 on
+        # some nodes without tripping the |B| guard; the slice fails alone
+        # instead of overflowing the pricing kernel.
+        monkeypatch.setattr(fwdvol.pricing, "default_ab_steps",
+                            lambda t_e, p, theta_top, lag: [2] * len(t_e))
+        (result,) = price_slices([(0.1, 0.1, [1.0])], curves, replace(fig1, alpha=2.0))
+        assert isinstance(result.prices, NonConvergence)
+        assert "modulus" in str(result.prices)
 
     def test_rejects_bad_slices(self, curves, fig1):
         with pytest.raises(DomainError):
@@ -548,6 +574,34 @@ class TestAgainstFixedGrid:
                                        (ab[0][used], ab[1][used]), T, strikes, curves, p)
             reference = prices_from(terms.sum(axis=0), T, strikes, curves)
             bound = 1e-9 * curves.discount(T) * curves.forward(T)
+            assert np.max(np.abs(result.prices - reference)) <= bound, (t_e, T)
+
+    @pytest.mark.parametrize("case", ["fast_reversion", "sec5_short_lag", "start_row"])
+    def test_step_rule_corners_match_classical_steps(self, curves, fig1, sec5, case):
+        # Where earlier step rules missed: fig1 with beta2 = 10 at alpha =
+        # 0.5 (1.05e-9 at t_e = 0.75) and sec5 at alpha = 2.5, t_e = 0.25,
+        # lag 1 (6.8e-10); and the row of the calibration's start point
+        # (fig1 with each parameter scaled by 0.8 or 1.2), read at 0.5, 1
+        # and 2 years.  Each against one classical pass of 3200 steps a
+        # year on the nodes the pricer used.
+        p, lag, expiries = {
+            "fast_reversion": (replace(fig1, beta2=10.0, alpha=0.5), 0.0, [0.75]),
+            "sec5_short_lag": (replace(sec5, alpha=2.5), 1.0, [0.25]),
+            "start_row": (acceptance_start(fig1), 0.0, [0.5, 1.0, 2.0]),
+        }[case]
+        slices = [(t_e, t_e + lag, np.array([m * curves.forward(t_e + lag) for m in self.STRIKES]))
+                  for t_e in expiries]
+        results = price_slices(slices, curves, p)
+        nodes, weights, _ = _theta_grid(QuadratureConfig())
+        reach = nodes < max(result.theta_stop for result in results)
+        stops = [round(3200 * t_e) for t_e in expiries]
+        passes = reference_ab(nodes[reach], expiries[-1], expiries[-1] + lag, p, stops[-1], stops)
+        for (t_e, T, strikes), result, ab in zip(slices, results, passes):
+            used = nodes[reach] < result.theta_stop
+            terms = weighted_integrand(nodes[reach][used], weights[reach][used],
+                                       (ab[0][used], ab[1][used]), T, strikes, curves, p)
+            reference = prices_from(terms.sum(axis=0), T, strikes, curves)
+            bound = 5.1e-10 * curves.discount(T) * curves.forward(T)
             assert np.max(np.abs(result.prices - reference)) <= bound, (t_e, T)
 
     def test_tail_test_sees_through_cancellation(self, curves, fig1):
