@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, FwdVolError
 from .model import MarketCurves, ModelParams, validate_params
-from .pricing import QuadratureConfig, _implied_vol, _price_sets
+from .pricing import QuadratureConfig, call_prices, implied_vol
 
 __all__ = ["VolQuote", "CalibrationResult", "objective", "fit"]
 
@@ -183,15 +183,8 @@ def _by_slice(quotes: Sequence[VolQuote]) -> list[list[VolQuote]]:
 def _vol_gaps(ps, groups, curves, q=None) -> list[list]:
     """Model minus market vol of each quote, per set in ``ps`` and per
     slice of ``groups``; a slice that could not be priced holds the
-    exception that stopped it.  The valid sets are priced together, as
-    one `call_prices` call would price them.
-
-    Each quote's implied vol starts its Newton iteration from the vol of
-    the set before, where that set priced the quote, and the first set's
-    from the quote's market vol.  ``fit``'s sets are a point and its
-    bumps, 1e-6 apart, so most iterations are saved; the vols do not
-    depend on the start (`pricing._implied_vol`), so each set's gaps are
-    those of its own call."""
+    exception that stopped it.  The valid sets are priced by one
+    `call_prices` call."""
     out: list = [None] * len(ps)
     valid = []
     for i, p in enumerate(ps):
@@ -203,30 +196,24 @@ def _vol_gaps(ps, groups, curves, q=None) -> list[list]:
         valid.append(i)
     if valid:
         slices = [(g[0].t_e, g[0].T, [quote.strike for quote in g]) for g in groups]
-        priced = [[result.prices for result in results]
-                  for results in _price_sets(slices, curves, [ps[i] for i in valid], q)]
+        priced = call_prices(slices, curves, [ps[i] for i in valid], q)
         # F(0, T) and D(T) of each slice, shared by every set.
         curve_values = [(curves.forward(T), curves.discount(T)) for _, T, _ in slices]
-        starts = [[quote.market_vol for quote in g] for g in groups]
         for i, results in zip(valid, priced):
-            out[i] = [_slice_gaps(s, g, prices, F, D, start) for s, g, prices, (F, D), start
-                      in zip(slices, groups, results, curve_values, starts)]
+            out[i] = [_slice_gaps(s, g, prices, F, D)
+                      for s, g, prices, (F, D) in zip(slices, groups, results, curve_values)]
     return out
 
 
-def _slice_gaps(slice_, group, prices, F: float, D: float, starts: list[float]):
+def _slice_gaps(slice_, group, prices, F: float, D: float):
     """One slice's vol gaps from its `call_prices` entry and its forward
-    and discount factor, or the exception.  Each quote's Newton iteration
-    starts from its entry in ``starts``, which then holds its vol."""
+    and discount factor, or the exception."""
     t_e, _, strikes = slice_
     try:
         if isinstance(prices, FwdVolError):
             raise prices
-        gaps = []
-        for k, (K, px, quote) in enumerate(zip(strikes, prices, group)):
-            starts[k] = _implied_vol(float(px), F, K, t_e, D, "call", starts[k])
-            gaps.append(starts[k] - quote.market_vol)
-        return gaps
+        return [implied_vol(float(px), F, K, t_e, D, "call") - quote.market_vol
+                for K, px, quote in zip(strikes, prices, group)]
     except (FwdVolError, ValueError, ArithmeticError) as exc:
         return exc
 

@@ -184,8 +184,11 @@ def _steps(count: float) -> int:
 def _later_steps(a: float, b: float, p: ModelParams | None, theta_top: float, lag: float) -> int:
     """Steps of a row's piece [a, b] past its first expiry (see `default_ab_steps`)."""
     share = _PIECE_SHARE * b**-_PIECE_SHARE_POWER
-    if p is not None:
-        share *= _vol_bound(lag + a, p) / _vol_bound(lag, p)
+    # Far past fast reversion sigma_F^2 underflows to 0; the piece then
+    # keeps the whole share, which never takes fewer steps.
+    bound = _vol_bound(lag, p) if p is not None else 0.0
+    if bound > 0.0:
+        share *= _vol_bound(lag + a, p) / bound
     rate = min(1.0, share) * _accuracy_count(b, p, 0.0) / b
     if p is not None:
         rate = max(rate, _PIECE_STEPS_PER_JACOBIAN * _jacobian(a, p, theta_top))
@@ -209,7 +212,8 @@ def default_ab_steps(t_e, p: ModelParams | None = None, theta_top: float = 0.0, 
     which each is read.  The first piece, [0, t_1], takes the count of t_1
     alone, so a one-expiry row is the pass above.  Each later piece [a, b]
     takes the larger of two rates a year: a share min(1, 0.88 b^-0.28
-    sigma_F(lag + a) / sigma_F(lag)) of the accuracy count of b alone at
+    sigma_F(lag + a) / sigma_F(lag)), or min(1, 0.88 b^-0.28) where
+    sigma_F(lag) underflows to 0, of the accuracy count of b alone at
     lag 0, per year of b, and 0.78 (theta_top alpha max sigma_F + beta)
     with max sigma_F taken over distances >= a.  Both are read as if the
     row were at lag 0: a row at a larger lag has a lower sigma_F, so its

@@ -94,8 +94,13 @@ def _write(path: str, text: str) -> str:
 
     An existing file is written over in place and then cut to the new
     length, not truncated first: on ext4 a file truncated to zero starts
-    its writeback on close, which costs more than the write itself.  Only
-    a regular file is cut, so pipes and /dev/stdout work as before.
+    its writeback on close, which costs more than the write itself.  A
+    rerun into the same ``--out`` overwrites its manifest at least, so
+    each rerun gains.  Only a regular file is cut, so pipes and
+    /dev/stdout work as before.  A process killed between the write and
+    the cut leaves the new bytes followed by old ones, where truncating
+    first left a short file; either way the file no longer matches the
+    sha256 its manifest records.
     """
     data = text.encode("utf-8")
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as handle:

@@ -63,9 +63,6 @@ __all__ = [
 ]
 
 _VOL_BRACKET = (1e-6, 10.0)
-# A settled root this close to its grid point, 2^-31 less 2^-37, is the
-# settled root of any vol within 2^-37 of it (see `_implied_vol`).
-_SETTLED_REACH = math.ldexp(63.0, -37)
 # 10-wide panels per block of the theta grid, and their width.  At the
 # presets' alpha every slice with t_e >= 0.25 stops after the first block
 # (theta <= 60); each further block costs one more Riccati pass.
@@ -187,7 +184,7 @@ def black76_vega(F: float, K: float, t_e: float, vol: float, D: float) -> float:
 def implied_vol(price: float, F: float, K: float, t_e: float, D: float, kind: str = "call") -> float:
     """Black-76 implied volatility of a European option price.
 
-    Newton iteration from 0.3 with a maintained bisection bracket on
+    Newton iteration with a maintained bisection bracket on
     [1e-6, 10]; prices at the lower no-arbitrage bound return 0.
 
     Raises
@@ -195,24 +192,6 @@ def implied_vol(price: float, F: float, K: float, t_e: float, D: float, kind: st
     NoArbitrageViolation
         If the price lies outside the static bounds for this option, or
         needs a volatility beyond the bracket.
-    """
-    return _implied_vol(price, F, K, t_e, D, kind)
-
-
-def _implied_vol(price: float, F: float, K: float, t_e: float, D: float, kind: str,
-                 start: float | None = None) -> float:
-    """`implied_vol`, or, given ``start``, one whose Newton iteration
-    starts there (from 0.3 where ``start`` lies outside the bracket) and
-    whose result does not depend on the start.
-
-    A Newton iteration's last bits depend on where it started.  So the
-    vol it settles on is rounded to a multiple of 2^-30 and the root is
-    one more Newton step from there, which lands within rounding of it
-    (the step's error is about the square of 2^-31).  Two starts give
-    the same bits unless their settled vols straddle a rounding
-    midpoint, some 1e-16 / 1e-9 of the time, or vega is so small (deep in
-    the money) that the price's own rounding moves the vol by more than
-    that.
     """
     if F <= 0.0 or K <= 0.0 or D <= 0.0 or t_e <= 0.0:
         raise DomainError("implied_vol requires F, K, D, t_e > 0")
@@ -231,48 +210,23 @@ def _implied_vol(price: float, F: float, K: float, t_e: float, D: float, kind: s
         return 0.0
 
     lo, hi = _VOL_BRACKET
-    warm = start is not None and lo < start < hi
-    if warm:
-        # A vol well inside the bracket brackets the price between the
-        # bracket's own prices, so those need no pricing.  From a start
-        # next to the root, as a set's bumps give, one Newton step lands
-        # so near it that the settling step is already the full
-        # iteration's: the grid point it starts from is the root's
-        # nearest, with room for the iteration's own error.
-        model, vega = _price_and_vega(start, F, K, t_e, D, kind, math.log(F / K), math.sqrt(t_e))
-        if vega > 1e-14:
-            grid, root = _settled(price, F, K, t_e, D, kind, start - (model - price) / vega)
-            if root is not None and abs(root - grid) < _SETTLED_REACH and 2.0 * lo < root < 0.5 * hi:
-                return root
-        vol = _newton_vol(price, F, K, t_e, D, kind, tol, start)
-        if vol is not None and 2.0 * lo < vol < 0.5 * hi:
-            return _settled_vol(price, F, K, t_e, D, kind, vol)
-    if price <= black76_price(F, K, lo * lo * t_e, D, kind):
+    price_lo = black76_price(F, K, lo * lo * t_e, D, kind)
+    price_hi = black76_price(F, K, hi * hi * t_e, D, kind)
+    if price <= price_lo:
         return lo
-    if price >= black76_price(F, K, hi * hi * t_e, D, kind):
+    if price >= price_hi:
         raise NoArbitrageViolation(
             f"price {price} needs implied volatility above {hi}"
         )
-    vol = _newton_vol(price, F, K, t_e, D, kind, tol, start if warm else 0.3)
-    if vol is None:
-        raise NoArbitrageViolation(f"implied volatility iteration failed for price {price}")
-    return vol if start is None else _settled_vol(price, F, K, t_e, D, kind, vol)
-
-
-def _newton_vol(price: float, F: float, K: float, t_e: float, D: float, kind: str,
-                tol: float, vol: float) -> float | None:
-    """Newton iteration for the vol of ``price`` from ``vol``, kept inside
-    a bisection bracket on [1e-6, 10]; None if it has not settled after
-    200 steps."""
-    lo, hi = _VOL_BRACKET
-    log_moneyness, sqrt_t = math.log(F / K), math.sqrt(t_e)
+    vol = 0.3
     for _ in range(200):
-        model, vega = _price_and_vega(vol, F, K, t_e, D, kind, log_moneyness, sqrt_t)
+        model = black76_price(F, K, vol * vol * t_e, D, kind)
         diff = model - price
         if diff > 0.0:
             hi = vol
         else:
             lo = vol
+        vega = black76_vega(F, K, t_e, vol, D)
         if vega > 1e-14:
             candidate = vol - diff / vega
         else:
@@ -288,45 +242,7 @@ def _newton_vol(price: float, F: float, K: float, t_e: float, D: float, kind: st
         if hi - lo <= 1e-13 * max(1.0, hi):
             return float(candidate)
         vol = candidate
-    return None
-
-
-def _price_and_vega(vol: float, F: float, K: float, t_e: float, D: float, kind: str,
-                    log_moneyness: float, sqrt_t: float) -> tuple[float, float]:
-    """`black76_price` at vol > 0 and `black76_vega`, bit for bit, with
-    log(F / K) and sqrt(t_e) computed once by the caller."""
-    s = math.sqrt(vol * vol * t_e)
-    d1 = log_moneyness / s + 0.5 * s
-    d2 = d1 - s
-    if kind == "call":
-        model = D * (F * _norm_cdf(d1) - K * _norm_cdf(d2))
-    else:
-        model = D * (K * _norm_cdf(-d2) - F * _norm_cdf(-d1))
-    s = vol * sqrt_t
-    d1 = log_moneyness / s + 0.5 * s
-    return model, D * F * sqrt_t * _INV_SQRT_2PI * math.exp(-0.5 * d1 * d1)
-
-
-def _settled(price: float, F: float, K: float, t_e: float, D: float, kind: str,
-             vol: float) -> tuple[float, float | None]:
-    """``vol`` rounded to a multiple of 2^-30, and the Newton step to
-    ``price`` from there (see `_implied_vol`), or None where vega vanishes
-    at it."""
-    grid = math.ldexp(round(math.ldexp(vol, 30)), -30)
-    if not grid > 0.0:
-        return grid, None
-    model, vega = _price_and_vega(grid, F, K, t_e, D, kind, math.log(F / K), math.sqrt(t_e))
-    if not vega > 1e-14:
-        return grid, None
-    return grid, grid - (model - price) / vega
-
-
-def _settled_vol(price: float, F: float, K: float, t_e: float, D: float, kind: str,
-                 vol: float) -> float:
-    """The settled root from a converged ``vol``, or ``vol`` itself where
-    vega vanishes at its grid point."""
-    _, root = _settled(price, F, K, t_e, D, kind, vol)
-    return float(vol) if root is None else root
+    raise NoArbitrageViolation(f"implied volatility iteration failed for price {price}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -400,29 +316,22 @@ def price_slices(
     `QuadratureConfig`), or with `QuadratureTailError` when it still fails
     at ``q.theta_max``, or with `NonConvergence` if B diverged before its
     expiry or its characteristic function's modulus passed 1, which only
-    too few steps for its set can bring about.  Each price is clamped to its static no-arbitrage band
-    [D max(F - K, 0), D F]; the clamp only ever absorbs quadrature residue
-    of the order of the tail tolerance.  Every set is checked by
-    `validate_params` before the first pass, so an invalid one raises
-    `InvalidModelParams` instead of overflowing the Riccati system.
+    too few steps for its set can bring about.  Each price is clamped to
+    its static no-arbitrage band [D max(F - K, 0), D F]; the clamp only
+    ever absorbs quadrature residue of the order of the tail tolerance.
+    Every set is checked by `validate_params` before the first pass, so
+    an invalid one raises `InvalidModelParams` instead of overflowing the
+    Riccati system.
 
     Returns a list of `SliceResult` aligned with ``slices``, or for a
     sequence of sets one such list per set, each equal to that set's own
     call; a failure stops its own slice alone.
     """
+    q = q or QuadratureConfig()
     stacked = not isinstance(p, ModelParams)
     ps = tuple(p) if stacked else (p,)
     for p_i in ps:
         validate_params(p_i)
-    out = _price_sets(slices, curves, ps, q)
-    return out if stacked else out[0]
-
-
-def _price_sets(slices, curves: MarketCurves, ps: Sequence[ModelParams],
-                q: QuadratureConfig | None = None) -> list:
-    """`price_slices` of the sets ``ps``, one list per set, without
-    validating them again."""
-    q = q or QuadratureConfig()
     thetas, weights, blocks = _theta_grid(q)
     slices = [(t_e, T, np.asarray(strikes, dtype=float)) for t_e, T, strikes in slices]
     for t_e, T, strikes in slices:
@@ -498,7 +407,7 @@ def _price_sets(slices, curves: MarketCurves, ps: Sequence[ModelParams],
                     else:
                         continue
                 out[i][index] = SliceResult(result, theta_top, tuple(steps[i][index]))
-    return out
+    return out if stacked else out[0]
 
 
 def _prices_from_integral(strikes, integral, F: float, D: float) -> np.ndarray:

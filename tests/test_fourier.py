@@ -39,7 +39,7 @@ from fwdvol import (
 )
 import fwdvol.pricing
 from fwdvol.charfn import default_ab_steps, integrate_ab_snapshots
-from fwdvol.pricing import _TAIL_TOLERANCE, _implied_vol, _price_and_vega, _theta_grid
+from fwdvol.pricing import _TAIL_TOLERANCE, _theta_grid
 
 from test_calibration import acceptance_start
 from test_charfn import LATE_DIVERGENCE, reference_ab
@@ -254,21 +254,6 @@ class TestImpliedVol:
                 price = black76_price(1.0, K, vol**2 * t_e, 0.97)
                 assert implied_vol(price, 1.0, K, t_e, 0.97) == pytest.approx(vol, rel=1e-13)
 
-    def test_started_inversion_does_not_depend_on_its_start(self):
-        # The calibration starts each quote's iteration from the vol of the
-        # set before; each set's vols must still be those of its own call.
-        for vol in np.linspace(0.1, 1.0, 31):
-            for t_e, K, kind in ((0.5, 0.8, "call"), (1.0, 1.0, "put"), (2.0, 1.4, "call")):
-                price = black76_price(1.0, K, vol**2 * t_e, 0.97, kind)
-                starts = (vol * (1.0 + 1e-6), vol * (1.0 - 1e-9), 0.3, 2.0 * vol, vol / 3.0)
-                got = {_implied_vol(price, 1.0, K, t_e, 0.97, kind, s).hex() for s in starts}
-                assert len(got) == 1
-                assert float.fromhex(got.pop()) == pytest.approx(vol, rel=1e-13)
-                # Its Newton steps price as the public formulas do, bit for bit.
-                assert _price_and_vega(vol, 1.0, K, t_e, 0.97, kind, math.log(1.0 / K),
-                                       math.sqrt(t_e)) == (
-                    price, black76_vega(1.0, K, t_e, vol, 0.97))
-
     def test_intrinsic_price_maps_to_zero_vol(self):
         assert implied_vol(0.3 * 0.95, 1.3, 1.0, 1.0, 0.95) == 0.0
         assert implied_vol(0.0, 1.0, 1.4, 1.0, 1.0) == 0.0
@@ -414,6 +399,20 @@ class TestCallPrices:
         (prices,) = call_prices([(2.0, 2.0, strikes)], curves, p)
         (reference,) = reference_call_prices([(2.0, 2.0, strikes)], curves, p, n_steps=1600)
         assert np.max(np.abs(prices - reference)) <= 1e-9
+
+    def test_row_past_an_underflowed_vol_prices_slice_by_slice(self, curves, fig1):
+        # beta1 = beta2 = 40 at lag 10: sigma_F^2 underflows to 0 over the
+        # whole row, so its later piece keeps its whole step share.  With
+        # no variance left neither slice's tail closes, and each fails
+        # alone, as a one-expiry row of the same set does.
+        p = replace(fig1, beta1=40.0, beta2=40.0)
+        slices = [(1.0, 11.0, [1.0]), (2.0, 12.0, [1.0])]
+        row = price_slices(slices, curves, p)
+        assert [result.steps[0] for result in row] == default_ab_steps([1.0, 2.0], p, 60.0, 10.0)
+        for result, slice_ in zip(row, slices):
+            assert isinstance(result.prices, QuadratureTailError)
+            (alone,) = price_slices([slice_], curves, p)
+            assert isinstance(alone.prices, QuadratureTailError)
 
     def test_too_few_steps_fail_as_nonconvergence(self, curves, fig1, monkeypatch):
         # Two steps for alpha = 2 at t_e = 0.1 leave |f| far above 1 on
