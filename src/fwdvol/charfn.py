@@ -285,15 +285,17 @@ def _pieces(grid, last: int) -> list[tuple[float, float, int, int]]:
 class _Grid:
     """The rows of a pass that step on one tau grid: one set of pieces.
 
-    They share the grid's tau nodes, their snapshots' steps and their
-    knots, so each of those costs one vectorized update for all of them.
-    Holds, per row, beta, the V and cross tables on the stage points and
-    S_n, the sum over the steps m < n of n's piece of V_2m + 4 V_2m+1 +
-    V_2m+2; and the grid's current piece.
+    They sit side by side in the state, at ``span``, and share the grid's
+    tau nodes, their snapshots' steps and their knots, so each of those
+    costs one vectorized update for all of them.  Holds, per row, beta,
+    the V and cross tables on the stage points and S_n, the sum over the
+    steps m < n of n's piece of V_2m + 4 V_2m+1 + V_2m+2; and the grid's
+    current piece.
     """
 
-    def __init__(self, rows, checked):
+    def __init__(self, rows, checked, at: int):
         self.rows = rows
+        self.span = slice(at, at + len(rows))
         self.pieces = checked[rows[0]][1]
         self.last = self.pieces[-1][3]
         self.piece = 0
@@ -323,12 +325,6 @@ class _Grid:
     def h(self) -> float:
         return self.pieces[self.piece][1]
 
-    def keep(self, kept: list[int]) -> None:
-        """Keep only the rows at positions ``kept``."""
-        self.rows = [self.rows[j] for j in kept]
-        for name in ("variance", "cross", "beta", "simpson"):
-            setattr(self, name, getattr(self, name)[kept])
-
 
 def _diverged(out: list, stops, tau: float, step: int, theta: np.ndarray) -> None:
     """Fail every snapshot at or past ``step``, where |B| left the
@@ -351,15 +347,18 @@ def integrate_ab_rows(theta, rows):
     a step h, or knots (tau_k, n_k), which cut the row into pieces of
     equal steps: a row read at several expiries t_k takes each piece
     [t_k-1, t_k] in its own step count.  The rows advance as one
-    (rows, theta) state: each row brings its own V and cross tables on
-    its own stage points, one `variance_before_expiry` call each, and its
-    own beta, alpha^2 / 2 and current step.  Rows on one tau grid
-    (`_Grid`) share its nodes and take their snapshots and knot updates
-    together.  A accumulates piece by piece, so a one-piece row takes the
-    formula and the bits of a uniform step h.  A row leaves the state
-    after its last stop, or at the step where its |B| left the overflow
-    guard, failing its later stops alone.  Every row's snapshots are
-    those of its own `integrate_ab_snapshots` call, bit for bit.
+    (rows, theta) state, built once and stepped to the longest grid's
+    end: each row brings its own V and cross tables on its own stage
+    points, one `variance_before_expiry` call each, and its own beta,
+    alpha^2 / 2 and current step.  Rows on one tau grid (`_Grid`) share
+    its nodes and take their snapshots and knot updates together.  A
+    accumulates piece by piece, so a one-piece row takes the formula and
+    the bits of a uniform step h.  A row is parked once its grid has
+    passed its last stop, or at the step where its |B| left the overflow
+    guard, failing its later stops alone: its c, E and B are set to 0 and
+    its V to 0 for the rest of the pass, so its B stays exactly 0 whatever
+    step its grid takes.  Every row's snapshots are those of its own
+    `integrate_ab_snapshots` call, bit for bit.
 
     Returns a list aligned with ``rows``, each entry a list aligned with
     that row's ``stops`` as `integrate_ab_snapshots` returns it.
@@ -383,9 +382,13 @@ def integrate_ab_rows(theta, rows):
                 out[row][index] = tuple(np.zeros(node_shape, dtype=complex) for _ in "AB")
         if max(stops, default=0):
             by_pieces.setdefault(tuple(pieces), []).append(row)
-    # Longest pass first, so grids that finish leave from the end.
-    grids = sorted((_Grid(members, checked) for members in by_pieces.values()),
-                   key=lambda grid: -grid.last)
+    grids, at = [], 0
+    for members in by_pieces.values():
+        grids.append(_Grid(members, checked, at))
+        at += len(members)
+    if not grids:
+        return out
+    last = max(grid.last for grid in grids)
     # The grids with a snapshot or a knot after each step.
     events: dict[int, list[_Grid]] = {}
     for grid in grids:
@@ -394,7 +397,8 @@ def integrate_ab_rows(theta, rows):
         for n in due - {0}:
             events.setdefault(n, []).append(grid)
     q = -0.5 * (theta**2 + 1j * theta)
-    shape = (sum(len(grid.rows) for grid in grids),) + theta.shape
+    ps = [checked[row][3] for grid in grids for row in grid.rows]
+    shape = (len(ps),) + theta.shape
     # B = c + V q at the start of each step; c and the stages' E1 + E2 +
     # E3, E = D h / 2, side by side, so that one addition adds both to
     # their sums.
@@ -409,11 +413,41 @@ def integrate_ab_rows(theta, rows):
     # Steps where some grid passes a knot: no chunk of stage tables, which
     # carry each row's step, runs past one.
     knot_steps = sorted({end for grid in grids for *_, end in grid.pieces[:-1]})
+    beta = np.concatenate([grid.beta for grid in grids])
+    # Each row's h / 2, and its alpha^2 h / 4 as an array of the state's
+    # shape, which multiplies it as that row's Python float would, bit for
+    # bit, without broadcasting a column each time.
+    half_alpha_sq = np.array([0.5 * p.alpha**2 for p in ps])
+    half_h = np.empty(len(ps))
+    scaled_alpha_sq = np.empty(shape, dtype=complex)
+
+    def set_steps(grid):
+        rows = grid.span
+        half_h[rows] = 0.5 * grid.h
+        scaled_alpha_sq[rows] = (half_alpha_sq[rows] * half_h[rows])[:, None]
+
+    for grid in grids:
+        set_steps(grid)
+    # The V and cross tables as (stages, rows) arrays, zero past each
+    # grid's end.
+    variance, cross = (
+        np.concatenate([
+            np.pad(getattr(grid, name), ((0, 0), (0, 2 * (last - grid.last))))
+            for grid in grids
+        ]).T
+        for name in ("variance", "cross")
+    )
+    c_val, e1 = c_and_e
+    e2, e3, b_mid, c_mid, scratch = (np.empty_like(b_val) for _ in range(5))
+    # The forcing and linear tables of a chunk, written in place.
+    tables = np.empty((2, 2 * _STEPS_PER_CHUNK + 1) + shape, dtype=complex)
+    parts = b_val.view(float)
+    magnitude = np.empty_like(parts)
     step = 0
 
-    def a_value(grid, rows: slice):
-        """A of ``grid``'s rows, at ``rows`` in the state, after ``step`` steps."""
-        beta, h = grid.beta[:, None], grid.h
+    def a_value(grid):
+        """A of ``grid``'s rows after ``step`` steps."""
+        rows, beta, h = grid.span, grid.beta[:, None], grid.h
         a_val = (
             (beta * h) * totals[0, rows]
             + (beta * (h / 3.0)) * totals[1, rows]
@@ -421,141 +455,84 @@ def integrate_ab_rows(theta, rows):
         )
         return a_val + a_done[rows] if grid.piece else a_val
 
-    while grids:
-        # Each grid's rows, as a slice of the state.
-        spans, start = {}, 0
-        for grid in grids:
-            spans[id(grid)] = slice(start, start + len(grid.rows))
-            start += len(grid.rows)
-        ps = [checked[row][3] for grid in grids for row in grid.rows]
-        beta = np.concatenate([grid.beta for grid in grids])
-        # Each row's h / 2, and its alpha^2 h / 4 as an array of the
-        # state's shape, which multiplies it as that row's Python float
-        # would, bit for bit, without broadcasting a column each time.
-        half_alpha_sq = np.array([0.5 * p.alpha**2 for p in ps])
-        half_h = np.empty(len(ps))
-        scaled_alpha_sq = np.empty(shape, dtype=complex)
+    def stage(b, linear, out):
+        """E = b (alpha^2 h / 4 b + linear h / 2) into ``out``."""
+        np.add(np.multiply(scaled_alpha_sq, b, out=scratch), linear, out=scratch)
+        return np.multiply(b, scratch, out=out)
 
-        def set_steps(grid):
-            rows = spans[id(grid)]
-            half_h[rows] = 0.5 * grid.h
-            scaled_alpha_sq[rows] = (half_alpha_sq[rows] * half_h[rows])[:, None]
+    def park(rows):
+        """Hold ``rows`` at B = 0 for the rest of the pass: with c, E and
+        V at 0 every stage reads B = 0."""
+        for array in (b_val, a_done, c_and_e[0], c_and_e[1], totals[0], totals[1]):
+            array[rows] = 0.0
+        variance[2 * step :, rows] = 0.0
+        tables[0, :, rows] = 0.0
 
-        for grid in grids:
-            set_steps(grid)
-        # The V and cross tables as (stages, rows) arrays; a grid's rows
-        # leave the state before its tables end.
-        width = max(grid.variance.shape[1] for grid in grids)
-        variance, cross = (
-            np.concatenate([
-                np.pad(getattr(grid, name), ((0, 0), (0, width - grid.variance.shape[1])))
-                for grid in grids
-            ]).T
-            for name in ("variance", "cross")
-        )
-        c_val, e1 = c_and_e
-        e2, e3, b_mid, c_mid, scratch = (np.empty_like(b_val) for _ in range(5))
-        # The forcing and linear tables of a chunk, written in place.
-        tables = np.empty((2, 2 * _STEPS_PER_CHUNK + 1) + shape, dtype=complex)
-        parts = b_val.view(float)
-        magnitude = np.empty_like(parts)
-
-        def stage(b, linear, out):
-            """E = b (alpha^2 h / 4 b + linear h / 2) into ``out``."""
-            np.add(np.multiply(scaled_alpha_sq, b, out=scratch), linear, out=scratch)
-            return np.multiply(b, scratch, out=out)
-
-        exit_step = grids[-1].last
-        leaving: set[int] = set()
-        while not leaving:
-            # Every stage's V_k q and linear coefficient (i theta cross_k -
-            # beta) h / 2 for the next steps at once, up to the next knot,
-            # written as real and imaginary parts: outer products of float
-            # vectors cost a fraction of broadcasting a row column against
-            # complex nodes, and form the same products.
-            stop = min(exit_step, step + _STEPS_PER_CHUNK,
-                       next((n for n in knot_steps if n > step), exit_step))
-            stages = slice(2 * step, 2 * stop + 1)
-            count = stages.stop - stages.start
-            forcing, linear = tables[0, :count], tables[1, :count]
-            np.multiply.outer(variance[stages], q.view(float),
-                              out=forcing.view(float).reshape(count, len(ps), -1))
-            parts_of = linear.view(float).reshape(linear.shape + (2,))
-            parts_of[..., 0] = (-beta * half_h)[:, None]
-            np.multiply.outer(cross[stages] * half_h, theta, out=parts_of[..., 1])
-            for k in range(0, 2 * (stop - step), 2):
-                # E = (h / 2) B (alpha^2 / 2 B + linear); stages 2, 3 and 4
-                # read B = c + forcing_k + E1, E2 and 2 E3 (stages 2 and 3
-                # share c + forcing at the midpoint), and
-                #   c_next = c + ((E1 + (E2 + E3)) + (E2 + E3) + E4) / 3,
-                # all written in place into the scratch arrays.
-                stage(b_val, linear[k], out=e1)
-                np.add(c_val, forcing[k + 1], out=c_mid)
-                stage(np.add(c_mid, e1, out=b_mid), linear[k + 1], out=e2)
-                stage(np.add(c_mid, e2, out=b_mid), linear[k + 1], out=e3)
-                np.add(np.add(c_val, forcing[k + 2], out=b_mid), e3, out=b_mid)
-                stage(np.add(b_mid, e3, out=b_mid), linear[k + 2], out=b_mid)
-                e_mid = np.add(e2, e3, out=e2)
-                np.add(e1, e_mid, out=e1)
-                totals += c_and_e
-                e_sum = np.add(np.add(e1, e_mid, out=e3), b_mid, out=e3)
-                np.add(c_val, np.multiply(e_sum, _THIRD, out=e3), out=c_val)
-                np.add(c_val, forcing[k + 2], out=b_val)
-                step += 1
-                # |B| <= 2 max(|Re B|, |Im B|), so only a state past half the
-                # guard needs |B| itself.  NaN fails the comparison too.
-                if not np.abs(parts, out=magnitude).max(initial=0.0) <= 0.5 * _B_OVERFLOW:
-                    peaks = np.abs(b_val).reshape(len(ps), -1).max(axis=1).tolist()
-                    at = 0
-                    for grid in grids:
-                        start, h_row, first, _ = grid.pieces[grid.piece]
-                        for j, row in enumerate(grid.rows):
-                            if not peaks[at + j] <= _B_OVERFLOW:
-                                leaving.add(at + j)
-                                _diverged(out[row], checked[row][2],
-                                          start + (step - first) * h_row, step, theta)
-                        at += len(grid.rows)
-                for grid in events.get(step, ()):
-                    if id(grid) not in spans:
-                        continue
-                    rows = spans[id(grid)]
-                    snapshot = None
-                    for j, row in enumerate(grid.rows):
-                        for index, n in enumerate(checked[row][2]):
-                            if n == step and out[row][index] is None:
-                                if snapshot is None:
-                                    snapshot = a_value(grid, rows), b_val[rows].copy()
-                                out[row][index] = tuple(
-                                    part[j].reshape(node_shape) for part in snapshot)
-                    # Past a knot, the grid folds its piece's A into
-                    # a_done and takes the next piece's step.
-                    if grid.piece + 1 < len(grid.pieces) and grid.pieces[grid.piece][3] == step:
-                        a_done[rows] = a_value(grid, rows)
-                        totals[:, rows] = 0.0
-                        grid.piece += 1
-                        set_steps(grid)
-                if leaving:
-                    break
-            if step == exit_step:
+    while step < last:
+        # Every stage's V_k q and linear coefficient (i theta cross_k -
+        # beta) h / 2 for the next steps at once, up to the next knot,
+        # written as real and imaginary parts: outer products of float
+        # vectors cost a fraction of broadcasting a row column against
+        # complex nodes, and form the same products.
+        stop = min(last, step + _STEPS_PER_CHUNK, next((n for n in knot_steps if n > step), last))
+        stages = slice(2 * step, 2 * stop + 1)
+        count = stages.stop - stages.start
+        forcing, linear = tables[0, :count], tables[1, :count]
+        np.multiply.outer(variance[stages], q.view(float),
+                          out=forcing.view(float).reshape(count, len(ps), -1))
+        parts_of = linear.view(float).reshape(linear.shape + (2,))
+        parts_of[..., 0] = (-beta * half_h)[:, None]
+        np.multiply.outer(cross[stages] * half_h, theta, out=parts_of[..., 1])
+        for k in range(0, 2 * (stop - step), 2):
+            # E = (h / 2) B (alpha^2 / 2 B + linear); stages 2, 3 and 4
+            # read B = c + forcing_k + E1, E2 and 2 E3 (stages 2 and 3
+            # share c + forcing at the midpoint), and
+            #   c_next = c + ((E1 + (E2 + E3)) + (E2 + E3) + E4) / 3,
+            # all written in place into the scratch arrays.
+            stage(b_val, linear[k], out=e1)
+            np.add(c_val, forcing[k + 1], out=c_mid)
+            stage(np.add(c_mid, e1, out=b_mid), linear[k + 1], out=e2)
+            stage(np.add(c_mid, e2, out=b_mid), linear[k + 1], out=e3)
+            np.add(np.add(c_val, forcing[k + 2], out=b_mid), e3, out=b_mid)
+            stage(np.add(b_mid, e3, out=b_mid), linear[k + 2], out=b_mid)
+            e_mid = np.add(e2, e3, out=e2)
+            np.add(e1, e_mid, out=e1)
+            totals += c_and_e
+            e_sum = np.add(np.add(e1, e_mid, out=e3), b_mid, out=e3)
+            np.add(c_val, np.multiply(e_sum, _THIRD, out=e3), out=c_val)
+            np.add(c_val, forcing[k + 2], out=b_val)
+            step += 1
+            # |B| <= 2 max(|Re B|, |Im B|), so only a state past half the
+            # guard needs |B| itself.  NaN fails the comparison too.
+            if not np.abs(parts, out=magnitude).max(initial=0.0) <= 0.5 * _B_OVERFLOW:
+                peaks = np.abs(b_val).reshape(len(ps), -1).max(axis=1).tolist()
                 for grid in grids:
-                    if grid.last == step:
-                        rows = spans[id(grid)]
-                        leaving.update(range(rows.start, rows.stop))
-        keep = [j for j in range(len(ps)) if j not in leaving]
-        at, kept_grids = 0, []
-        for grid in grids:
-            mine = [j - at for j in keep if at <= j < at + len(grid.rows)]
-            at += len(grid.rows)
-            if mine:
-                if len(mine) < len(grid.rows):
-                    grid.keep(mine)
-                kept_grids.append(grid)
-        grids = kept_grids
-        shape = (len(keep),) + theta.shape
-        # Rows that finish leave from the end, so most exits are a slice.
-        kept = slice(len(keep)) if keep == list(range(len(keep))) else keep
-        b_val, a_done = b_val[kept], a_done[kept]
-        c_and_e, totals = c_and_e[:, kept], totals[:, kept]
+                    start, h_row, first, _ = grid.pieces[grid.piece]
+                    for j, row in enumerate(grid.rows, grid.span.start):
+                        if not peaks[j] <= _B_OVERFLOW:
+                            _diverged(out[row], checked[row][2],
+                                      start + (step - first) * h_row, step, theta)
+                            park(j)
+            for grid in events.get(step, ()):
+                rows = grid.span
+                snapshot = None
+                for j, row in enumerate(grid.rows):
+                    for index, n in enumerate(checked[row][2]):
+                        if n == step and out[row][index] is None:
+                            if snapshot is None:
+                                snapshot = a_value(grid), b_val[rows].copy()
+                            out[row][index] = tuple(
+                                part[j].reshape(node_shape) for part in snapshot)
+                # Past a knot, the grid folds its piece's A into a_done
+                # and takes the next piece's step; past its last stop,
+                # its rows are parked.
+                if grid.piece + 1 < len(grid.pieces) and grid.pieces[grid.piece][3] == step:
+                    a_done[rows] = a_value(grid)
+                    totals[:, rows] = 0.0
+                    grid.piece += 1
+                    set_steps(grid)
+                elif step == grid.last < last:
+                    park(rows)
     return out
 
 

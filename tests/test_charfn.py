@@ -275,8 +275,10 @@ class TestSnapshots:
         assert np.all(np.isfinite(b_val))
 
     def test_rows_equal_their_one_row_passes(self, fig1, sec5):
-        # Rows of every length, lag, step and set, one of which diverges
-        # at tau = 1.65 while the others carry on past it.
+        # Rows of every length, lag, step and set, two of which diverge at
+        # tau = 1.65 while the others carry on past it: the knotted one
+        # takes knots at steps 340 and 800 after it diverged, and runs the
+        # pass to step 1000.  The last row stops 969 steps before that.
         thetas = DIVERGENCE_THETAS
         rows = [
             (0.0, 0.005, [100, 400], fig1),
@@ -285,6 +287,9 @@ class TestSnapshots:
             (0.0, 0.01, [0], fig1),
             (0.3, 0.002, [3, 1], replace(sec5, alpha=2.0)),
             (0.0, 0.004, [500], fig1),
+            (0.0, [(1.0, 200), (1.7, 340), (4.0, 800), (5.0, 1000)], [200, 340, 800, 1000],
+             replace(fig1, **LATE_DIVERGENCE)),
+            (0.5, [(0.1, 10), (0.31, 31)], [10, 31], sec5),
         ]
 
         def exact(snapshot):
@@ -294,9 +299,35 @@ class TestSnapshots:
 
         together = integrate_ab_rows(thetas, rows)
         assert isinstance(together[1][2], NonConvergence)
+        assert [isinstance(s, NonConvergence) for s in together[6]] == [False, True, True, True]
         for row, snapshots in zip(rows, together, strict=True):
             alone = integrate_ab_snapshots(thetas, *row)
             assert list(map(exact, snapshots)) == list(map(exact, alone))
+
+    def test_parked_rows_stay_at_zero(self, fig1, monkeypatch):
+        # A row is held at B = 0 once it diverged or passed its last stop,
+        # so the guard trips once, at the divergence, and never again: not
+        # for the diverged row as it takes later knots, nor for the row
+        # whose steps (h |J| about 3.9 at theta = 200, outside RK4's
+        # stability interval) would diverge at step 4 if it stepped on.
+        import fwdvol.charfn as charfn
+
+        steps = []
+
+        def counting(out, stops, tau, step, theta):
+            steps.append(step)
+            return diverged(out, stops, tau, step, theta)
+
+        diverged = charfn._diverged
+        monkeypatch.setattr(charfn, "_diverged", counting)
+        rows = [
+            (0.0, 0.05, [2], fig1),
+            (0.0, [(1.0, 200), (1.7, 340), (4.0, 800), (5.0, 1000)], [200, 1000],
+             replace(fig1, **LATE_DIVERGENCE)),
+        ]
+        (coarse,), _ = integrate_ab_rows(DIVERGENCE_THETAS, rows)
+        assert steps == [330]
+        assert np.all(np.isfinite(coarse[1]))
 
     @pytest.mark.parametrize("preset", ["fig1", "sec5"])
     @pytest.mark.parametrize("lag", [0.0, 1.0])
