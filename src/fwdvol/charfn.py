@@ -77,14 +77,17 @@ _THIRD = complex(1.0 / 3.0)
 # single slice within 5e-10 D F of a 3200-steps-a-year pass on the first
 # theta block (4e-10 on the second), for fig1, sec5, fig1 with beta2 = 10
 # and two calibration starts (fig1 scaled by 0.8-1.2) at alpha 0.5 to 3,
-# expiries 0.1-10 and lags 0 and 1.
+# expiries 0.1-10 and lags 0 and 1; with the decay term weighed by the
+# sigma_F left at the lag, one lag-1 slice reads 5.08e-10 (fig1 with
+# beta2 = 10, alpha = 0.5, t_e = 2, one step fewer).
 _ACCURACY = 41.22
 _ACCURACY_ALPHA_POWER = 1.1
 # Steps a year that follow the decay of sigma_F: a base rate plus a rate
 # per unit of the decay rate of sigma_F^2 at the pass's distance to
-# settlement (`_decay_rate`).  A pass takes equal steps, so one whose
-# sigma_F changes fast near its expiry (fig1 with beta2 = 10 at lag 0
-# needs 18 more steps a year than fig1) pays for it over its whole length.
+# settlement (`_decay_rate`), weighed by the share of sigma_F left there.
+# A pass takes equal steps, so one whose sigma_F changes fast near its
+# expiry (fig1 with beta2 = 10 at lag 0 needs 18 more steps a year than
+# fig1) pays for it over its whole length.
 _DECAY_STEPS_PER_YEAR = 3.0
 _DECAY_STEPS_PER_RATE = 4.5
 # Steps a year per unit of the Jacobian bound: h |J| <= 1 for a pass from
@@ -171,7 +174,11 @@ def _accuracy_count(t_e: float, p: ModelParams | None, lag: float) -> float:
     decay = _DECAY_STEPS_PER_YEAR * t_e
     if p is None:
         return decay
-    decay += _DECAY_STEPS_PER_RATE * _decay_rate(lag, p) * t_e
+    # Only the sigma_F left past the lag has a decay to follow: 1 at lag 0,
+    # and the whole term where sigma_F vanishes at every distance.
+    top = _vol_bound(0.0, p)
+    left = _vol_bound(lag, p) / top if top > 0.0 else 1.0
+    decay += _DECAY_STEPS_PER_RATE * left * _decay_rate(lag, p) * t_e
     alpha_power = p.alpha * abs(p.alpha) ** (_ACCURACY_ALPHA_POWER - 1.0)
     return _ACCURACY * alpha_power * math.sqrt(t_e * p.sigma) + decay
 
@@ -199,10 +206,11 @@ def default_ab_steps(t_e, p: ModelParams | None = None, theta_top: float = 0.0, 
     """RK4 step count for an expiry of t_e years on nodes up to ``theta_top``.
 
     The larger of an accuracy count, 41.22 alpha^1.1 sqrt(t_e sigma) +
-    (3 + 4.5 kappa) t_e with kappa the decay rate of sigma_F^2 at
-    distance ``lag`` (`_decay_rate`), and a stability count,
-    (theta_top alpha max sigma_F + beta) t_e with max sigma_F the supremum
-    over distances to settlement >= ``lag`` (`_vol_bound`), rounded up.
+    (3 + 4.5 s kappa) t_e, and a stability count, (theta_top alpha max
+    sigma_F + beta) t_e, rounded up: kappa is the decay rate of sigma_F^2
+    at distance ``lag`` (`_decay_rate`), max sigma_F the supremum over
+    distances to settlement >= ``lag`` (`_vol_bound`), and s its ratio to
+    the supremum over all distances, the share of sigma_F left at ``lag``.
     No count falls below 20 up to t_e = 0.1, nor below 20 sqrt(0.1 / t_e)
     past it.  Without ``p`` only 3 t_e and the floor apply.
 

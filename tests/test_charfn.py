@@ -242,6 +242,12 @@ class TestIntegrateAb:
         assert default_ab_steps(1.0, replace(fig1, alpha=3.0), 200.0) == 235
         # sigma_F decays with the lag, and so does the stability term.
         assert default_ab_steps(1.0, fig1, 200.0, lag=10.0) < 79
+        # Fast reversion (kappa = 80) adds its steps at lag 0, but hardly
+        # any past lag 1, where less than 1.7e-18 of sigma_F is left.
+        fast = replace(fig1, beta1=40.0, beta2=40.0)
+        assert default_ab_steps(1.0, fast, 60.0) == 390
+        assert default_ab_steps(1.0, fast, 60.0, lag=1.0) <= 56
+        assert default_ab_steps(1.0, fast, 60.0, lag=10.0) <= 56
 
 
 class TestSnapshots:
