@@ -365,8 +365,10 @@ def integrate_ab_rows(theta, rows):
     passed its last stop, or at the step where its |B| left the overflow
     guard, failing its later stops alone: its c, E and B are set to 0 and
     its V to 0 for the rest of the pass, so its B stays exactly 0 whatever
-    step its grid takes.  Every row's snapshots are those of its own
-    `integrate_ab_snapshots` call, bit for bit.
+    step its grid takes.  The longest grids lead the state, so each chunk
+    of steps runs on the leading rows whose grids have a stop ahead.
+    Every row's snapshots are those of its own `integrate_ab_snapshots`
+    call, bit for bit.
 
     Returns a list aligned with ``rows``, each entry a list aligned with
     that row's ``stops`` as `integrate_ab_snapshots` returns it.
@@ -390,8 +392,9 @@ def integrate_ab_rows(theta, rows):
                 out[row][index] = tuple(np.zeros(node_shape, dtype=complex) for _ in "AB")
         if max(stops, default=0):
             by_pieces.setdefault(tuple(pieces), []).append(row)
+    # Longest grid first, so that the rows still to step lead the state.
     grids, at = [], 0
-    for members in by_pieces.values():
+    for members in sorted(by_pieces.values(), key=lambda rows: -max(checked[rows[0]][2])):
         grids.append(_Grid(members, checked, at))
         at += len(members)
     if not grids:
@@ -445,12 +448,12 @@ def integrate_ab_rows(theta, rows):
         ]).T
         for name in ("variance", "cross")
     )
-    c_val, e1 = c_and_e
-    e2, e3, b_mid, c_mid, scratch = (np.empty_like(b_val) for _ in range(5))
+    # Scratch for E2, E3, a stage's B, c + forcing at the midpoint and the
+    # factor of E.
+    scratch = np.empty((5,) + shape, dtype=complex)
     # The forcing and linear tables of a chunk, written in place.
     tables = np.empty((2, 2 * _STEPS_PER_CHUNK + 1) + shape, dtype=complex)
-    parts = b_val.view(float)
-    magnitude = np.empty_like(parts)
+    magnitude = np.empty(b_val.view(float).shape)
     step = 0
 
     def a_value(grid):
@@ -465,18 +468,26 @@ def integrate_ab_rows(theta, rows):
 
     def stage(b, linear, out):
         """E = b (alpha^2 h / 4 b + linear h / 2) into ``out``."""
-        np.add(np.multiply(scaled_alpha_sq, b, out=scratch), linear, out=scratch)
-        return np.multiply(b, scratch, out=out)
+        np.add(np.multiply(scaled, b, out=work), linear, out=work)
+        return np.multiply(b, work, out=out)
 
     def park(rows):
         """Hold ``rows`` at B = 0 for the rest of the pass: with c, E and
-        V at 0 every stage reads B = 0."""
+        V at 0 every stage reads B = 0.  A's sums go to 0 too, so that no
+        overflowed value of a diverged row reaches its grid's later A."""
         for array in (b_val, a_done, c_and_e[0], c_and_e[1], totals[0], totals[1]):
             array[rows] = 0.0
         variance[2 * step :, rows] = 0.0
         tables[0, :, rows] = 0.0
 
     while step < last:
+        # A chunk steps the rows of the grids with a stop ahead, which lead
+        # the state; the parked rows of finished grids past them are left
+        # as they are.
+        live = slice(max(grid.span.stop for grid in grids if grid.last > step))
+        b, c_e, sums = b_val[live], c_and_e[:, live], totals[:, live]
+        (c, e1), (e2, e3, b_mid, c_mid, work) = c_e, scratch[:, live]
+        scaled, size = scaled_alpha_sq[live], magnitude[live]
         # Every stage's V_k q and linear coefficient (i theta cross_k -
         # beta) h / 2 for the next steps at once, up to the next knot,
         # written as real and imaginary parts: outer products of float
@@ -485,34 +496,33 @@ def integrate_ab_rows(theta, rows):
         stop = min(last, step + _STEPS_PER_CHUNK, next((n for n in knot_steps if n > step), last))
         stages = slice(2 * step, 2 * stop + 1)
         count = stages.stop - stages.start
-        forcing, linear = tables[0, :count], tables[1, :count]
-        np.multiply.outer(variance[stages], q.view(float),
-                          out=forcing.view(float).reshape(count, len(ps), -1))
+        forcing, linear = tables[0, :count, live], tables[1, :count, live]
+        np.multiply.outer(variance[stages, live], q.view(float), out=forcing.view(float))
         parts_of = linear.view(float).reshape(linear.shape + (2,))
-        parts_of[..., 0] = (-beta * half_h)[:, None]
-        np.multiply.outer(cross[stages] * half_h, theta, out=parts_of[..., 1])
+        parts_of[..., 0] = (-beta * half_h)[live, None]
+        np.multiply.outer(cross[stages, live] * half_h[live], theta, out=parts_of[..., 1])
         for k in range(0, 2 * (stop - step), 2):
             # E = (h / 2) B (alpha^2 / 2 B + linear); stages 2, 3 and 4
             # read B = c + forcing_k + E1, E2 and 2 E3 (stages 2 and 3
             # share c + forcing at the midpoint), and
             #   c_next = c + ((E1 + (E2 + E3)) + (E2 + E3) + E4) / 3,
             # all written in place into the scratch arrays.
-            stage(b_val, linear[k], out=e1)
-            np.add(c_val, forcing[k + 1], out=c_mid)
+            stage(b, linear[k], out=e1)
+            np.add(c, forcing[k + 1], out=c_mid)
             stage(np.add(c_mid, e1, out=b_mid), linear[k + 1], out=e2)
             stage(np.add(c_mid, e2, out=b_mid), linear[k + 1], out=e3)
-            np.add(np.add(c_val, forcing[k + 2], out=b_mid), e3, out=b_mid)
+            np.add(np.add(c, forcing[k + 2], out=b_mid), e3, out=b_mid)
             stage(np.add(b_mid, e3, out=b_mid), linear[k + 2], out=b_mid)
             e_mid = np.add(e2, e3, out=e2)
             np.add(e1, e_mid, out=e1)
-            totals += c_and_e
+            sums += c_e
             e_sum = np.add(np.add(e1, e_mid, out=e3), b_mid, out=e3)
-            np.add(c_val, np.multiply(e_sum, _THIRD, out=e3), out=c_val)
-            np.add(c_val, forcing[k + 2], out=b_val)
+            np.add(c, np.multiply(e_sum, _THIRD, out=e3), out=c)
+            np.add(c, forcing[k + 2], out=b)
             step += 1
             # |B| <= 2 max(|Re B|, |Im B|), so only a state past half the
             # guard needs |B| itself.  NaN fails the comparison too.
-            if not np.abs(parts, out=magnitude).max(initial=0.0) <= 0.5 * _B_OVERFLOW:
+            if not np.abs(b.view(float), out=size).max(initial=0.0) <= 0.5 * _B_OVERFLOW:
                 peaks = np.abs(b_val).reshape(len(ps), -1).max(axis=1).tolist()
                 for grid in grids:
                     start, h_row, first, _ = grid.pieces[grid.piece]
