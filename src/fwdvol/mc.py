@@ -14,14 +14,15 @@ worker counts, and growing the path count never reshuffles earlier paths.
 A block draws each step's (3, 8192) normals as it takes the step, which
 continues one stream, and evolves every parameter set on them as one
 stacked state, (set, path) arrays that each array operation of the Euler
-step updates for all sets at once; sets with equal correlation factors
-share one correlated draw.  A study over several parameter sets so pays
-for the normals, and for the per-step overhead, once.  The costly
-path-independent coefficients, k(t, T) per observation and each step's
-exact variance-rate integrals, are tabulated once per grid before the
-workers start.  Each block reconstructs the forwards its caller observes
-as it passes their nodes and writes them into one shared (parameter set,
-observation, path) array; no path state outlives its block.
+step updates for all sets at once.  The sets of one call share their
+shock correlations, and so the block's one correlated draw per step; a
+study over several parameter sets pays for the normals, and for the
+per-step overhead, once.  The costly path-independent coefficients,
+k(t, T) per observation and each step's exact variance-rate integrals,
+are tabulated once per grid before the workers start.  Each block
+reconstructs the forwards its caller observes as it passes their nodes
+and writes them into one shared (parameter set, observation, path)
+array; no path state outlives its block.
 """
 
 from __future__ import annotations
@@ -29,14 +30,13 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .driftfactor import drift_factor
-from .errors import DomainError, MissingSettlement
+from .errors import DomainError, MissingSettlement, NumericalError
 from .model import (
     MarketCurves,
     ModelParams,
@@ -167,8 +167,8 @@ def evolve_step(
     (see `PathState`), which then takes the step for every set at once,
     each with its own coefficients.  ``normals`` holds the three
     already-correlated standard normals for the step, shape
-    (3, n_paths), shared by every set; a stacked step also takes one
-    triple per set, shape (sets, 3, n_paths).  The variance factor keeps
+    (3, n_paths); the sets of a stacked step share their shock
+    correlations, and so this one draw.  The variance factor keeps
     its signed value; the floored value enters every coefficient,
     including the drift accumulators.  The state's exact drift rows, if
     it carries any, each add the floored v times the step's exact
@@ -203,11 +203,10 @@ def evolve_step(
     shape = v_raw.shape
     if shape[:1] != (len(ps),):
         raise DomainError("a stacked state needs one row per parameter set")
-    # Normals shared by every set, or with a leading set axis, one
-    # triple per set; either way one (3, sets, n_paths) view.
-    shocks = z.swapaxes(0, 1) if z.ndim > len(shape) else z[:, None]
-    if shocks.shape[0] != 3:
-        raise DomainError("normals must have leading dimension 3")
+    if z.shape != (3, shape[-1]):
+        raise DomainError("normals must have shape (3, n_paths), shared by every set")
+    # One (3, 1, n_paths) view that every set's row reads.
+    shocks = z[:, None]
     t = state.t
     # Settlements ascend, so the rows still accruing (T > t) are a suffix.
     first = bisect.bisect_right(state.settlements, t)
@@ -447,22 +446,21 @@ def _simulate_forwards(
 ) -> np.ndarray:
     """Forwards at each (node, T, mode) observation for every set in ``ps``.
 
-    Each block draws its normals once and evolves every parameter set on
-    them as one stacked state, so entry i of the result equals a separate
-    run of ``ps[i]``.  The state carries an exact drift row for each
-    settlement an exact observation reads, and no other.  Returns an
-    array of shape (len(ps), len(observations), n_paths); an empty
-    ``ps`` draws nothing.
+    The sets must share their shock correlations (rho, rho1, rho2).  Each
+    block draws and correlates its normals once per step and evolves
+    every parameter set on them as one stacked state, so entry i of the
+    result equals a separate run of ``ps[i]``.  The state carries an
+    exact drift row for each settlement an exact observation reads, and
+    no other.  Returns an array of shape (len(ps), len(observations),
+    n_paths); an empty ``ps`` draws nothing.
     """
     ps = tuple(ps)
     out = np.empty((len(ps), len(observations), cfg.n_paths))
     if not ps:
         return out
-    transforms = [factorize_correlation(p) for p in ps]
-    # Sets with equal Cholesky factors share one correlated draw per step.
-    keys = [matrix.tobytes() for matrix in transforms]
-    by_set = [keys.index(key) for key in keys]
-    distinct = sorted(set(by_set))
+    if len({(p.rho, p.rho1, p.rho2) for p in ps}) > 1:
+        raise DomainError("stacked parameter sets must share rho, rho1 and rho2")
+    transform = factorize_correlation(ps[0])
     settlements = tuple(sorted({float(T) for _, T, mode in observations
                                 if mode == "exact_per_T"}))
     at_node: dict[int, list[int]] = {}
@@ -519,14 +517,13 @@ def _simulate_forwards(
             # continue the stream one (n_steps, 3, base) draw would give.
             draw = rng.standard_normal((3, base))
             z = draw[:, pairs] * signs if cfg.antithetic else draw[:, :n_cols]
-            correlated = {g: transforms[g] @ z for g in distinct}
-            normals = (correlated[0] if len(distinct) == 1
-                       else np.stack([correlated[g] for g in by_set]))
-            state = evolve_step(state, dt, normals, ps, rates=rates[n])
+            state = evolve_step(state, dt, transform @ z, ps, rates=rates[n])
             observe(n + 1)
 
     n_blocks = -(-cfg.n_paths // _BLOCK)
     if cfg.threads > 1 and n_blocks > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             list(pool.map(run, range(n_blocks)))
     else:
@@ -622,6 +619,9 @@ def drift_error_study(
     times D / vega, taken over pair means under antithetic sampling.
     The forward stderr is a sample value; at alphas where E[F^2]
     explodes before t_e it has no finite target and estimates nothing.
+    A strike whose exact-mode vol is 0, as when no path ends above it,
+    or whose vega underflows, has no vol stderr and raises
+    `NumericalError`.
     """
     params, forwards = _study_forwards(alphas, cfg, curves, p_base)
     return _study_rows(params, forwards, cfg, curves)
@@ -674,12 +674,18 @@ def _study_rows(
             pay_a, _ = _mean_se(np.maximum(f_approx - K, 0.0), cfg.antithetic)
             vol_e = implied_vol(D * pay_e, mean_e, K, t_e, D)
             vol_a = implied_vol(D * pay_a, mean_a, K, t_e, D)
+            if vol_e <= 0.0:
+                raise NumericalError(f"alpha={p.alpha:g}: the exact-mode payoff at K={K:.6g} "
+                                     f"averages {pay_e:.3g} over {cfg.n_paths} paths, so its "
+                                     f"implied vol is 0 and has no stderr")
             # dC/dF = N(d1): vol_e moves with the mean of pay - N(d1) F.
             s = vol_e * math.sqrt(t_e)
             d1 = math.log(mean_e / K) / s + 0.5 * s
             delta = 0.5 * math.erfc(-d1 / math.sqrt(2.0))
             _, se_resid = _mean_se(payoff_e - delta * f_exact, cfg.antithetic)
             vega = black76_vega(mean_e, K, t_e, vol_e, D)
+            if not vega > 0.0:
+                raise NumericalError(f"alpha={p.alpha:g}: vega at K={K:.6g} underflows to 0")
             vol_cols[label] = (
                 (vol_a - vol_e) * 100.0,
                 D * se_resid / vega * 100.0,

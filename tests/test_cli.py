@@ -4,8 +4,10 @@ reproducibility of emitted files."""
 import csv
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -163,6 +165,13 @@ class TestDriftStudyCommand:
                            "atm_vol_err_pct", "atm_vol_stderr_pct",
                            "otm_vol_err_pct", "otm_vol_stderr_pct"]
         assert abs(float(rows[1][1])) <= 1e-8
+
+    def test_zero_payoff_sample_exits_3(self, capsys):
+        # At t_e = 0.01 every path's 1.4 F payoff is 0: no vol to back out.
+        assert run(["drift-study", "--t-e", 0.01, "--T", 2, "--paths", 2000]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: alpha=0: ")
+        assert "K=1.4 averages 0 over 2000 paths" in err
 
 
 class TestKTableCommand:
@@ -332,6 +341,14 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert "drift-study" in proc.stdout
+
+    def test_import_leaves_the_thread_pool_out(self):
+        # Only a multi-threaded simulation loads concurrent.futures.
+        code = "import sys, fwdvol; print('concurrent.futures' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert proc.stdout.strip() == "False"
 
     def test_unknown_preset_is_input_error(self):
         assert run(["price", "--t-e", 1, "--strike", 1, "--preset", "zzz"]) == 2

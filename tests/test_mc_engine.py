@@ -15,6 +15,7 @@ from fwdvol import (
     InvalidModelParams,
     McConfig,
     MissingSettlement,
+    NumericalError,
     OptionSpec,
     PayoffSpec,
     call_price,
@@ -285,13 +286,13 @@ class TestEvolveStep:
             assert np.all(getattr(state, name) != before[name]), name
 
     def test_stacked_step_matches_each_set(self):
-        # Two sets that differ in every coefficient, each with its own
-        # normals and no rate table, against single-set steps, bit for
-        # bit; the stacked arrays are updated in place.
+        # Two sets that differ in every coefficient, on the same normals
+        # and no rate table, against single-set steps, bit for bit; the
+        # stacked arrays are updated in place.
         ps = (make(), make(**DISTINCT_KW))
         settlements = (0.3, 2.0)
         rng = np.random.default_rng(5)
-        normals = rng.standard_normal((6, 2, 3, 4))
+        normals = rng.standard_normal((6, 3, 4))
         single = [initial_state(4, settlements) for _ in ps]
         rows = (len(ps), 4)
         stacked = PathState(t=0.0, u1=np.zeros(rows), u2=np.zeros(rows), v_raw=np.ones(rows),
@@ -300,12 +301,21 @@ class TestEvolveStep:
         u1 = stacked.u1
         for z in normals:
             stacked = evolve_step(stacked, 0.1, z, ps)
-            single = [evolve_step(s, 0.1, zi, p) for s, zi, p in zip(single, z, ps)]
+            single = [evolve_step(s, 0.1, z, p) for s, p in zip(single, ps)]
         assert stacked.u1 is u1
         for i, state in enumerate(single):
             for name in ("u1", "u2", "v_raw", "int_w", "exact_drift"):
                 got = getattr(stacked, name)[i]
                 assert got.tobytes() == getattr(state, name).tobytes(), name
+
+    def test_rejects_per_set_normals(self):
+        # The sets of a stacked step share one (3, n_paths) draw.
+        ps = (make(), make(alpha=2.0))
+        rows = (len(ps), 4)
+        stacked = PathState(t=0.0, u1=np.zeros(rows), u2=np.zeros(rows), v_raw=np.ones(rows),
+                            int_w=np.zeros(rows))
+        with pytest.raises(DomainError, match="shared by every set"):
+            evolve_step(stacked, 0.1, np.zeros((len(ps), 3, 4)), ps)
 
     def test_variance_never_negative_in_coefficients(self):
         # Drive v far below zero; the truncated view must floor at 0.
@@ -546,10 +556,11 @@ class TestStackedSets:
     set's forwards must still be those of that set run alone."""
 
     FAMILIES = {
-        # No two sets share a field, so none shares a correlation factor.
-        "distinct": (make(), make(**DISTINCT_KW),
-                     make(sigma=0.25, beta1=0.05, beta2=0.6, R=-0.4, rho=-0.5, beta=0.0,
-                          alpha=2.0, rho1=0.5, rho2=-0.1)),
+        # No two sets share a field but the shock correlations, which
+        # the sets of one simulation share; these keep fig1's.
+        "distinct": (make(), make(**{k: v for k, v in DISTINCT_KW.items()
+                                     if k not in ("rho", "rho1", "rho2")}),
+                     make(sigma=0.25, beta1=0.05, beta2=0.6, R=-0.4, beta=0.0, alpha=2.0)),
         # The drift study: only alpha varies, so every set shares one
         # correlated draw per step.
         "study": tuple(make5(alpha=a) for a in (0.0, 1.0, 2.0, 3.0)),
@@ -579,6 +590,16 @@ class TestStackedSets:
             (alone,) = _simulate_forwards(replace(cfg, threads=1), curves, (p,), times,
                                           observations)
             assert hex_bits(stacked[i]) == hex_bits(alone), f"set {i}"
+
+    def test_sets_must_share_their_shock_correlations(self, curves, monkeypatch):
+        import fwdvol.mc as mc
+
+        built = []
+        monkeypatch.setattr(mc, "_block_philox", lambda *args: built.append(args))
+        cfg, times, observations = self.strip_setup("approximate")
+        with pytest.raises(DomainError, match="rho1"):
+            _simulate_forwards(cfg, curves, (make(), make(rho1=0.4)), times, observations)
+        assert built == []
 
     @pytest.mark.parametrize("n_paths", [5_000, 20_000])
     @pytest.mark.parametrize("threads", [1, 2])
@@ -735,6 +756,14 @@ class TestDriftErrorStudy:
         first, second = drift_error_study((1.0, 1.0), cfg, curves, make5())
         assert first == second
         assert sorted(built) == [0, 1]
+
+    def test_zero_payoff_sample_is_a_numerical_error(self, curves):
+        # At t_e = 0.01 no path of 2,000 reaches the 1.4 F strike, so the
+        # exact-mode vol there is 0 and its delta-method stderr divides
+        # by it.
+        cfg = small_cfg(n_paths=2_000, n_steps=20, horizon=0.01, exact_settlements=(2.0,))
+        with pytest.raises(NumericalError, match=r"alpha=0: .* K=1\.4 averages 0 "):
+            drift_error_study((0.0,), cfg, curves, make5())
 
     def test_requires_single_settlement(self, curves):
         cfg = small_cfg(exact_settlements=(1.5, 2.0))
