@@ -46,6 +46,7 @@ Jacobian at its start allows.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 
@@ -162,25 +163,26 @@ def _decay_rate(lag: float, p: ModelParams) -> float:
     return sum(w * c for w, c in weights) / sum(w for w, _ in weights)
 
 
-def _jacobian(lag: float, p: ModelParams, theta_top: float) -> float:
+def _jacobian(lag: float, p: ModelParams, theta_top: float, vol) -> float:
     """Bound of the Riccati Jacobian's modulus on nodes up to ``theta_top``
-    at distances to settlement >= ``lag``: theta alpha sigma_F + beta."""
-    return theta_top * p.alpha * _vol_bound(lag, p) + p.beta
+    at distances to settlement >= ``lag``: theta alpha sigma_F + beta.
+    ``vol`` is `_vol_bound` of ``p`` (see `default_ab_steps`)."""
+    return theta_top * p.alpha * vol(lag) + p.beta
 
 
-def _accuracy_count(t_e: float, p: ModelParams | None, lag: float) -> float:
+def _accuracy_count(t_e: float, p: ModelParams | None, lag: float, vol, decay) -> float:
     """Steps that a pass from tau = 0 to t_e needs for accuracy, before
     rounding up (see `default_ab_steps`)."""
-    decay = _DECAY_STEPS_PER_YEAR * t_e
+    count = _DECAY_STEPS_PER_YEAR * t_e
     if p is None:
-        return decay
+        return count
     # Only the sigma_F left past the lag has a decay to follow: 1 at lag 0,
     # and the whole term where sigma_F vanishes at every distance.
-    top = _vol_bound(0.0, p)
-    left = _vol_bound(lag, p) / top if top > 0.0 else 1.0
-    decay += _DECAY_STEPS_PER_RATE * left * _decay_rate(lag, p) * t_e
+    top = vol(0.0)
+    left = vol(lag) / top if top > 0.0 else 1.0
+    count += _DECAY_STEPS_PER_RATE * left * decay(lag) * t_e
     alpha_power = p.alpha * abs(p.alpha) ** (_ACCURACY_ALPHA_POWER - 1.0)
-    return _ACCURACY * alpha_power * math.sqrt(t_e * p.sigma) + decay
+    return _ACCURACY * alpha_power * math.sqrt(t_e * p.sigma) + count
 
 
 def _steps(count: float) -> int:
@@ -188,17 +190,27 @@ def _steps(count: float) -> int:
     return math.ceil(round(count, 9))
 
 
-def _later_steps(a: float, b: float, p: ModelParams | None, theta_top: float, lag: float) -> int:
+def _first_steps(t_e: float, p: ModelParams | None, theta_top: float, lag: float, vol, decay) -> int:
+    """Steps of a pass to t_e alone, or of a row's first piece (see `default_ab_steps`)."""
+    count = _accuracy_count(t_e, p, lag, vol, decay)
+    if p is not None:
+        count = max(count, _STEPS_PER_JACOBIAN * _jacobian(lag, p, theta_top, vol) * t_e)
+    floor = _MIN_STEPS * math.sqrt(_FLOOR_EXPIRY / max(t_e, _FLOOR_EXPIRY))
+    return max(_steps(floor), _steps(count))
+
+
+def _later_steps(a: float, b: float, p: ModelParams | None, theta_top: float, lag: float,
+                 vol, decay) -> int:
     """Steps of a row's piece [a, b] past its first expiry (see `default_ab_steps`)."""
     share = _PIECE_SHARE * b**-_PIECE_SHARE_POWER
     # Far past fast reversion sigma_F^2 underflows to 0; the piece then
     # keeps the whole share, which never takes fewer steps.
-    bound = _vol_bound(lag, p) if p is not None else 0.0
+    bound = vol(lag) if p is not None else 0.0
     if bound > 0.0:
-        share *= _vol_bound(lag + a, p) / bound
-    rate = min(1.0, share) * _accuracy_count(b, p, 0.0) / b
+        share *= vol(lag + a) / bound
+    rate = min(1.0, share) * _accuracy_count(b, p, 0.0, vol, decay) / b
     if p is not None:
-        rate = max(rate, _PIECE_STEPS_PER_JACOBIAN * _jacobian(a, p, theta_top))
+        rate = max(rate, _PIECE_STEPS_PER_JACOBIAN * _jacobian(a, p, theta_top, vol))
     return max(1, _steps((b - a) * rate))
 
 
@@ -229,17 +241,19 @@ def default_ab_steps(t_e, p: ModelParams | None = None, theta_top: float = 0.0, 
     calibration quotes' row (0.5, 1 and 2 years, theta <= 60) fig1 takes
     22 + 14 + 17 = 53 steps.
     """
+    vol = decay = None
+    if p is not None:
+        # A row reads the same sigma_F bounds and decay rates for several
+        # pieces; each distinct one is computed once per call.
+        vol = functools.cache(functools.partial(_vol_bound, p=p))
+        decay = functools.cache(functools.partial(_decay_rate, p=p))
     if np.ndim(t_e) == 0:
-        count = _accuracy_count(t_e, p, lag)
-        if p is not None:
-            count = max(count, _STEPS_PER_JACOBIAN * _jacobian(lag, p, theta_top) * t_e)
-        floor = _MIN_STEPS * math.sqrt(_FLOOR_EXPIRY / max(t_e, _FLOOR_EXPIRY))
-        return max(_steps(floor), _steps(count))
-    counts = [default_ab_steps(t_e[0], p, theta_top, lag)]
+        return _first_steps(t_e, p, theta_top, lag, vol, decay)
+    counts = [_first_steps(t_e[0], p, theta_top, lag, vol, decay)]
     for a, b in zip(t_e, t_e[1:]):
         if not b > a:
             raise DomainError("expiries of a row must ascend")
-        counts.append(counts[-1] + _later_steps(a, b, p, theta_top, lag))
+        counts.append(counts[-1] + _later_steps(a, b, p, theta_top, lag, vol, decay))
     return counts
 
 

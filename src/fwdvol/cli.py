@@ -151,11 +151,12 @@ def _price(args, p, curves):
     print(f"{style} {spec.kind} t_e={spec.t_e} T={spec.T} K={spec.strike}")
     print(f"price = {value!r}")
     print(f"implied_vol = {vol!r}")
-    # What the pricer used: where this slice's theta integral stopped, and
-    # the RK4 steps of each block pass.
+    # What the pricer used: where this slice's theta integral stopped, the
+    # theta nodes it integrated, and the RK4 steps of each block pass.
     print(
-        "quadrature: theta_stop=%g theta_max=%g nodes_per_panel=%d ode_steps=%s"
-        % (result.theta_stop, q.theta_max, q.n_nodes, "+".join(map(str, result.steps)))
+        "quadrature: theta_stop=%g theta_max=%g nodes_per_panel=%d nodes=%d ode_steps=%s"
+        % (result.theta_stop, q.theta_max, q.n_nodes, result.nodes,
+           "+".join(map(str, result.steps)))
     )
     return {
         "kind": spec.kind,

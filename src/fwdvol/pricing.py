@@ -10,8 +10,8 @@ where f is the characteristic function of ln(F(t_e,T)/F(0,T)) started from
 x = 0, v = 1.  The integrand decays rapidly and is smooth on the real
 line, but it is singular just below theta = 0, so the composite
 Gauss-Legendre panels narrow geometrically toward theta = 0 and are 10
-wide beyond theta = 10 (`QuadratureConfig`); at 16 nodes a panel the
-first block, theta <= 60, holds 176 nodes and each later block 96.
+to 15 wide beyond theta = 10 (`QuadratureConfig`); at 12 nodes a panel
+the first block, theta <= 60, holds 120 nodes and each later block 72.
 Each slice integrates them block by block outward from theta = 0 and
 stops at the first block whose last panel passes a tail test, so short
 expiries, whose characteristic function decays slowly, reach further
@@ -63,23 +63,26 @@ __all__ = [
 ]
 
 _VOL_BRACKET = (1e-6, 10.0)
-# 10-wide panels per block of the theta grid, and their width.  At the
-# presets' alpha every slice with t_e >= 0.25 stops after the first block
-# (theta <= 60); each further block costs one more Riccati pass.
+# Edges of the theta grid's first block, theta <= 60.  The integrand is
+# singular at theta = -i, the pole of 1 / (theta^2 + i theta), and at
+# -i u*, where the moments of F explode, with u* just above 1 on
+# long-dated high-alpha sets.  Gauss-Legendre converges at a rate set by
+# a singularity's distance against the panel's width, so the panels widen
+# geometrically from theta = 0 (Lord & Kahl 2007) up to 10, and beyond it
+# are 10, 15, 15 and 10 wide; the last stays 10 wide for the tail test.
+# Twelve nodes on each of these panels miss 64 on each by 1.9e-13 D F
+# (sec5, alpha = 0, t_e = 5) on both presets at alpha 0 to 3, expiries
+# 0.02-10 and lags 0 and 1.  Sixty-four nodes on all of [0, 10] miss sec5
+# at alpha = 3, t_e = 10 by 3.7e-6 D F; edges at 0.0625, 0.25, 1, 3, 10,
+# 20 and 35 at twelve nodes a panel miss sec5 at alpha = 0, t_e = 5 by
+# 7.5e-11, and ten nodes on this grid's panels miss fig1 at alpha = 0,
+# t_e = 10 by 3.7e-11.
+_FIRST_BLOCK_EDGES = (0.0, 0.0625, 0.25, 0.75, 1.75, 3.75, 10.0, 20.0, 35.0, 50.0, 60.0)
+# Each later block is six 10-wide panels.  At the presets' alpha every
+# slice with t_e >= 0.25 stops after the first block; each further block
+# costs one more Riccati pass.
 _PANELS_PER_BLOCK = 6
 _PANEL_WIDTH = 10.0
-# Inner edges that split the first panel, [0, 10], geometrically toward
-# theta = 0.  The integrand is singular at theta = -i, the pole of
-# 1 / (theta^2 + i theta), and at -i u*, where the moments of F explode,
-# with u* just above 1 on long-dated high-alpha sets.  Gauss-Legendre
-# converges at a rate set by a singularity's distance against the
-# panel's width, so the panels widen with their distance from theta = 0
-# (Lord & Kahl 2007).  Sixty-four nodes on all of [0, 10] miss sec5 at
-# alpha = 3, t_e = 10 by 3.7e-6 D F.  Sixteen on each of these panels
-# miss it by 5.6e-16 against 128 on each; without the edge at 0.0625
-# they miss by 3.5e-9, all of it on [0, 0.25], and with it at 0.1 by
-# 2.7e-14.
-_INNER_EDGES = (0.0625, 0.25, 0.75, 1.75, 3.75)
 # A slice closes once its last panel's bound falls below this (see
 # `QuadratureConfig`).
 _TAIL_TOLERANCE = 1e-10
@@ -122,36 +125,37 @@ class QuadratureConfig:
     """Quadrature settings for the Fourier pricer.
 
     The transform integral is evaluated with ``n_nodes`` Gauss-Legendre
-    nodes on each panel.  Panels are 10 wide, in blocks of six from
-    theta = 0, except the first, [0, 10], which is split at 0.0625, 0.25,
-    0.75, 1.75 and 3.75 because the integrand is singular just below
-    theta = 0.  So the first block carries 11 ``n_nodes`` nodes and each
-    later one 6 ``n_nodes``: 176 and 96 at the default 16.  On both
-    presets at alpha 0 to 3 and expiries 0.1-10 that prices within
-    7.5e-15 D F of 256-node 10-wide panels at the same RK4 steps.  A
+    nodes on each panel.  The first block, theta <= 60, has ten panels,
+    with edges at 0.0625, 0.25, 0.75, 1.75, 3.75, 10, 20, 35 and 50,
+    narrowing toward theta = 0 because the integrand is singular just
+    below it; each later block has six 10-wide panels.  So the first
+    block carries 10 ``n_nodes`` nodes and each later one 6 ``n_nodes``:
+    120 and 72 at the default 12.  On both presets at alpha 0 to 3,
+    expiries 0.02-10 and lags 0 and 1 that prices within 2e-13 D F of 64
+    nodes a panel on the same edges at the same RK4 steps, and every
+    block's last panel, over which the tail test runs, is 10 wide.  A
     slice stops after the first block whose last panel passes the tail
     test: the integral of |f(theta) / (theta^2 + i theta)| over that
     panel, which bounds its contribution at every strike, must stay below
-    1e-10.  ``theta_max``
-    caps the grid; the last panel ends there and, unless it is the only
-    one, is 5 to 15 wide, so no cap leaves a sliver that passes the tail
-    test for free.  A slice whose last panel still fails at the cap raises
-    `QuadratureTailError`.  Each block is one Riccati pass over the open
-    slices of every set priced, with one row per set and lag; each row's
-    tau grid is cut at the expiries of its slices, and its pieces take
-    ``charfn.default_ab_steps`` RK4 steps for the block's top theta, so a
-    slice alone takes the steps of its expiry and a slice behind a shorter
-    one fewer.
+    1e-10.  ``theta_max`` caps the grid; the last panel ends there and,
+    unless it starts below theta = 10, is 5 to 15 wide, so no cap leaves
+    a sliver that passes the tail test for free.  A slice whose last
+    panel still fails at the cap raises `QuadratureTailError`.  Each
+    block is one Riccati pass over the open slices of every set priced,
+    with one row per set and lag; each row's tau grid is cut at the
+    expiries of its slices, and its pieces take ``charfn.default_ab_steps``
+    RK4 steps for the block's top theta, so a slice alone takes the steps
+    of its expiry and a slice behind a shorter one fewer.
     """
 
     theta_max: float = 200.0
-    n_nodes: int = 16
+    n_nodes: int = 12
 
     def __post_init__(self):
         if self.theta_max <= 0.0:
             raise DomainError("theta_max must be > 0")
-        if self.n_nodes < 16:
-            raise DomainError("n_nodes must be >= 16")
+        if self.n_nodes < 12:
+            raise DomainError("n_nodes must be >= 12")
 
 
 def black76_price(F: float, K: float, total_variance: float, D: float, kind: str = "call") -> float:
@@ -249,36 +253,38 @@ def implied_vol(price: float, F: float, K: float, t_e: float, D: float, kind: st
 def _theta_grid(q: QuadratureConfig):
     """Gauss-Legendre nodes and weights over (0, theta_max], and its blocks.
 
-    Panels are 10 wide, except the last, which ends at theta_max and is 5
-    to 15 wide unless it is the only one, and the first, which is split at
-    `_INNER_EDGES`; each carries ``q.n_nodes`` nodes.  Each block is (node
-    slice, its last panel's slice within the block, top theta) for
-    `_PANELS_PER_BLOCK` panels; the last block ends at theta_max.  Built
-    once per config; the arrays are read-only because they are shared.
+    The first block's panels have `_FIRST_BLOCK_EDGES` and each later
+    block's are 10 wide; each panel carries ``q.n_nodes`` nodes.  The last
+    panel ends at theta_max and, unless it starts below theta = 10, is 5 to
+    15 wide.  Each block is (node slice, its last panel's slice within the
+    block, top theta): the first block's ten panels, then six panels a
+    block; the last block ends at theta_max.  Built once per config; the
+    arrays are read-only because they are shared.
     """
     base_x, base_w = np.polynomial.legendre.leggauss(q.n_nodes)
-    outer = [0.0]
-    while outer[-1] + _PANEL_WIDTH < q.theta_max - 1e-12:
-        outer.append(outer[-1] + _PANEL_WIDTH)
-    # A last panel narrower than half a panel joins the one before it, so
-    # the tail test never runs over a sliver that passes it for free.
-    if len(outer) > 1 and q.theta_max - outer[-1] < 0.5 * _PANEL_WIDTH:
-        outer.pop()
-    outer.append(q.theta_max)
-    inner = [edge for edge in _INNER_EDGES if edge < outer[1]]
-    edges = np.array(outer[:1] + inner + outer[1:])
+    edges = list(_FIRST_BLOCK_EDGES)
+    while edges[-1] < q.theta_max - 1e-12:
+        edges.append(edges[-1] + _PANEL_WIDTH)
+    edges = [edge for edge in edges if edge < q.theta_max - 1e-12] + [q.theta_max]
+    # A last panel narrower than half a panel joins the one before it, and
+    # a joined panel wider than 15 is halved, so the tail test never runs
+    # over a sliver that passes it for free, nor over a panel too wide for
+    # its nodes.
+    if edges[-2] >= _PANEL_WIDTH and q.theta_max - edges[-2] < 0.5 * _PANEL_WIDTH:
+        del edges[-2]
+        if q.theta_max - edges[-2] > 1.5 * _PANEL_WIDTH:
+            edges.insert(-1, 0.5 * (edges[-2] + q.theta_max))
     half = 0.5 * np.diff(edges)[:, None]
-    nodes = (half * (base_x + 1.0) + edges[:-1, None]).ravel()
+    nodes = (half * (base_x + 1.0) + np.array(edges[:-1])[:, None]).ravel()
     weights = (half * base_w).ravel()
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    n_outer = len(outer) - 1
+    n_panels = len(edges) - 1
+    ends = [*range(len(_FIRST_BLOCK_EDGES) - 1, n_panels, _PANELS_PER_BLOCK), n_panels]
     blocks, start = [], 0
-    for first in range(0, n_outer, _PANELS_PER_BLOCK):
-        last = min(first + _PANELS_PER_BLOCK, n_outer)
-        stop = (last + len(inner)) * q.n_nodes
-        blocks.append((slice(start, stop), slice(-q.n_nodes, None), outer[last]))
-        start = stop
+    for end in ends:
+        blocks.append((slice(start, end * q.n_nodes), slice(-q.n_nodes, None), edges[end]))
+        start = end * q.n_nodes
     return nodes, weights, tuple(blocks)
 
 
@@ -287,14 +293,15 @@ class SliceResult:
     """One (t_e, T, strikes) slice as `price_slices` priced it.
 
     ``prices`` holds a call price per strike, or the `FwdVolError` that
-    stopped the slice.  ``theta_stop`` is where its theta integral stopped
-    and ``steps`` the RK4 steps its row took to its expiry in each block
-    pass.
+    stopped the slice.  ``theta_stop`` is where its theta integral stopped,
+    ``steps`` the RK4 steps its row took to its expiry in each block pass
+    and ``nodes`` the theta nodes it integrated.
     """
 
     prices: np.ndarray | FwdVolError
     theta_stop: float
     steps: tuple[int, ...]
+    nodes: int
 
 
 def price_slices(
@@ -389,7 +396,7 @@ def price_slices(
                                 f"characteristic function modulus exceeded 1 after "
                                 f"{steps[i][index][-1]} RK4 steps"
                             ),
-                            theta_top, tuple(steps[i][index]),
+                            theta_top, tuple(steps[i][index]), block.stop,
                         )
                         continue
                     kernel = np.exp(exponent) / denominator
@@ -406,7 +413,7 @@ def price_slices(
                         )
                     else:
                         continue
-                out[i][index] = SliceResult(result, theta_top, tuple(steps[i][index]))
+                out[i][index] = SliceResult(result, theta_top, tuple(steps[i][index]), block.stop)
     return out if stacked else out[0]
 
 

@@ -107,9 +107,9 @@ class TestObjective:
         passes, rates = self.count_passes(monkeypatch)
         assert objective(fig1, quotes, curves) <= 1e-11
         # Expiries 0.5, 1 and 2 read off steps 22, 36 and 53 of one pass on
-        # the 176 nodes of the first block, theta <= 60: its tau grid takes
+        # the 120 nodes of the first block, theta <= 60: its tau grid takes
         # 22, 14 and 17 steps on [0, 0.5], [0.5, 1] and [1, 2].
-        assert passes == [(176, [53])]
+        assert passes == [(120, [53])]
         assert rates == [107]
 
     def test_one_riccati_pass_for_several_sets(self, fig1, curves, monkeypatch):
@@ -120,7 +120,7 @@ class TestObjective:
         passes, rates = self.count_passes(monkeypatch)
         together = objective(sets, quotes, curves)
         assert [value.hex() for value in together] == [value.hex() for value in alone]
-        assert passes == [(176, [60, 53, 52])]
+        assert passes == [(120, [60, 53, 52])]
         assert rates == [121, 107, 105]
 
     def test_invalid_set_pays_full_penalty_beside_valid_ones(self, fig1, curves):

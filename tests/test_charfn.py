@@ -215,7 +215,7 @@ class TestIntegrateAb:
     def test_matches_stagewise_oracle_on_pricing_grid(self, request, preset, t_e, T):
         p = request.getfixturevalue(preset)
         thetas = _theta_grid(QuadratureConfig())[0]
-        assert thetas.size == 400
+        assert thetas.size == 288
         n_steps = default_ab_steps(t_e, p, thetas.max(), T - t_e)
         got = integrate_ab(thetas, t_e, T, p)
         assert charfn_gap(got, reference_transformed(thetas, t_e, T, p, n_steps)) <= 1e-14
@@ -342,7 +342,8 @@ class TestSnapshots:
         # snapshot is classical RK4 on the transformed system over the same
         # tau nodes.
         p = replace(request.getfixturevalue(preset), alpha=2.0)
-        thetas = _theta_grid(QuadratureConfig())[0][:176]
+        nodes, _, ((first_block, _, _), *_) = _theta_grid(QuadratureConfig())
+        thetas = nodes[first_block]
         expiries = [0.25, 0.5, 1.0, 2.0]
         knots = list(zip(expiries, default_ab_steps(expiries, p, 60.0, lag)))
         assert len({round((t - s) / (n - m), 12) for (s, m), (t, n) in

@@ -37,18 +37,19 @@ class TestPriceCommand:
         assert "implied_vol" in out
 
     def test_quadrature_line_reports_what_ran(self, capsys, curves):
-        # The 1y slice stops after the first block (theta <= 60) with 33
-        # steps; the 0.1y slice needs a second block, each at the 20-step
-        # floor.  The flags default to the pricer's own `QuadratureConfig`.
+        # The 1y slice stops after the first block (theta <= 60, 120 nodes)
+        # with 33 steps; the 0.1y slice needs a second block (72 nodes more),
+        # each at the 20-step floor.  The flags default to the pricer's own
+        # `QuadratureConfig`.
         q = QuadratureConfig()
         assert run(["price", "--t-e", 1, "--strike", 1]) == 0
         assert (f"quadrature: theta_stop=60 theta_max={q.theta_max:g} "
-                f"nodes_per_panel={q.n_nodes} ode_steps=33" in capsys.readouterr().out)
+                f"nodes_per_panel={q.n_nodes} nodes=120 ode_steps=33" in capsys.readouterr().out)
         assert run(["price", "--t-e", 0.1, "--strike", 1, "--option", "put"]) == 0
         assert (f"quadrature: theta_stop=120 theta_max={q.theta_max:g} "
-                f"nodes_per_panel={q.n_nodes} ode_steps=20+20" in capsys.readouterr().out)
+                f"nodes_per_panel={q.n_nodes} nodes=192 ode_steps=20+20" in capsys.readouterr().out)
         (result,) = price_slices([(0.1, 0.1, [1.0])], curves, make())
-        assert (result.theta_stop, result.steps) == (120.0, (20, 20))
+        assert (result.theta_stop, result.steps, result.nodes) == (120.0, (20, 20), 192)
 
     @pytest.mark.parametrize("theta_max", [60, 60.01])
     def test_cap_just_past_a_panel_edge_fails_as_the_edge_does(self, capsys, theta_max):

@@ -441,39 +441,59 @@ class TestCallPrices:
             price_slices(slices, curves, [fig1, not_psd])
 
     def test_theta_grid_structure(self, quad):
-        # The first block is [0, 10] split in six plus five 10-wide
-        # panels, each later one six 10-wide panels; theta_max ends the last.
+        # The first block is ten panels graded from theta = 0 out to 60,
+        # each later one six 10-wide panels; theta_max ends the last.
         nodes, weights, blocks = _theta_grid(quad)
+        n = quad.n_nodes
         assert [top for _, _, top in blocks] == [60.0, 120.0, 180.0, 200.0]
         assert [(block.start, block.stop) for block, _, _ in blocks] == [
-            (0, 11 * quad.n_nodes), (11 * quad.n_nodes, 17 * quad.n_nodes),
-            (17 * quad.n_nodes, 23 * quad.n_nodes), (23 * quad.n_nodes, 25 * quad.n_nodes),
+            (0, 10 * n), (10 * n, 16 * n), (16 * n, 22 * n), (22 * n, 24 * n),
         ]
         for block, tail, top in blocks:
             last_panel = nodes[block][tail]
-            assert last_panel.size == quad.n_nodes
+            assert last_panel.size == n
             assert top - 10.0 < last_panel[0] and last_panel[-1] < top
             assert abs(weights[block][tail].sum() - 10.0) <= 1e-12
         assert 0.0 < nodes[0] and np.all(np.diff(nodes) > 0.0) and nodes[-1] < quad.theta_max
         assert abs(weights.sum() - quad.theta_max) <= 1e-12
 
     def test_default_theta_grid_node_for_node(self, quad):
-        # Its last panel, [190, 200], is a full one, so folding a sliver
-        # last panel into the one before leaves every node, weight and
-        # block of the default grid as it was.
+        # Twelve nodes on each panel: 120 in the first block and 72 in each
+        # later full one.  Its last panel, [190, 200], is a full one, so
+        # folding a sliver last panel into the one before leaves it alone.
         n = quad.n_nodes
         x, w = np.polynomial.legendre.leggauss(n)
-        edges = np.array([0.0, 0.0625, 0.25, 0.75, 1.75, 3.75] + [10.0 * k for k in range(1, 21)])
+        edges = np.array([0.0, 0.0625, 0.25, 0.75, 1.75, 3.75, 10.0, 20.0, 35.0, 50.0]
+                         + [10.0 * k for k in range(6, 21)])
         half = 0.5 * np.diff(edges)[:, None]
         nodes, weights, blocks = _theta_grid(quad)
         assert np.array_equal(nodes, (half * (x + 1.0) + edges[:-1, None]).ravel())
         assert np.array_equal(weights, (half * w).ravel())
-        assert (n, nodes.size) == (16, 400)
+        assert (n, nodes.size) == (12, 288)
+        assert [block.stop - block.start for block, _, _ in blocks] == [120, 72, 72, 24]
         tail = slice(-n, None)
         assert blocks == (
-            (slice(0, 11 * n), tail, 60.0), (slice(11 * n, 17 * n), tail, 120.0),
-            (slice(17 * n, 23 * n), tail, 180.0), (slice(23 * n, 25 * n), tail, 200.0),
+            (slice(0, 120), tail, 60.0), (slice(120, 192), tail, 120.0),
+            (slice(192, 264), tail, 180.0), (slice(264, 288), tail, 200.0),
         )
+
+    @pytest.mark.parametrize("theta_max, last_panel", [
+        (5.0, (3.75, 5.0)), (12.0, (3.75, 12.0)), (23.0, (10.0, 23.0)), (38.0, (29.0, 38.0)),
+        (40.0, (35.0, 40.0)), (47.0, (35.0, 47.0)), (52.0, (43.5, 52.0)), (125.0, (120.0, 125.0)),
+        (124.0, (110.0, 124.0)),
+    ])
+    def test_cap_ends_the_last_panel(self, theta_max, last_panel):
+        # The last panel ends at the cap and, unless it starts below 10,
+        # is 5 to 15 wide: a sliver joins the panel before it, and a
+        # joined 15-wide one is halved.
+        q = QuadratureConfig(theta_max=theta_max)
+        nodes, weights, blocks = _theta_grid(q)
+        block, tail, top = blocks[-1]
+        assert top == theta_max
+        lo, hi = last_panel
+        assert lo < nodes[block][tail][0] and nodes[block][tail][-1] < hi
+        assert abs(weights[block][tail].sum() - (hi - lo)) <= 1e-12
+        assert np.all(np.diff(nodes) > 0.0) and abs(weights.sum() - theta_max) <= 1e-12
 
     @pytest.mark.parametrize("theta_max", [60.0, 60.01, 64.99])
     def test_cap_past_a_panel_edge_leaves_no_sliver(self, fig1, curves, theta_max):
@@ -533,8 +553,8 @@ class TestAgainstFixedGrid:
         # the slices of that lag still open.  Beside the poles of the
         # integrand at theta = -i and -i u*, 64-node panels miss sec5
         # alpha = 3, t_e = 10 by 3.7e-6 D F and 128-node ones by 7.5e-11;
-        # the graded 16-node grid misses 256-node ones by 7.5e-15 at worst
-        # (sec5, t_e = 10).
+        # the graded 12-node grid misses 256-node ones by 1.2e-13 at worst
+        # (sec5, alpha = 3, t_e = 10).
         p, slices = self.sweep(request, curves, preset, alpha)
         results = price_slices(slices, curves, p)
         for (t_e, T, strikes), result in zip(slices, results):
@@ -551,6 +571,29 @@ class TestAgainstFixedGrid:
             uniform = prices_from(integral, T, strikes, curves)
             bound = 1e-12 * curves.discount(T) * curves.forward(T)
             assert np.max(np.abs(result.prices - uniform)) <= bound, (t_e, T)
+
+    @pytest.mark.parametrize("preset", ["fig1", "sec5"])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 3.0])
+    def test_default_nodes_match_64_a_panel(self, request, curves, preset, alpha):
+        # The quadrature error of twelve nodes a panel alone: 64 on the
+        # same edges stop at the same block, so every row takes the same
+        # steps.  The worst gap is 1.8e-13 D F (sec5, alpha = 0, t_e = 5,
+        # lag 1).  Up to alpha = 1 every slice from 0.25 years stops after
+        # the first block, and every 0.02y slice reads a later one; at
+        # alpha = 3 fig1's slices up to 5 years and all of sec5's read
+        # theta up to 120 or 180.
+        p = replace(request.getfixturevalue(preset), alpha=alpha)
+        slices = [(t_e, t_e + lag, np.array([m * curves.forward(t_e + lag) for m in self.STRIKES]))
+                  for lag in (0.0, 1.0) for t_e in (0.02, 0.25, 2.0, 5.0, 10.0)]
+        fine = price_slices(slices, curves, p, QuadratureConfig(n_nodes=64))
+        for (t_e, T, _), result, reference in zip(slices, price_slices(slices, curves, p), fine):
+            assert (result.theta_stop, result.steps) == (reference.theta_stop, reference.steps)
+            if t_e == 0.02:
+                assert result.theta_stop > 60.0
+            elif alpha <= 1.0:
+                assert result.theta_stop == 60.0
+            bound = 1e-12 * curves.discount(T) * curves.forward(T)
+            assert np.max(np.abs(result.prices - reference.prices)) <= bound, (t_e, T)
 
     @pytest.mark.parametrize("preset", ["fig1", "sec5"])
     @pytest.mark.parametrize("alpha, lag", [(0.0, 0.0), (1.0, 1.0), (2.0, 0.0), (3.0, 1.0)])
