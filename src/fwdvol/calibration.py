@@ -22,12 +22,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, FwdVolError
-from .model import MarketCurves, ModelParams, validate_params
+from .model import _PARAM_KEYS, MarketCurves, ModelParams, validate_params
 from .pricing import QuadratureConfig, call_prices, implied_vol
 
 __all__ = ["VolQuote", "CalibrationResult", "objective", "fit"]
 
-_ORDER = ("sigma", "beta1", "beta2", "R", "rho", "beta", "alpha", "rho1", "rho2")
 _POSITIVE = frozenset(("sigma", "beta1", "beta2", "beta", "alpha"))
 _CORRELATION = frozenset(("rho", "rho1", "rho2"))
 
@@ -106,7 +105,7 @@ class CalibrationResult:
 
 def _to_vector(p: ModelParams) -> np.ndarray:
     out = []
-    for name in _ORDER:
+    for name in _PARAM_KEYS:
         value = getattr(p, name)
         if name in _POSITIVE:
             out.append(math.log(max(value, _LOG_FLOOR)))
@@ -136,7 +135,7 @@ def _repair_correlations(p: ModelParams) -> ModelParams:
 
 def _from_vector(x: np.ndarray) -> ModelParams:
     values = {}
-    for name, xi in zip(_ORDER, x):
+    for name, xi in zip(_PARAM_KEYS, x):
         if name in _POSITIVE:
             value = math.exp(min(max(xi, -50.0), 50.0))
         elif name in _CORRELATION:

@@ -53,7 +53,7 @@ import operator
 import numpy as np
 
 from .errors import DomainError, NonConvergence, NumericalError
-from .model import ModelParams, variance_before_expiry, variance_rate
+from .model import ModelParams, _channels, variance_before_expiry, variance_rate
 
 __all__ = [
     "ab_ode_rhs",
@@ -66,6 +66,9 @@ __all__ = [
 
 # Diverging Riccati iterates trip this bound long before overflow.
 _B_OVERFLOW = 1e12
+# Largest real part of a characteristic function's exponent on real theta
+# that counts as |f| <= 1.
+_MODULUS_TOLERANCE = 1e-8
 # 1 / 3 as a complex scalar: numpy multiplies a complex array by it without
 # first converting a float.
 _THIRD = complex(1.0 / 3.0)
@@ -156,8 +159,7 @@ def _vol_bound(lag: float, p: ModelParams) -> float:
 def _decay_rate(lag: float, p: ModelParams) -> float:
     """Decay rate of sigma_F^2 at distance ``lag``: its three channels'
     rates, weighted by the channels' sizes there."""
-    channels = [(abs(w), c) for w, c in ((1.0, 2.0 * p.beta1), (p.R**2, 2.0 * p.beta2),
-                                         (2.0 * p.rho * p.R, p.beta1 + p.beta2)) if w]
+    channels = [(abs(w), c) for w, c in _channels(p) if w]
     slowest = min(c for _, c in channels)
     weights = [(w * math.exp(-(c - slowest) * lag), c) for w, c in channels]
     return sum(w * c for w, c in weights) / sum(w for w, _ in weights)
@@ -663,7 +665,7 @@ def charfn_value(theta, x, v, t_e: float, T: float, p: ModelParams):
     a_val, b_val = integrate_ab(theta, t_e, T, p)
     exponent = 1j * np.multiply(theta, x) + a_val + b_val * v
     real_theta = np.all(np.isreal(theta))
-    if real_theta and np.any(np.real(exponent) > 1e-8):
+    if real_theta and np.any(np.real(exponent) > _MODULUS_TOLERANCE):
         raise NumericalError(
             "characteristic function modulus exceeded 1; integration is unreliable"
         )

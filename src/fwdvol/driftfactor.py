@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateDenominator, DomainError, NonConvergence, NumericalError
-from .model import ModelParams, integrated_variance, validate_params, variance_rate
+from .model import ModelParams, _channels, integrated_variance, validate_params, variance_rate
 
 __all__ = [
     "centered_variance_cov",
@@ -159,12 +159,12 @@ def k_sq_closed_form(t: float, T: float, p: ModelParams) -> float:
     """Closed-form k^2(t, T) for 0 < t <= T, valid at every parameter set.
 
     Write sigma_F^2(s, T) = sum_i a_i exp(g_i s) with g = (2 beta1, 2 beta2,
-    beta1 + beta2) and a_i = sigma^2 (1, R^2, 2 rho R)_i exp(-g_i T).  For
-    s1 < s2 the kernel is J(s1, s2) = alpha^2 sinh(beta s1) / beta
-    exp(-beta s2).  By symmetry both double integrals are twice their part
-    on the triangle s1 < s2 <= t, where each term is, by the
-    Hermite-Genocchi formula, alpha^2 t^3 times a third divided difference
-    of exp:
+    beta1 + beta2) and a_i = sigma^2 (1, R^2, 2 rho R)_i exp(-g_i T), the
+    channels of `model._channels`.  For s1 < s2 the kernel is J(s1, s2) =
+    alpha^2 sinh(beta s1) / beta exp(-beta s2).  By symmetry both double
+    integrals are twice their part on the triangle s1 < s2 <= t, where
+    each term is, by the Hermite-Genocchi formula, alpha^2 t^3 times a
+    third divided difference of exp:
 
         k^2 = sum_ij a_i a_j D(g_i, g_j) / D(0, 0),
         D(g, h) = exp[0, (h - beta) t, (g + h) t, (g + h - 2 beta) t].
@@ -178,11 +178,10 @@ def k_sq_closed_form(t: float, T: float, p: ModelParams) -> float:
     if not 0.0 < t <= T < math.inf:
         raise DomainError("k_sq_closed_form requires 0 < t <= T < inf")
     b = p.beta
-    rates = (2.0 * p.beta1, 2.0 * p.beta2, p.beta1 + p.beta2)
-    weights = (1.0, p.R * p.R, 2.0 * p.rho * p.R)
+    channels = _channels(p)
     numerator = 0.0
-    for gi, ci in zip(rates, weights):
-        for gj, cj in zip(rates, weights):
+    for ci, gi in channels:
+        for cj, gj in channels:
             # A zero-weight term adds nothing and could only overflow.
             if ci * cj != 0.0:
                 g = gi + gj

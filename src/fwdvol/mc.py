@@ -44,7 +44,7 @@ from .model import (
     integrated_variance,
     validate_params,
 )
-from .pricing import black76_vega, implied_vol
+from .pricing import _norm_cdf, black76_vega, implied_vol
 
 __all__ = [
     "McConfig",
@@ -681,7 +681,7 @@ def _study_rows(
             # dC/dF = N(d1): vol_e moves with the mean of pay - N(d1) F.
             s = vol_e * math.sqrt(t_e)
             d1 = math.log(mean_e / K) / s + 0.5 * s
-            delta = 0.5 * math.erfc(-d1 / math.sqrt(2.0))
+            delta = _norm_cdf(d1)
             _, se_resid = _mean_se(payoff_e - delta * f_exact, cfg.antithetic)
             vega = black76_vega(mean_e, K, t_e, vol_e, D)
             if not vega > 0.0:

@@ -184,10 +184,10 @@ def validate_params(p: ModelParams) -> ModelParams:
 class MarketCurves:
     """Initial forward curve F(0, T) and discount curve D(T).
 
-    Both curves are given as sequences of (T, value) nodes with strictly
-    increasing settlement times.  Lookups interpolate linearly in T on the
-    logarithm of the value and extrapolate flat beyond the first and last
-    nodes, so a single node describes a flat curve.
+    Both curves are given as sequences of finite (T, value) nodes with
+    strictly increasing settlement times.  Lookups interpolate linearly in
+    T on the logarithm of the value and extrapolate flat beyond the first
+    and last nodes, so a single node describes a flat curve.
     """
 
     forwards: tuple[tuple[float, float], ...]
@@ -199,6 +199,8 @@ class MarketCurves:
         for name, nodes in (("forwards", self.forwards), ("discounts", self.discounts)):
             if not nodes:
                 raise DomainError(f"{name}: at least one (T, value) node required")
+            if not all(math.isfinite(x) for node in nodes for x in node):
+                raise DomainError(f"{name}: settlement times and values must be finite")
             times = [t for t, _ in nodes]
             if any(t < 0.0 for t in times):
                 raise DomainError(f"{name}: settlement times must be >= 0")
@@ -272,39 +274,13 @@ def _channels(p: ModelParams):
     )
 
 
-def _decay_integral(c: float, t0: float, t1: float, T: float) -> float:
-    """Integral of exp(-c (T - s)) over s in [t0, t1], stable for small c.
-
-    The naive difference of exponentials cancels catastrophically when
-    c times the horizon is small; the expm1 form does not.  Past
-    c (T - t0) = 708 its leading exp(-c (T - t0)) goes subnormal and then
-    to zero, and past c (t1 - t0) = 709 expm1 overflows, so there the
-    decay is factored from t1 instead:
-    exp(-c (T - t1)) (1 - exp(-c (t1 - t0))) / c.  The two forms agree
-    within 2.1e-13 relative where both are accurate, but not bit for bit,
-    so the switch sits just short of the first form's failure.  Where the
-    decay over [t0, T] is below 1e-16 the integral is t1 - t0 to double
-    precision; a subnormal c would otherwise lose its digits in c (t1 - t0).
-    """
-    if c * (T - t0) < 1e-16:
-        return t1 - t0
-    if c * (T - t0) > 700.0:
-        return math.exp(-c * (T - t1)) * -math.expm1(-c * (t1 - t0)) / c
-    return math.exp(-c * (T - t0)) * math.expm1(c * (t1 - t0)) / c
-
-
 def integrated_variance(t0: float, t1: float, T: float, p: ModelParams) -> float:
-    """Exact integral of sigma_F^2(s, T) over s in [t0, t1].
-
-    Closed form in terms of the three exponential decay channels, each
-    written in an expm1 form that stays accurate as rates go to zero.
-    """
+    """Exact integral of sigma_F^2(s, T) over s in [t0, t1]: the variance
+    accrued over the last t1 - t0 years before an expiry T - t1 years
+    short of settlement (`variance_before_expiry`)."""
     if not 0.0 <= t0 <= t1 <= T:
         raise DomainError("integrated_variance requires 0 <= t0 <= t1 <= T")
-    if t0 == t1:
-        return 0.0
-    total = sum(weight * _decay_integral(c, t0, t1, T) for weight, c in _channels(p))
-    return p.sigma**2 * total
+    return float(variance_before_expiry(T - t1, t1 - t0, p))
 
 
 def variance_before_expiry(lag: float, tau, p: ModelParams):
@@ -315,20 +291,21 @@ def variance_before_expiry(lag: float, tau, p: ModelParams):
     s in [0, tau], that is ``integrated_variance(t_e - tau, t_e, T, p)``
     with T - t_e = lag.  Each decay channel is written from the expiry's
     end, exp(-c lag) (1 - exp(-c tau)) / c with the bracket in expm1 form,
-    whose exponents are never positive.  As in `_decay_integral`, a
-    channel that decays by less than 1e-16 over the whole window is
-    ``tau`` to double precision and is taken as such.  Vectorized over
-    ``tau`` >= 0.
+    whose exponents are never positive, so it neither overflows nor
+    cancels at any rate.  A channel that decays by less than 1e-16 over
+    the whole window is ``tau`` to double precision and is taken as such:
+    a subnormal c would otherwise lose its digits in c tau.  Vectorized
+    over ``tau`` >= 0.
     """
     tau = np.asarray(tau, dtype=float)
-    window = lag + np.max(tau, initial=0.0)
-    total = np.zeros(tau.shape)
+    window = lag + tau.max(initial=0.0)
+    total = 0.0
     for weight, c in _channels(p):
         if c * window < 1e-16:
             channel = tau
         else:
             channel = (math.exp(-c * lag) / c) * -np.expm1(-c * tau)
-        total += weight * channel
+        total = total + weight * channel
     return p.sigma**2 * total
 
 

@@ -34,7 +34,12 @@ from typing import Sequence
 import numpy as np
 
 # integrate_ab stays reachable as ``fwdvol.pricing.integrate_ab``.
-from .charfn import default_ab_steps, integrate_ab, integrate_ab_rows  # noqa: F401
+from .charfn import (  # noqa: F401
+    _MODULUS_TOLERANCE,
+    default_ab_steps,
+    integrate_ab,
+    integrate_ab_rows,
+)
 from .errors import (
     DomainError,
     FwdVolError,
@@ -86,9 +91,6 @@ _PANEL_WIDTH = 10.0
 # A slice closes once its last panel's bound falls below this (see
 # `QuadratureConfig`).
 _TAIL_TOLERANCE = 1e-10
-# Largest real part of a characteristic function's exponent that counts as
-# |f| <= 1, as in `charfn.charfn_value`.
-_MODULUS_TOLERANCE = 1e-8
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -112,10 +114,10 @@ class OptionSpec:
     kind: str = "call"
 
     def __post_init__(self):
-        if not 0.0 < self.t_e <= self.T:
-            raise DomainError("OptionSpec requires 0 < t_e <= T")
-        if self.strike <= 0.0:
-            raise DomainError("strike must be > 0")
+        if not 0.0 < self.t_e <= self.T < math.inf:
+            raise DomainError("OptionSpec requires 0 < t_e <= T < inf")
+        if not 0.0 < self.strike < math.inf:
+            raise DomainError("strike must be finite and > 0")
         if self.kind not in ("call", "put"):
             raise DomainError("kind must be 'call' or 'put'")
 
@@ -152,8 +154,8 @@ class QuadratureConfig:
     n_nodes: int = 12
 
     def __post_init__(self):
-        if self.theta_max <= 0.0:
-            raise DomainError("theta_max must be > 0")
+        if not 0.0 < self.theta_max < math.inf:
+            raise DomainError("theta_max must be finite and > 0")
         if self.n_nodes < 12:
             raise DomainError("n_nodes must be >= 12")
 
@@ -197,8 +199,9 @@ def implied_vol(price: float, F: float, K: float, t_e: float, D: float, kind: st
         If the price lies outside the static bounds for this option, or
         needs a volatility beyond the bracket.
     """
-    if F <= 0.0 or K <= 0.0 or D <= 0.0 or t_e <= 0.0:
-        raise DomainError("implied_vol requires F, K, D, t_e > 0")
+    if not (0.0 < F < math.inf and 0.0 < K < math.inf and 0.0 < D < math.inf
+            and 0.0 < t_e < math.inf and math.isfinite(price)):
+        raise DomainError("implied_vol requires a finite price and finite F, K, D, t_e > 0")
     if kind not in ("call", "put"):
         raise DomainError("kind must be 'call' or 'put'")
     if kind == "call":
@@ -342,10 +345,10 @@ def price_slices(
     thetas, weights, blocks = _theta_grid(q)
     slices = [(t_e, T, np.asarray(strikes, dtype=float)) for t_e, T, strikes in slices]
     for t_e, T, strikes in slices:
-        if not 0.0 < t_e <= T:
-            raise DomainError("price_slices requires 0 < t_e <= T")
-        if np.any(strikes <= 0.0):
-            raise DomainError("strikes must be > 0")
+        if not 0.0 < t_e <= T < math.inf:
+            raise DomainError("price_slices requires 0 < t_e <= T < inf")
+        if not np.all((strikes > 0.0) & (strikes < math.inf)):
+            raise DomainError("strikes must be finite and > 0")
 
     # F(0, T) and D(T) of each slice, looked up once per call.
     forwards = [curves.forward(T) for _, T, _ in slices]

@@ -2,8 +2,10 @@
 characteristic-function evaluation."""
 
 import cmath
+import decimal
 import math
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -385,15 +387,39 @@ class TestSnapshots:
         integrate_ab_snapshots(np.array([1.0]), 0.0, 0.005, [100, 200, 400], fig1)
         assert calls == [801]
 
-    def test_variance_table_matches_integrated_variance(self, fig1, sec5):
-        # Each stage's V(tau) is the closed form integrated_variance(t_e -
-        # tau, t_e, T) written from the expiry's end.
+    def test_variance_table_matches_decimal_channel_sum(self, fig1, sec5):
+        # V(tau) against its three decay channels summed in 50-digit
+        # decimal arithmetic, at a subnormal and a fast reversion rate.
         for p in (fig1, sec5, replace(fig1, beta1=5e-324), replace(fig1, beta2=40.0)):
             for lag in (0.0, 1.0, 10.0):
                 tau = np.linspace(0.0, 2.0, 9)
-                want = [integrated_variance(2.0 - s, 2.0, 2.0 + lag, p) for s in tau]
+                want = [decimal_variance_before_expiry(lag, s, p) for s in tau]
                 np.testing.assert_allclose(variance_before_expiry(lag, tau, p), want,
                                            rtol=1e-13, atol=1e-300)
+
+
+def decimal_variance_before_expiry(lag, tau, p):
+    """sigma^2 times the sum over the channels (w, c) of sigma_F^2 / sigma^2
+    of w exp(-c lag) (1 - exp(-c tau)) / c, in 50-digit decimals."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        lag, tau = Decimal(lag), Decimal(tau)
+        b1, b2, R, rho = (Decimal(x) for x in (p.beta1, p.beta2, p.R, p.rho))
+        total = Decimal(0)
+        for w, c in ((1, 2 * b1), (R * R, 2 * b2), (2 * rho * R, b1 + b2)):
+            x = c * tau
+            if x < Decimal("1e-3"):
+                # (1 - e^-x) / x as its series: no cancellation at small x.
+                term, ratio, k = Decimal(1), Decimal(0), 1
+                while term > Decimal("1e-60"):
+                    ratio += term if k % 2 else -term
+                    k += 1
+                    term = term * x / k
+                channel = tau * ratio
+            else:
+                channel = (1 - (-x).exp()) / c
+            total += w * (-c * lag).exp() * channel
+        return float(Decimal(p.sigma) ** 2 * total)
 
 
 class TestCharfnValue:

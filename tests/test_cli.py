@@ -4,6 +4,7 @@ reproducibility of emitted files."""
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -250,6 +251,39 @@ def test_malformed_input_file_is_input_error(argv, content, tmp_path, capsys):
     assert run(argv + [bad]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"invalid input: {bad}: ")
+
+
+# Curve files whose NaN or infinite node passes every ordering and sign
+# check; each used to price as nan and exit 0.
+NON_FINITE_CURVES = {
+    "nan_forward": {"forwards": [[0.0, math.nan]], "discounts": [[0.0, 1.0]]},
+    "inf_forward": {"forwards": [[0.0, math.inf]], "discounts": [[0.0, 1.0]]},
+    "nan_time": {"forwards": [[math.nan, 1.0]], "discounts": [[0.0, 1.0]]},
+}
+
+
+@pytest.mark.parametrize("curves", NON_FINITE_CURVES.values(), ids=NON_FINITE_CURVES.keys())
+@pytest.mark.parametrize("argv", [["price", "--t-e", 1, "--strike", 1],
+                                  ["mc-price", "--paths", 2000, "--steps", 8]])
+def test_non_finite_curves_are_input_error(argv, curves, tmp_path, capsys):
+    bad = tmp_path / "curves.json"
+    bad.write_text(json.dumps(curves))
+    assert run(argv + ["--curves", bad]) == 2
+    assert capsys.readouterr().err.startswith(f"invalid input: {bad}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["price", "--t-e", 1, "--strike", "nan"],
+    ["price", "--t-e", 1, "--strike", "inf"],
+    ["price", "--t-e", "inf", "--strike", 1],
+    ["price", "--t-e", 1, "--strike", 1, "--theta-max", "nan"],
+    ["smile", "--strikes", "1,nan"],
+])
+def test_non_finite_numbers_are_input_error(argv, capsys):
+    # An infinite --theta-max is left to the QuadratureConfig unit test:
+    # without its check the grid build never ends.
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("invalid input: ")
 
 
 @pytest.mark.parametrize("argv", [

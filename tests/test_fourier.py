@@ -115,22 +115,25 @@ def reference_call_prices(slices, curves, p, n_steps=None):
 
 class TestSpecs:
     def test_option_spec_rejects_bad_times(self):
-        with pytest.raises(DomainError):
-            OptionSpec(t_e=2.0, T=1.0, strike=1.0, kind="call")
-        with pytest.raises(DomainError):
-            OptionSpec(t_e=0.0, T=1.0, strike=1.0, kind="call")
+        for t_e, T in ((2.0, 1.0), (0.0, 1.0), (math.nan, 1.0), (1.0, math.nan),
+                       (math.inf, math.inf), (1.0, math.inf)):
+            with pytest.raises(DomainError):
+                OptionSpec(t_e=t_e, T=T, strike=1.0, kind="call")
 
     def test_option_spec_rejects_bad_strike(self):
-        with pytest.raises(DomainError):
-            OptionSpec(t_e=1.0, T=1.0, strike=0.0, kind="call")
+        for strike in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                OptionSpec(t_e=1.0, T=1.0, strike=strike, kind="call")
 
     def test_option_spec_rejects_unknown_kind(self):
         with pytest.raises(DomainError):
             OptionSpec(t_e=1.0, T=1.0, strike=1.0, kind="straddle")
 
     def test_quadrature_config_bounds(self):
-        with pytest.raises(DomainError):
-            QuadratureConfig(theta_max=0.0)
+        # An infinite cap would build its theta grid until memory ran out.
+        for theta_max in (0.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                QuadratureConfig(theta_max=theta_max)
         with pytest.raises(DomainError):
             QuadratureConfig(n_nodes=8)
 
@@ -265,6 +268,15 @@ class TestImpliedVol:
     def test_price_below_intrinsic_rejected(self):
         with pytest.raises(NoArbitrageViolation):
             implied_vol(0.1, 1.3, 1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("position", range(5))
+    def test_non_finite_inputs_rejected(self, bad, position):
+        # (price, F, K, t_e, D); a NaN price used to come back as vol 10.
+        args = [0.1, 1.0, 1.0, 1.0, 1.0]
+        args[position] = bad
+        with pytest.raises(DomainError):
+            implied_vol(*args)
 
 
 class TestCallPrice:
@@ -429,6 +441,11 @@ class TestCallPrices:
             call_prices([(1.0, 1.0, [1.0]), (2.0, 1.0, [1.0])], curves, fig1)
         with pytest.raises(DomainError):
             call_prices([(1.0, 1.0, [1.0, 0.0])], curves, fig1)
+        for bad in ((1.0, 1.0, [1.0, math.nan]), (1.0, 1.0, [math.inf]),
+                    (math.inf, math.inf, [1.0]), (1.0, math.inf, [1.0]),
+                    (math.nan, 1.0, [1.0])):
+            with pytest.raises(DomainError):
+                call_prices([bad], curves, fig1)
 
     def test_rejects_invalid_sets_before_pricing(self, curves, fig1):
         # Unvalidated, beta = -10 overflows the Riccati pass and reads as

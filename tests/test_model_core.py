@@ -191,6 +191,19 @@ class TestMarketCurves:
         with pytest.raises(DomainError):
             MarketCurves(forwards=((2.0, 1.0), (1.0, 1.0)), discounts=((1.0, 0.9),))
 
+    @pytest.mark.parametrize("forwards, discounts", [
+        (((0.0, math.nan),), ((0.0, 1.0),)),
+        (((0.0, math.inf),), ((0.0, 1.0),)),
+        (((math.nan, 1.0),), ((0.0, 1.0),)),
+        (((0.0, 1.0), (math.inf, 1.1)), ((0.0, 1.0),)),
+        (((0.0, 1.0),), ((0.0, math.nan),)),
+        (((0.0, 1.0),), ((math.nan, 0.9),)),
+    ])
+    def test_rejects_non_finite_nodes(self, forwards, discounts):
+        # NaN passes every ordering and sign check; it used to price as nan.
+        with pytest.raises(DomainError):
+            MarketCurves(forwards=forwards, discounts=discounts)
+
     def test_log_linear_interpolation(self):
         c = MarketCurves(forwards=((1.0, 2.0), (3.0, 8.0)),
                          discounts=((1.0, 0.9), (3.0, 0.7)))
