@@ -6,9 +6,9 @@ the residuals sqrt(w) (model vol - market vol), in a transformed
 unconstrained space (log for the positive rates and vols, atanh for
 correlations).  The Jacobian comes from forward differences: every point
 the search tries is priced together with its nine bumps in one stacked
-`call_prices` call, which costs about as much as four or five calls of
-one set.  A quote that cannot be priced adds a flat penalty to
-`objective`, but inside the search it reads as a bounded residual, so a
+call, as `call_prices` prices several sets, which costs about as much as
+four or five calls of one set.  A quote that cannot be priced adds a flat
+penalty to `objective`, but inside the search it reads as a bounded residual, so a
 failure is a step the finite differences can read, not a cliff.
 """
 
@@ -22,8 +22,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, FwdVolError
-from .model import _PARAM_KEYS, MarketCurves, ModelParams, validate_params
-from .pricing import QuadratureConfig, call_prices, implied_vol
+from .model import (
+    _PARAM_KEYS,
+    MarketCurves,
+    ModelParams,
+    _clearly_positive_definite,
+    validate_params,
+)
+from .pricing import QuadratureConfig, _price_checked, implied_vol
 
 __all__ = ["VolQuote", "CalibrationResult", "objective", "fit"]
 
@@ -122,6 +128,8 @@ def _repair_correlations(p: ModelParams) -> ModelParams:
     Eigenvalue clipping at zero followed by diagonal renormalization;
     a no-op whenever the matrix is already positive semidefinite.
     """
+    if _clearly_positive_definite(p):
+        return p
     eigvals, eigvecs = np.linalg.eigh(p.correlation_matrix())
     if eigvals[0] >= 0.0:
         return p
@@ -182,8 +190,9 @@ def _by_slice(quotes: Sequence[VolQuote]) -> list[list[VolQuote]]:
 def _vol_gaps(ps, groups, curves, q=None) -> list[list]:
     """Model minus market vol of each quote, per set in ``ps`` and per
     slice of ``groups``; a slice that could not be priced holds the
-    exception that stopped it.  The valid sets are priced by one
-    `call_prices` call."""
+    exception that stopped it.  The valid sets are priced together, as
+    one `call_prices` call prices them; each set and quote is checked
+    once, here and by `VolQuote`."""
     out: list = [None] * len(ps)
     valid = []
     for i, p in enumerate(ps):
@@ -194,25 +203,26 @@ def _vol_gaps(ps, groups, curves, q=None) -> list[list]:
             continue
         valid.append(i)
     if valid:
-        slices = [(g[0].t_e, g[0].T, [quote.strike for quote in g]) for g in groups]
-        priced = call_prices(slices, curves, [ps[i] for i in valid], q)
+        slices = [(g[0].t_e, g[0].T, np.array([quote.strike for quote in g])) for g in groups]
         # F(0, T) and D(T) of each slice, shared by every set.
         curve_values = [(curves.forward(T), curves.discount(T)) for _, T, _ in slices]
+        priced = _price_checked(slices, curve_values, [ps[i] for i in valid],
+                                q or QuadratureConfig())
         for i, results in zip(valid, priced):
-            out[i] = [_slice_gaps(s, g, prices, F, D)
-                      for s, g, prices, (F, D) in zip(slices, groups, results, curve_values)]
+            out[i] = [_slice_gaps(g, result.prices, F, D)
+                      for g, result, (F, D) in zip(groups, results, curve_values)]
     return out
 
 
-def _slice_gaps(slice_, group, prices, F: float, D: float):
-    """One slice's vol gaps from its `call_prices` entry and its forward
-    and discount factor, or the exception."""
-    t_e, _, strikes = slice_
+def _slice_gaps(group, prices, F: float, D: float):
+    """One slice's vol gaps from its call prices, or the `FwdVolError`
+    that stopped it, and its forward and discount factor; or the
+    exception."""
     try:
         if isinstance(prices, FwdVolError):
             raise prices
-        return [implied_vol(float(px), F, K, t_e, D, "call") - quote.market_vol
-                for K, px, quote in zip(strikes, prices, group)]
+        return [implied_vol(float(px), F, quote.strike, quote.t_e, D, "call") - quote.market_vol
+                for px, quote in zip(prices, group)]
     except (FwdVolError, ValueError, ArithmeticError) as exc:
         return exc
 

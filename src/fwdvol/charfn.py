@@ -46,7 +46,6 @@ Jacobian at its start allows.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 
@@ -105,8 +104,9 @@ _PIECE_STEPS_PER_JACOBIAN = 0.78
 # Steps whose stage tables are built at once: the forcing and linear
 # coefficients of (2 chunk + 1) stages x rows x nodes.  Building them
 # once per chunk spares each step the broadcast of a row column across
-# the nodes; 4 steps keep the tables small.
-_STEPS_PER_CHUNK = 4
+# the nodes.  A chunk also ends at every knot of the pass.  At 16 steps
+# the tables of a ten-set pass on the first block's 120 nodes take 1.3 MB.
+_STEPS_PER_CHUNK = 16
 # No pass takes fewer than MIN steps up to FLOOR_EXPIRY, nor fewer than
 # MIN sqrt(FLOOR_EXPIRY / t_e) past it: a short expiry weighs theta up to
 # about 1 / (sigma_F sqrt(t_e)).
@@ -168,8 +168,8 @@ def _decay_rate(lag: float, p: ModelParams) -> float:
 def _jacobian(lag: float, p: ModelParams, theta_top: float, vol) -> float:
     """Bound of the Riccati Jacobian's modulus on nodes up to ``theta_top``
     at distances to settlement >= ``lag``: theta alpha sigma_F + beta.
-    ``vol`` is `_vol_bound` of ``p`` (see `default_ab_steps`)."""
-    return theta_top * p.alpha * vol(lag) + p.beta
+    ``vol`` holds `_vol_bound` of ``p`` by lag (see `default_ab_steps`)."""
+    return theta_top * p.alpha * vol[lag] + p.beta
 
 
 def _accuracy_count(t_e: float, p: ModelParams | None, lag: float, vol, decay) -> float:
@@ -180,9 +180,9 @@ def _accuracy_count(t_e: float, p: ModelParams | None, lag: float, vol, decay) -
         return count
     # Only the sigma_F left past the lag has a decay to follow: 1 at lag 0,
     # and the whole term where sigma_F vanishes at every distance.
-    top = vol(0.0)
-    left = vol(lag) / top if top > 0.0 else 1.0
-    count += _DECAY_STEPS_PER_RATE * left * decay(lag) * t_e
+    top = vol[0.0]
+    left = vol[lag] / top if top > 0.0 else 1.0
+    count += _DECAY_STEPS_PER_RATE * left * decay[lag] * t_e
     alpha_power = p.alpha * abs(p.alpha) ** (_ACCURACY_ALPHA_POWER - 1.0)
     return _ACCURACY * alpha_power * math.sqrt(t_e * p.sigma) + count
 
@@ -207,13 +207,26 @@ def _later_steps(a: float, b: float, p: ModelParams | None, theta_top: float, la
     share = _PIECE_SHARE * b**-_PIECE_SHARE_POWER
     # Far past fast reversion sigma_F^2 underflows to 0; the piece then
     # keeps the whole share, which never takes fewer steps.
-    bound = vol(lag) if p is not None else 0.0
+    bound = vol[lag] if p is not None else 0.0
     if bound > 0.0:
-        share *= vol(lag + a) / bound
+        share *= vol[lag + a] / bound
     rate = min(1.0, share) * _accuracy_count(b, p, 0.0, vol, decay) / b
     if p is not None:
         rate = max(rate, _PIECE_STEPS_PER_JACOBIAN * _jacobian(a, p, theta_top, vol))
     return max(1, _steps((b - a) * rate))
+
+
+class _PerLag(dict):
+    """``f(lag, p)`` of one set by lag, each computed once: a step rule
+    reads the same sigma_F bounds and decay rates for several pieces."""
+
+    def __init__(self, f, p: ModelParams):
+        super().__init__()
+        self.f, self.p = f, p
+
+    def __missing__(self, lag: float) -> float:
+        self[lag] = value = self.f(lag, self.p)
+        return value
 
 
 def default_ab_steps(t_e, p: ModelParams | None = None, theta_top: float = 0.0, lag: float = 0.0):
@@ -245,10 +258,7 @@ def default_ab_steps(t_e, p: ModelParams | None = None, theta_top: float = 0.0, 
     """
     vol = decay = None
     if p is not None:
-        # A row reads the same sigma_F bounds and decay rates for several
-        # pieces; each distinct one is computed once per call.
-        vol = functools.cache(functools.partial(_vol_bound, p=p))
-        decay = functools.cache(functools.partial(_decay_rate, p=p))
+        vol, decay = _PerLag(_vol_bound, p), _PerLag(_decay_rate, p)
     if np.ndim(t_e) == 0:
         return _first_steps(t_e, p, theta_top, lag, vol, decay)
     counts = [_first_steps(t_e[0], p, theta_top, lag, vol, decay)]
@@ -453,23 +463,22 @@ def integrate_ab_rows(theta, rows):
         half_h[rows] = 0.5 * grid.h
         scaled_alpha_sq[rows] = (half_alpha_sq[rows] * half_h[rows])[:, None]
 
-    for grid in grids:
-        set_steps(grid)
     # The V and cross tables as (stages, rows) arrays, zero past each
     # grid's end.
-    variance, cross = (
-        np.concatenate([
-            np.pad(getattr(grid, name), ((0, 0), (0, 2 * (last - grid.last))))
-            for grid in grids
-        ]).T
-        for name in ("variance", "cross")
-    )
+    variance, cross = np.zeros((2, 2 * last + 1, len(ps)))
+    for grid in grids:
+        set_steps(grid)
+        stages = slice(2 * grid.last + 1)
+        variance[stages, grid.span] = grid.variance.T
+        cross[stages, grid.span] = grid.cross.T
     # Scratch for E2, E3, a stage's B, c + forcing at the midpoint and the
     # factor of E.
     scratch = np.empty((5,) + shape, dtype=complex)
     # The forcing and linear tables of a chunk, written in place.
     tables = np.empty((2, 2 * _STEPS_PER_CHUNK + 1) + shape, dtype=complex)
-    magnitude = np.empty(b_val.view(float).shape)
+    # sum |B|^2 <= guard^2 / 4 bounds every |B| by half the guard.
+    quarter_guard_sq = 0.25 * _B_OVERFLOW**2
+    add, multiply, vdot = np.add, np.multiply, np.vdot
     step = 0
 
     def a_value(grid):
@@ -481,11 +490,6 @@ def integrate_ab_rows(theta, rows):
             + (beta * (h / 6.0) * grid.simpson[:, step, None]) * q
         )
         return a_val + a_done[rows] if grid.piece else a_val
-
-    def stage(b, linear, out):
-        """E = b (alpha^2 h / 4 b + linear h / 2) into ``out``."""
-        np.add(np.multiply(scaled, b, out=work), linear, out=work)
-        return np.multiply(b, work, out=out)
 
     def park(rows):
         """Hold ``rows`` at B = 0 for the rest of the pass: with c, E and
@@ -503,7 +507,7 @@ def integrate_ab_rows(theta, rows):
         live = slice(max(grid.span.stop for grid in grids if grid.last > step))
         b, c_e, sums = b_val[live], c_and_e[:, live], totals[:, live]
         (c, e1), (e2, e3, b_mid, c_mid, work) = c_e, scratch[:, live]
-        scaled, size = scaled_alpha_sq[live], magnitude[live]
+        scaled = scaled_alpha_sq[live]
         # Every stage's V_k q and linear coefficient (i theta cross_k -
         # beta) h / 2 for the next steps at once, up to the next knot,
         # written as real and imaginary parts: outer products of float
@@ -517,28 +521,41 @@ def integrate_ab_rows(theta, rows):
         parts_of = linear.view(float).reshape(linear.shape + (2,))
         parts_of[..., 0] = (-beta * half_h)[live, None]
         np.multiply.outer(cross[stages, live] * half_h[live], theta, out=parts_of[..., 1])
-        for k in range(0, 2 * (stop - step), 2):
-            # E = (h / 2) B (alpha^2 / 2 B + linear); stages 2, 3 and 4
-            # read B = c + forcing_k + E1, E2 and 2 E3 (stages 2 and 3
-            # share c + forcing at the midpoint), and
+        # Each step reads the stages at its start, midpoint and end.
+        for linear_start, linear_mid, linear_end, forcing_mid, forcing_end in zip(
+            linear[:-1:2], linear[1::2], linear[2::2], forcing[1::2], forcing[2::2]
+        ):
+            # E = (h / 2) B (alpha^2 / 2 B + linear) = B (scaled B +
+            # linear), into e1, e2, e3 and b_mid; stages 2, 3 and 4 read
+            # B = c + forcing + E1, E2 and 2 E3 (stages 2 and 3 share c +
+            # forcing at the midpoint), and
             #   c_next = c + ((E1 + (E2 + E3)) + (E2 + E3) + E4) / 3,
-            # all written in place into the scratch arrays.
-            stage(b, linear[k], out=e1)
-            np.add(c, forcing[k + 1], out=c_mid)
-            stage(np.add(c_mid, e1, out=b_mid), linear[k + 1], out=e2)
-            stage(np.add(c_mid, e2, out=b_mid), linear[k + 1], out=e3)
-            np.add(np.add(c, forcing[k + 2], out=b_mid), e3, out=b_mid)
-            stage(np.add(b_mid, e3, out=b_mid), linear[k + 2], out=b_mid)
-            e_mid = np.add(e2, e3, out=e2)
-            np.add(e1, e_mid, out=e1)
-            sums += c_e
-            e_sum = np.add(np.add(e1, e_mid, out=e3), b_mid, out=e3)
-            np.add(c, np.multiply(e_sum, _THIRD, out=e3), out=c)
-            np.add(c, forcing[k + 2], out=b)
+            # all written in place into the scratch arrays: each ufunc's
+            # third argument is its output.
+            add(multiply(scaled, b, work), linear_start, work)
+            multiply(b, work, e1)
+            add(c, forcing_mid, c_mid)
+            add(c_mid, e1, b_mid)
+            add(multiply(scaled, b_mid, work), linear_mid, work)
+            multiply(b_mid, work, e2)
+            add(c_mid, e2, b_mid)
+            add(multiply(scaled, b_mid, work), linear_mid, work)
+            multiply(b_mid, work, e3)
+            add(add(c, forcing_end, b_mid), e3, b_mid)
+            add(b_mid, e3, b_mid)
+            add(multiply(scaled, b_mid, work), linear_end, work)
+            multiply(b_mid, work, b_mid)
+            e_mid = add(e2, e3, e2)
+            add(e1, e_mid, e1)
+            add(sums, c_e, sums)
+            e_sum = add(add(e1, e_mid, e3), b_mid, e3)
+            add(c, multiply(e_sum, _THIRD, e3), c)
+            add(c, forcing_end, b)
             step += 1
-            # |B| <= 2 max(|Re B|, |Im B|), so only a state past half the
-            # guard needs |B| itself.  NaN fails the comparison too.
-            if not np.abs(b.view(float), out=size).max(initial=0.0) <= 0.5 * _B_OVERFLOW:
+            # Only a state past the bound needs each row's peak |B|; the
+            # peaks decide which rows left the guard.  NaN and infinities
+            # fail the comparison too.
+            if not vdot(b, b).real <= quarter_guard_sq:
                 peaks = np.abs(b_val).reshape(len(ps), -1).max(axis=1).tolist()
                 for grid in grids:
                     start, h_row, first, _ = grid.pieces[grid.piece]

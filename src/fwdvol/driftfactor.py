@@ -69,8 +69,18 @@ def centered_variance_cov(s1, s2, beta: float, alpha: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _k_sq_quadrature(t: float, T: float, p: ModelParams, n_nodes: int) -> float:
+@lru_cache(maxsize=None)
+def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``n_nodes``-point Gauss-Legendre rule on [-1, 1], built once
+    per node count; read-only, since every caller shares it."""
     x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def _k_sq_quadrature(t: float, T: float, p: ModelParams, n_nodes: int) -> float:
+    x, w = _gauss_legendre(n_nodes)
     s2 = 0.5 * t * (x + 1.0)
     w2 = 0.5 * t * w
     # Inner integral over s1 in [0, s2] for every outer node, as one array.
@@ -256,17 +266,17 @@ class DriftFactorResult:
 def drift_factor_result(t: float, T: float, p: ModelParams) -> DriftFactorResult:
     """k^2(t, T) of a valid set: a documented limit, else the closed form.
 
-    Memoized for grids.  ``p`` must pass `validate_params`, or this
-    raises `InvalidModelParams`.  ``method`` is "limit" or
-    "closed_form".  Conventions at the degenerate points: at t = 0 the
-    matching window is empty and k collapses to the instantaneous rate
+    Requires 0 <= t <= T < inf.  Memoized for grids.  ``p`` must pass
+    `validate_params`, or this raises `InvalidModelParams`.  ``method`` is
+    "limit" or "closed_form".  Conventions at the degenerate points: at
+    t = 0 the matching window is empty and k collapses to the instantaneous rate
     sigma_F^2(0, T); with alpha = 0 the variance factor never moves and
     k is fixed at the time average of sigma_F^2 over [0, t], which
     multiplies an identically zero integral anyway.
     """
     validate_params(p)
-    if not 0.0 <= t <= T:
-        raise DomainError("drift_factor requires 0 <= t <= T")
+    if not 0.0 <= t <= T < math.inf:
+        raise DomainError("drift_factor requires 0 <= t <= T < inf")
     if t == 0.0 or (p.beta1 == 0.0 and p.beta2 == 0.0):
         # Empty matching window, or sigma_F^2 flat in calendar time: the
         # weighted average collapses to the instantaneous rate either way.

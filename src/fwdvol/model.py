@@ -125,6 +125,22 @@ class ModelParams:
         return cls(**values)
 
 
+def _clearly_positive_definite(p: ModelParams) -> bool:
+    """Whether ``p``'s correlation matrix, with every correlation in
+    [-1, 1], is positive definite by a margin no eigensolver can miss.
+
+    The leading 2 x 2 block has eigenvalues 1 -+ rho >= 0, so by Cauchy
+    interlacing at most one eigenvalue of the matrix is negative, and a
+    positive determinant makes that one positive too; as the eigenvalues
+    sum to 3, the least is then above 4/9 of the determinant.  A
+    determinant above 1e-12 clears its own rounding error, about 2e-15,
+    and that of `np.linalg.eigvalsh`, about 1e-15, so the eigenvalue
+    that solver would return is positive.
+    """
+    r, r1, r2 = p.rho, p.rho1, p.rho2
+    return 1.0 + 2.0 * r * r1 * r2 - r * r - r1 * r1 - r2 * r2 > 1e-12
+
+
 def validate_params(p: ModelParams) -> ModelParams:
     """Check every parameter invariant, returning ``p`` unchanged if all hold.
 
@@ -165,7 +181,7 @@ def validate_params(p: ModelParams) -> ModelParams:
                     "CorrelationOutOfRange", f"{name} = {value} must lie in [-1, 1]"
                 )
             )
-    if correlations_in_range:
+    if correlations_in_range and not _clearly_positive_definite(p):
         eigenvalues = np.linalg.eigvalsh(p.correlation_matrix())
         if eigenvalues.min() < -PSD_TOLERANCE:
             violations.append(

@@ -160,6 +160,20 @@ class QuadratureConfig:
             raise DomainError("n_nodes must be >= 12")
 
 
+def _black76(F: float, K: float, log_moneyness: float, total_variance: float, D: float,
+             call: bool) -> float:
+    """`black76_price` of checked inputs, with log(F / K) given; it is
+    read only where the total variance is > 0."""
+    if total_variance <= 0.0:
+        return D * (max(F - K, 0.0) if call else max(K - F, 0.0))
+    s = math.sqrt(total_variance)
+    d1 = log_moneyness / s + 0.5 * s
+    d2 = d1 - s
+    if call:
+        return D * (F * _norm_cdf(d1) - K * _norm_cdf(d2))
+    return D * (K * _norm_cdf(-d2) - F * _norm_cdf(-d1))
+
+
 def black76_price(F: float, K: float, total_variance: float, D: float, kind: str = "call") -> float:
     """Black-76 option value with total log variance ``total_variance``.
 
@@ -170,15 +184,8 @@ def black76_price(F: float, K: float, total_variance: float, D: float, kind: str
         raise DomainError("black76_price requires F, K, D > 0")
     if kind not in ("call", "put"):
         raise DomainError("kind must be 'call' or 'put'")
-    if total_variance <= 0.0:
-        intrinsic = max(F - K, 0.0) if kind == "call" else max(K - F, 0.0)
-        return D * intrinsic
-    s = math.sqrt(total_variance)
-    d1 = math.log(F / K) / s + 0.5 * s
-    d2 = d1 - s
-    if kind == "call":
-        return D * (F * _norm_cdf(d1) - K * _norm_cdf(d2))
-    return D * (K * _norm_cdf(-d2) - F * _norm_cdf(-d1))
+    log_moneyness = math.log(F / K) if total_variance > 0.0 else 0.0
+    return _black76(F, K, log_moneyness, total_variance, D, kind == "call")
 
 
 def black76_vega(F: float, K: float, t_e: float, vol: float, D: float) -> float:
@@ -216,24 +223,27 @@ def implied_vol(price: float, F: float, K: float, t_e: float, D: float, kind: st
     if price <= lower + tol:
         return 0.0
 
+    # What `black76_price` and `black76_vega` would compute on every
+    # iteration, computed once.
+    call, log_moneyness, root_t = kind == "call", math.log(F / K), math.sqrt(t_e)
+    vega_scale = D * F * root_t * _INV_SQRT_2PI
     lo, hi = _VOL_BRACKET
-    price_lo = black76_price(F, K, lo * lo * t_e, D, kind)
-    price_hi = black76_price(F, K, hi * hi * t_e, D, kind)
-    if price <= price_lo:
+    if price <= _black76(F, K, log_moneyness, lo * lo * t_e, D, call):
         return lo
-    if price >= price_hi:
+    if price >= _black76(F, K, log_moneyness, hi * hi * t_e, D, call):
         raise NoArbitrageViolation(
             f"price {price} needs implied volatility above {hi}"
         )
     vol = 0.3
     for _ in range(200):
-        model = black76_price(F, K, vol * vol * t_e, D, kind)
-        diff = model - price
+        diff = _black76(F, K, log_moneyness, vol * vol * t_e, D, call) - price
         if diff > 0.0:
             hi = vol
         else:
             lo = vol
-        vega = black76_vega(F, K, t_e, vol, D)
+        s = vol * root_t
+        d1 = log_moneyness / s + 0.5 * s
+        vega = vega_scale * math.exp(-0.5 * d1 * d1)
         if vega > 1e-14:
             candidate = vol - diff / vega
         else:
@@ -337,22 +347,29 @@ def price_slices(
     sequence of sets one such list per set, each equal to that set's own
     call; a failure stops its own slice alone.
     """
-    q = q or QuadratureConfig()
     stacked = not isinstance(p, ModelParams)
     ps = tuple(p) if stacked else (p,)
     for p_i in ps:
         validate_params(p_i)
-    thetas, weights, blocks = _theta_grid(q)
     slices = [(t_e, T, np.asarray(strikes, dtype=float)) for t_e, T, strikes in slices]
     for t_e, T, strikes in slices:
         if not 0.0 < t_e <= T < math.inf:
             raise DomainError("price_slices requires 0 < t_e <= T < inf")
         if not np.all((strikes > 0.0) & (strikes < math.inf)):
             raise DomainError("strikes must be finite and > 0")
+    curve_values = [(curves.forward(T), curves.discount(T)) for _, T, _ in slices]
+    out = _price_checked(slices, curve_values, ps, q or QuadratureConfig())
+    return out if stacked else out[0]
 
-    # F(0, T) and D(T) of each slice, looked up once per call.
-    forwards = [curves.forward(T) for _, T, _ in slices]
-    discounts = [curves.discount(T) for _, T, _ in slices]
+
+def _price_checked(slices, curve_values, ps, q: QuadratureConfig) -> list[list[SliceResult]]:
+    """`price_slices` of checked inputs, one list per set of ``ps``.
+
+    ``slices`` hold their strikes as float arrays, ``curve_values`` each
+    slice's (F(0, T), D(T)), and every set of ``ps`` has passed
+    `validate_params`.
+    """
+    thetas, weights, blocks = _theta_grid(q)
     integrals = [[np.zeros(strikes.shape) for _, _, strikes in slices] for _ in ps]
     steps: list[list[list[int]]] = [[[] for _ in slices] for _ in ps]
     out: list[list] = [[None] * len(slices) for _ in ps]
@@ -377,47 +394,55 @@ def price_slices(
             for index, n in zip(members, stops):
                 steps[i][index].append(n)
         nodes, node_weights = thetas[block], weights[block]
-        denominator = nodes**2 + 1j * nodes
         # Each slice's strike phases on this block, shared by every set.
         phases: dict[int, np.ndarray] = {}
-        passes = integrate_ab_rows(nodes, rows)
-        for ((i, _), members), snapshots in zip(groups.items(), passes):
+        # The (set, slice) pairs whose snapshots came through, with the
+        # exponents A + B v0 of their characteristic functions stacked.
+        priced, exponents = [], []
+        for ((i, _), members), snapshots in zip(groups.items(), integrate_ab_rows(nodes, rows)):
             for index, snapshot in zip(members, snapshots):
-                result = snapshot
-                if not isinstance(snapshot, FwdVolError):
-                    _, T, strikes = slices[index]
-                    if index not in phases:
-                        log_moneyness = np.log(strikes / forwards[index])
-                        phases[index] = np.exp(-1j * np.outer(nodes, log_moneyness))
-                    a_val, b_val = snapshot
-                    exponent = a_val + b_val * ps[i].v0
-                    # |f| <= 1 on real theta; a pass with too few steps for
-                    # its set can break that without tripping the |B| guard.
-                    if not exponent.real.max() <= _MODULUS_TOLERANCE:
-                        out[i][index] = SliceResult(
-                            NonConvergence(
-                                f"characteristic function modulus exceeded 1 after "
-                                f"{steps[i][index][-1]} RK4 steps"
-                            ),
-                            theta_top, tuple(steps[i][index]), block.stop,
-                        )
-                        continue
-                    kernel = np.exp(exponent) / denominator
-                    integrals[i][index] += node_weights @ np.real(kernel[:, None] * phases[index])
-                    tail = float(node_weights[tail_panel] @ np.abs(kernel[tail_panel]))
-                    if tail <= _TAIL_TOLERANCE:
-                        result = _prices_from_integral(
-                            strikes, integrals[i][index], forwards[index], discounts[index]
-                        )
-                    elif at_cap:
-                        result = QuadratureTailError(
-                            f"last quadrature panel contributes up to {tail:.3e} > tail "
-                            f"tolerance {_TAIL_TOLERANCE:.3e}; increase theta_max"
-                        )
-                    else:
-                        continue
+                if isinstance(snapshot, FwdVolError):
+                    out[i][index] = SliceResult(snapshot, theta_top, tuple(steps[i][index]),
+                                                block.stop)
+                else:
+                    priced.append((i, index))
+                    exponents.append(snapshot)
+        if not priced:
+            continue
+        a_val, b_val = np.array(exponents).transpose(1, 0, 2)
+        exponent = a_val + b_val * np.array([ps[i].v0 for i, _ in priced])[:, None]
+        # |f| <= 1 on real theta; a pass with too few steps for its set
+        # can break that without tripping the |B| guard.  Such a row's
+        # kernel is not formed, so that it cannot overflow.
+        bounded = exponent.real.max(axis=1) <= _MODULUS_TOLERANCE
+        if not bounded.all():
+            exponent[~bounded] = 0.0
+        kernels = np.exp(exponent) / (nodes**2 + 1j * nodes)
+        for (i, index), kernel, fine in zip(priced, kernels, bounded.tolist()):
+            if not fine:
+                result = NonConvergence(
+                    f"characteristic function modulus exceeded 1 after "
+                    f"{steps[i][index][-1]} RK4 steps"
+                )
                 out[i][index] = SliceResult(result, theta_top, tuple(steps[i][index]), block.stop)
-    return out if stacked else out[0]
+                continue
+            _, _, strikes = slices[index]
+            F, D = curve_values[index]
+            if index not in phases:
+                phases[index] = np.exp(-1j * np.outer(nodes, np.log(strikes / F)))
+            integrals[i][index] += node_weights @ np.real(kernel[:, None] * phases[index])
+            tail = float(node_weights[tail_panel] @ np.abs(kernel[tail_panel]))
+            if tail <= _TAIL_TOLERANCE:
+                result = _prices_from_integral(strikes, integrals[i][index], F, D)
+            elif at_cap:
+                result = QuadratureTailError(
+                    f"last quadrature panel contributes up to {tail:.3e} > tail "
+                    f"tolerance {_TAIL_TOLERANCE:.3e}; increase theta_max"
+                )
+            else:
+                continue
+            out[i][index] = SliceResult(result, theta_top, tuple(steps[i][index]), block.stop)
+    return out
 
 
 def _prices_from_integral(strikes, integral, F: float, D: float) -> np.ndarray:

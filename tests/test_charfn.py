@@ -337,6 +337,39 @@ class TestSnapshots:
         assert steps == [330]
         assert np.all(np.isfinite(coarse[1]))
 
+    def test_guard_slow_path_keeps_every_row(self, fig1, monkeypatch):
+        # With the guard at 1.5 times the pass's largest |B|, the sum of
+        # |B|^2 passes a quarter of its square at that step, so each
+        # row's peak is read, and no row leaves the guard: no row may
+        # fail, and every snapshot keeps its bits.
+        import fwdvol.charfn as charfn
+
+        nodes, _, ((first_block, _, _), *_) = _theta_grid(QuadratureConfig())
+        thetas = nodes[first_block]
+        rows = []
+        for lag, p in ((0.0, fig1), (1.0, fig1), (0.0, replace(fig1, alpha=2.0))):
+            knots = list(zip([0.5, 1.0, 2.0], default_ab_steps([0.5, 1.0, 2.0], p, 60.0, lag)))
+            rows.append((lag, knots, [n for _, n in knots], p))
+        # The largest |B| after any step of any row, from each row's own
+        # pass read off after every step.
+        peak = max(
+            float(np.abs(b_val).max())
+            for lag, knots, stops, p in rows
+            for _, b_val in integrate_ab_snapshots(thetas, lag, knots, range(1, stops[-1] + 1), p)
+        )
+        want = integrate_ab_rows(thetas, rows)
+        calls = []
+        monkeypatch.setattr(charfn, "_B_OVERFLOW", 1.5 * peak)
+        monkeypatch.setattr(charfn, "_diverged", lambda *args: calls.append(args))
+        got = integrate_ab_rows(thetas, rows)
+        assert calls == []
+
+        def hexes(snapshots):
+            return [[x.hex() for part in snapshot for x in part.view(float).tolist()]
+                    for snapshot in snapshots]
+
+        assert list(map(hexes, got)) == list(map(hexes, want))
+
     @pytest.mark.parametrize("preset", ["fig1", "sec5"])
     @pytest.mark.parametrize("lag", [0.0, 1.0])
     def test_graded_row_matches_stagewise_oracle(self, request, preset, lag):

@@ -197,6 +197,14 @@ class TestDispatcher:
         with pytest.raises(DomainError):
             drift_factor_result(2.0, 1.0, make5())
 
+    @pytest.mark.parametrize("overrides", [{}, {"alpha": 0.0}, {"alpha": 0.0, "beta1": 0.0}])
+    def test_rejects_an_infinite_settlement(self, overrides):
+        # Each set takes another route at T = inf: the closed form, which
+        # rejects it, the alpha = 0 limit, which read k^2 = 0, and that
+        # limit with a zero-rate channel, which divided by zero.
+        with pytest.raises(DomainError):
+            drift_factor_result(0.5, math.inf, make(**overrides))
+
     @pytest.mark.parametrize("field, value, code", [("sigma", -5.0, "NonPositiveSigma"),
                                                     ("beta1", -2.0, "NegativeRate")])
     def test_rejects_invalid_sets(self, field, value, code):

@@ -269,6 +269,61 @@ class TestImpliedVol:
         with pytest.raises(NoArbitrageViolation):
             implied_vol(0.1, 1.3, 1.0, 1.0, 1.0)
 
+    @staticmethod
+    def newton_through_public_formulas(price, F, K, t_e, D, kind):
+        """`implied_vol`'s bracketed Newton iteration on a price inside
+        its bounds, each iterate priced by `black76_price` and
+        `black76_vega`."""
+        upper = D * F if kind == "call" else D * K
+        tol = 1e-10 * max(1.0, upper)
+        lo, hi = 1e-6, 10.0
+        if price <= black76_price(F, K, lo * lo * t_e, D, kind):
+            return lo
+        if price >= black76_price(F, K, hi * hi * t_e, D, kind):
+            return "above"
+        vol = 0.3
+        for _ in range(200):
+            diff = black76_price(F, K, vol * vol * t_e, D, kind) - price
+            if diff > 0.0:
+                hi = vol
+            else:
+                lo = vol
+            vega = black76_vega(F, K, t_e, vol, D)
+            candidate = vol - diff / vega if vega > 1e-14 else 0.5 * (lo + hi)
+            if abs(diff) <= tol and abs(candidate - vol) <= 1e-9 * max(1.0, vol):
+                return candidate
+            if not lo < candidate < hi:
+                candidate = 0.5 * (lo + hi)
+            if hi - lo <= 1e-13 * max(1.0, hi):
+                return candidate
+            vol = candidate
+        return "failed"
+
+    def test_newton_matches_the_public_formulas_bit_for_bit(self):
+        # implied_vol computes log(F / K) and sqrt(t_e) once per inversion
+        # and prices its iterates without checks; every vol must be the
+        # one the public formulas' iteration returns.
+        inverted = 0
+        for t_e in np.geomspace(1e-3, 30.0, 7):
+            for moneyness in np.geomspace(0.2, 5.0, 9):
+                for vol in np.geomspace(0.01, 3.0, 8):
+                    for kind, D in (("call", 0.97), ("put", 0.8)):
+                        F, K = 1.3, 1.3 * moneyness
+                        price = black76_price(F, K, vol * vol * t_e, D, kind)
+                        lower = D * max(F - K if kind == "call" else K - F, 0.0)
+                        upper = D * F if kind == "call" else D * K
+                        if not lower + 1e-10 * max(1.0, upper) < price < upper:
+                            continue
+                        want = self.newton_through_public_formulas(price, F, K, t_e, D, kind)
+                        if isinstance(want, str):
+                            with pytest.raises(NoArbitrageViolation):
+                                implied_vol(price, F, K, t_e, D, kind)
+                            continue
+                        got = implied_vol(price, F, K, t_e, D, kind)
+                        assert got.hex() == float(want).hex(), (t_e, moneyness, vol, kind)
+                        inverted += 1
+        assert inverted >= 400
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("position", range(5))
     def test_non_finite_inputs_rejected(self, bad, position):

@@ -20,6 +20,7 @@ from fwdvol import (
     validate_params,
     variance_rate,
 )
+from fwdvol.model import PSD_TOLERANCE, _clearly_positive_definite
 
 FIG1 = dict(
     sigma=0.4, beta1=0.1, beta2=1.0, R=0.5, rho=-0.3,
@@ -64,6 +65,34 @@ class TestValidateParams:
         with pytest.raises(InvalidModelParams) as err:
             validate_params(make(rho=-0.9, rho1=0.9, rho2=0.9))
         assert "CorrelationMatrixNotPSD" in err.value.codes()
+
+    def test_psd_verdict_is_the_least_eigenvalues(self):
+        # The eigensolver is skipped where the determinant proves the
+        # correlation matrix positive definite; each verdict must still be
+        # the one its least eigenvalue gives, on and next to the boundary
+        # (rho2 at a root of the determinant) too.
+        rng = np.random.default_rng(7)
+        triples = rng.uniform(-1.0, 1.0, (3000, 3)).tolist()
+        for rho, rho1 in rng.uniform(-1.0, 1.0, (300, 2)).tolist():
+            root = rho * rho1 + math.sqrt((1.0 - rho**2) * (1.0 - rho1**2))
+            for shift in (-1e-9, -1e-12, -1e-15, 0.0, 1e-15, 1e-12, 1e-9):
+                triples.append([rho, rho1, max(-1.0, min(1.0, root + shift))])
+        triples += [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+        certified = 0
+        for rho, rho1, rho2 in triples:
+            p = make(rho=rho, rho1=rho1, rho2=rho2)
+            least = np.linalg.eigvalsh(p.correlation_matrix()).min()
+            if _clearly_positive_definite(p):
+                certified += 1
+                assert least > 0.0
+            try:
+                validate_params(p)
+            except InvalidModelParams as err:
+                assert err.codes() == ("CorrelationMatrixNotPSD",)
+                assert least < -PSD_TOLERANCE
+            else:
+                assert least >= -PSD_TOLERANCE
+        assert certified > len(triples) // 3
 
     def test_nonpositive_sigma(self):
         with pytest.raises(InvalidModelParams) as err:
