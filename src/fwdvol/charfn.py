@@ -113,9 +113,10 @@ _STEPS_PER_CHUNK = 16
 _MIN_STEPS = 20
 _FLOOR_EXPIRY = 0.1
 # A later piece [a, b] of a row, read at b, takes a share min(1, SHARE
-# b^-POWER sigma_F(lag + a) / sigma_F(lag)) of b's accuracy steps a year:
-# its error at b is made over the theta range that b still weighs, which
-# narrows as b grows, and over which the stiffness falls with sigma_F.
+# b^-POWER S(lag + a) / S(lag)) of b's accuracy steps a year, with S(d)
+# the supremum of sigma_F past distance d (`_vol_bound`): its error at b
+# is made over the theta range that b still weighs, which narrows as b
+# grows, and over which the stiffness falls with sigma_F.
 # The share keeps the rows of the calibration quotes (0.5, 1 and 2 years)
 # and of expiries 0.1-10 within 5.1e-10 D F of 3200 steps a year on the
 # sets above; sec5, whose sigma_F hardly decays, sets the share.
@@ -172,12 +173,10 @@ def _jacobian(lag: float, p: ModelParams, theta_top: float, vol) -> float:
     return theta_top * p.alpha * vol[lag] + p.beta
 
 
-def _accuracy_count(t_e: float, p: ModelParams | None, lag: float, vol, decay) -> float:
+def _accuracy_count(t_e: float, p: ModelParams, lag: float, vol, decay) -> float:
     """Steps that a pass from tau = 0 to t_e needs for accuracy, before
     rounding up (see `default_ab_steps`)."""
     count = _DECAY_STEPS_PER_YEAR * t_e
-    if p is None:
-        return count
     # Only the sigma_F left past the lag has a decay to follow: 1 at lag 0,
     # and the whole term where sigma_F vanishes at every distance.
     top = vol[0.0]
@@ -192,27 +191,24 @@ def _steps(count: float) -> int:
     return math.ceil(round(count, 9))
 
 
-def _first_steps(t_e: float, p: ModelParams | None, theta_top: float, lag: float, vol, decay) -> int:
+def _first_steps(t_e: float, p: ModelParams, theta_top: float, lag: float, vol, decay) -> int:
     """Steps of a pass to t_e alone, or of a row's first piece (see `default_ab_steps`)."""
-    count = _accuracy_count(t_e, p, lag, vol, decay)
-    if p is not None:
-        count = max(count, _STEPS_PER_JACOBIAN * _jacobian(lag, p, theta_top, vol) * t_e)
+    count = max(_accuracy_count(t_e, p, lag, vol, decay),
+                _STEPS_PER_JACOBIAN * _jacobian(lag, p, theta_top, vol) * t_e)
     floor = _MIN_STEPS * math.sqrt(_FLOOR_EXPIRY / max(t_e, _FLOOR_EXPIRY))
     return max(_steps(floor), _steps(count))
 
 
-def _later_steps(a: float, b: float, p: ModelParams | None, theta_top: float, lag: float,
+def _later_steps(a: float, b: float, p: ModelParams, theta_top: float, lag: float,
                  vol, decay) -> int:
     """Steps of a row's piece [a, b] past its first expiry (see `default_ab_steps`)."""
     share = _PIECE_SHARE * b**-_PIECE_SHARE_POWER
     # Far past fast reversion sigma_F^2 underflows to 0; the piece then
     # keeps the whole share, which never takes fewer steps.
-    bound = vol[lag] if p is not None else 0.0
-    if bound > 0.0:
-        share *= vol[lag + a] / bound
-    rate = min(1.0, share) * _accuracy_count(b, p, 0.0, vol, decay) / b
-    if p is not None:
-        rate = max(rate, _PIECE_STEPS_PER_JACOBIAN * _jacobian(a, p, theta_top, vol))
+    if vol[lag] > 0.0:
+        share *= vol[lag + a] / vol[lag]
+    rate = max(min(1.0, share) * _accuracy_count(b, p, 0.0, vol, decay) / b,
+               _PIECE_STEPS_PER_JACOBIAN * _jacobian(a, p, theta_top, vol))
     return max(1, _steps((b - a) * rate))
 
 
@@ -229,17 +225,17 @@ class _PerLag(dict):
         return value
 
 
-def default_ab_steps(t_e, p: ModelParams | None = None, theta_top: float = 0.0, lag: float = 0.0):
-    """RK4 step count for an expiry of t_e years on nodes up to ``theta_top``.
+def default_ab_steps(t_e, p: ModelParams, theta_top: float = 0.0, lag: float = 0.0):
+    """RK4 step count for an expiry of t_e years of set ``p`` on nodes up
+    to ``theta_top``.
 
     The larger of an accuracy count, 41.22 alpha^1.1 sqrt(t_e sigma) +
-    (3 + 4.5 s kappa) t_e, and a stability count, (theta_top alpha max
-    sigma_F + beta) t_e, rounded up: kappa is the decay rate of sigma_F^2
-    at distance ``lag`` (`_decay_rate`), max sigma_F the supremum over
-    distances to settlement >= ``lag`` (`_vol_bound`), and s its ratio to
-    the supremum over all distances, the share of sigma_F left at ``lag``.
-    No count falls below 20 up to t_e = 0.1, nor below 20 sqrt(0.1 / t_e)
-    past it.  Without ``p`` only 3 t_e and the floor apply.
+    (3 + 4.5 s kappa) t_e, and a stability count, (theta_top alpha S(lag)
+    + beta) t_e, rounded up: kappa is the decay rate of sigma_F^2 at
+    distance ``lag`` (`_decay_rate`), S(d) the supremum of sigma_F over
+    distances to settlement >= d (`_vol_bound`), and s = S(lag) / S(0),
+    the share of sigma_F left at ``lag``.  No count falls below 20 up to
+    t_e = 0.1, nor below 20 sqrt(0.1 / t_e) past it.
 
     ``t_e`` may also be a list of ascending expiries t_1 < t_2 < ...,
     read off one row whose tau grid is cut at each of them (see
@@ -247,18 +243,15 @@ def default_ab_steps(t_e, p: ModelParams | None = None, theta_top: float = 0.0, 
     which each is read.  The first piece, [0, t_1], takes the count of t_1
     alone, so a one-expiry row is the pass above.  Each later piece [a, b]
     takes the larger of two rates a year: a share min(1, 0.88 b^-0.28
-    sigma_F(lag + a) / sigma_F(lag)), or min(1, 0.88 b^-0.28) where
-    sigma_F(lag) underflows to 0, of the accuracy count of b alone at
-    lag 0, per year of b, and 0.78 (theta_top alpha max sigma_F + beta)
-    with max sigma_F taken over distances >= a.  Both are read as if the
-    row were at lag 0: a row at a larger lag has a lower sigma_F, so its
-    price weighs a wider theta range, and it needs no fewer steps.  On the
-    calibration quotes' row (0.5, 1 and 2 years, theta <= 60) fig1 takes
-    22 + 14 + 17 = 53 steps.
+    S(lag + a) / S(lag)), or min(1, 0.88 b^-0.28) where S(lag)
+    underflows to 0, of the accuracy count of b alone at lag 0, per year
+    of b, and 0.78 (theta_top alpha S(a) + beta).  Both are read as if
+    the row were at lag 0: a row at a larger lag has a lower sigma_F, so
+    its price weighs a wider theta range, and it needs no fewer steps.  On
+    the calibration quotes' row (0.5, 1 and 2 years, theta <= 60) fig1
+    takes 22 + 14 + 17 = 53 steps.
     """
-    vol = decay = None
-    if p is not None:
-        vol, decay = _PerLag(_vol_bound, p), _PerLag(_decay_rate, p)
+    vol, decay = _PerLag(_vol_bound, p), _PerLag(_decay_rate, p)
     if np.ndim(t_e) == 0:
         return _first_steps(t_e, p, theta_top, lag, vol, decay)
     counts = [_first_steps(t_e[0], p, theta_top, lag, vol, decay)]
@@ -295,17 +288,15 @@ def _pieces(grid, last: int) -> list[tuple[float, float, int, int]]:
     """A row's tau grid up to step ``last``, as its uniform pieces
     (start tau, step h, first step, end step).
 
-    ``grid`` is a step h, the grid k h, or knots (tau_k, n_k): tau_k
-    reached after n_k steps, both ascending from (0, 0), with equal steps
-    between one knot and the next.
+    ``grid`` is knots (tau_k, n_k): tau_k reached after n_k steps, both
+    ascending from (0, 0), with equal steps between one knot and the next.
     """
-    if np.ndim(grid) == 0:
-        if not grid > 0.0:
-            raise DomainError("a Riccati pass requires h > 0")
-        return [(0.0, float(grid), 0, last)]
+    try:
+        knots = [(tau, operator.index(n)) for tau, n in grid]
+    except (TypeError, ValueError):
+        raise DomainError("a Riccati grid is a sequence of knots (tau, steps)") from None
     pieces, start, first = [], 0.0, 0
-    for tau, n in grid:
-        n = operator.index(n)
+    for tau, n in knots:
         if not (tau > start and n > first):
             raise DomainError("a Riccati grid's knots must ascend in tau and in steps")
         if first < last:
@@ -378,9 +369,10 @@ def integrate_ab_rows(theta, rows):
     A row is (lag, grid, stops, p): parameter set ``p`` at distance to
     settlement ``lag``, stepped along ``grid`` and read off after each
     step count in ``stops`` (see `integrate_ab_snapshots`).  ``grid`` is
-    a step h, or knots (tau_k, n_k), which cut the row into pieces of
-    equal steps: a row read at several expiries t_k takes each piece
-    [t_k-1, t_k] in its own step count.  The rows advance as one
+    knots (tau_k, n_k), which cut the row into pieces of equal steps: a
+    row read at several expiries t_k takes each piece [t_k-1, t_k] in its
+    own step count.  ``theta`` is real: a complex theta raises
+    `DomainError`.  The rows advance as one
     (rows, theta) state, built once and stepped to the longest grid's
     end: each row brings its own V and cross tables on its own stage
     points, one `variance_before_expiry` call each, and its own beta,
@@ -399,7 +391,10 @@ def integrate_ab_rows(theta, rows):
     Returns a list aligned with ``rows``, each entry a list aligned with
     that row's ``stops`` as `integrate_ab_snapshots` returns it.
     """
-    theta = np.asarray(theta, dtype=float)
+    theta = np.asarray(theta)
+    if theta.dtype.kind == "c":
+        raise DomainError("a Riccati pass takes real theta only")
+    theta = theta.astype(float, copy=False)
     # The pass runs on the nodes as a vector; snapshots take their shape.
     node_shape, theta = theta.shape, theta.ravel()
     checked = []
@@ -606,10 +601,10 @@ def integrate_ab_snapshots(theta, lag: float, grid, stops, p: ModelParams):
         Transform variable(s); the integration is vectorized across them.
     lag : float
         T - t_e >= 0, shared by every snapshot of the pass.
-    grid : float or sequence of (float, int)
-        Step size h > 0, for the grid k h; or knots (tau_k, n_k), which
-        reach tau_k after n_k steps, both ascending from (0, 0), with
-        equal steps from one knot to the next.
+    grid : sequence of (float, int)
+        Knots (tau_k, n_k), which reach tau_k after n_k steps, both
+        ascending from (0, 0), with equal steps from one knot to the
+        next; [(t_e, n)] is the grid of n equal steps to t_e.
     stops : sequence of int
         Step counts after which (A, B) is wanted; the pass runs to the
         largest, which must not pass the last knot.
@@ -643,7 +638,7 @@ def integrate_ab(theta, t_e: float, T: float, p: ModelParams, n_steps: int | Non
 
     Returns
     -------
-    (A, B) : complex scalars or ndarrays shaped like ``theta``.
+    (A, B) : complex arrays shaped like ``theta``, 0-d for a scalar.
 
     Raises
     ------
@@ -653,36 +648,33 @@ def integrate_ab(theta, t_e: float, T: float, p: ModelParams, n_steps: int | Non
     """
     if not 0.0 <= t_e <= T:
         raise DomainError("integrate_ab requires 0 <= t_e <= T")
-    theta_arr = np.asarray(theta, dtype=float)
-    scalar = theta_arr.ndim == 0
-    theta_arr = np.atleast_1d(theta_arr)
-    if t_e == 0.0:
-        a_val = b_val = np.zeros(theta_arr.shape, dtype=complex)
-    else:
+    # At t_e = 0 the one stop is step 0, on no grid.
+    grid, stops = [], [0]
+    if t_e > 0.0:
         if n_steps is None:
-            n_steps = default_ab_steps(t_e, p, float(np.abs(theta_arr).max()), T - t_e)
+            n_steps = default_ab_steps(t_e, p, float(np.abs(theta).max()), T - t_e)
         if n_steps < 1:
             raise DomainError("n_steps must be >= 1")
-        (snapshot,) = integrate_ab_snapshots(theta_arr, T - t_e, t_e / n_steps, [n_steps], p)
-        if isinstance(snapshot, NonConvergence):
-            raise snapshot
-        a_val, b_val = snapshot
-    return (a_val[0], b_val[0]) if scalar else (a_val, b_val)
+        grid, stops = [(t_e, n_steps)], [n_steps]
+    (snapshot,) = integrate_ab_snapshots(theta, T - t_e, grid, stops, p)
+    if isinstance(snapshot, NonConvergence):
+        raise snapshot
+    return snapshot
 
 
 def charfn_value(theta, x, v, t_e: float, T: float, p: ModelParams):
     """Conditional characteristic function exp(i theta x + A + B v).
 
-    ``v`` must be >= 0.  For real ``theta`` this is the characteristic
-    function of a genuine distribution, so its modulus cannot exceed 1;
-    a material violation indicates a broken integration and raises.
+    ``v`` must be >= 0 and ``theta`` real.  This is then the
+    characteristic function of a genuine distribution, so its modulus
+    cannot exceed 1; a material violation indicates a broken integration
+    and raises.
     """
     if v < 0.0:
         raise DomainError("variance state v must be >= 0")
     a_val, b_val = integrate_ab(theta, t_e, T, p)
     exponent = 1j * np.multiply(theta, x) + a_val + b_val * v
-    real_theta = np.all(np.isreal(theta))
-    if real_theta and np.any(np.real(exponent) > _MODULUS_TOLERANCE):
+    if np.any(np.real(exponent) > _MODULUS_TOLERANCE):
         raise NumericalError(
             "characteristic function modulus exceeded 1; integration is unreliable"
         )

@@ -30,7 +30,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -64,6 +64,11 @@ __all__ = [
 _BLOCK = 8192
 
 _DRIFT_MODES = ("exact_per_T", "approximate")
+
+
+def _dates(dates) -> tuple[float, ...]:
+    """Settlement dates as the engine keeps them: ascending, each once."""
+    return tuple(sorted({float(T) for T in dates}))
 
 
 @dataclass(frozen=True)
@@ -100,7 +105,7 @@ class McConfig:
             raise DomainError("seed must fit in 64 unsigned bits")
         if self.drift_mode not in _DRIFT_MODES:
             raise DomainError(f"drift_mode must be one of {_DRIFT_MODES}")
-        settlements = tuple(sorted({float(T) for T in self.exact_settlements}))
+        settlements = _dates(self.exact_settlements)
         if self.drift_mode == "exact_per_T" and not settlements:
             raise DomainError("exact_per_T mode needs at least one settlement")
         if any(T <= 0.0 or not math.isfinite(T) for T in settlements):
@@ -146,7 +151,7 @@ class PathState:
 def initial_state(n_paths: int, exact_settlements: tuple[float, ...] = ()) -> PathState:
     """State of ``n_paths`` paths at t = 0: factors at zero, v at its
     long-run level 1, one zero drift row per distinct settlement."""
-    settlements = tuple(sorted({float(T) for T in exact_settlements}))
+    settlements = _dates(exact_settlements)
     drift = np.zeros((len(settlements), n_paths)) if settlements else None
     return PathState(t=0.0, u1=np.zeros(n_paths), u2=np.zeros(n_paths),
                      v_raw=np.ones(n_paths), int_w=np.zeros(n_paths),
@@ -211,14 +216,11 @@ def evolve_step(
     # Settlements ascend, so the rows still accruing (T > t) are a suffix.
     first = bisect.bisect_right(state.settlements, t)
     pending = len(state.settlements) - first
-    # beta, alpha, e^{beta1 t} and e^{beta2 t} per set, the exponentials
-    # from math.exp as the forwards' decay factors are: one set's as
-    # scalars, several as (sets, 1) columns.
-    coefficients = [(q.beta, q.alpha, math.exp(q.beta1 * t), math.exp(q.beta2 * t)) for q in ps]
-    if len(ps) == 1:
-        beta, alpha, growth1, growth2 = coefficients[0]
-    else:
-        beta, alpha, growth1, growth2 = np.array(coefficients).T.reshape(4, len(ps), 1)
+    # beta, alpha, e^{beta1 t} and e^{beta2 t} as (sets, 1) columns, the
+    # exponentials from math.exp as the forwards' decay factors are.
+    beta, alpha, growth1, growth2 = np.array(
+        [(q.beta, q.alpha, math.exp(q.beta1 * t), math.exp(q.beta2 * t)) for q in ps]
+    ).T[:, :, None]
     root_dt = math.sqrt(dt)
     # Every update keeps the association order of
     #   u1 + root_v * e^{beta1 t} * root_dt * z0,
@@ -318,6 +320,10 @@ class PayoffSpec:
     forward over a fixing schedule given as (fixing time, settlement)
     pairs and settles at the last fixing's settlement date.  Strike 0 is
     allowed and turns a call into a position in the forward itself.
+
+    ``schedule`` holds the (fixing time, settlement) pairs the payoff
+    averages: an asian_prompt's fixings, or the one pair (t_e, T) of a
+    European.  Every date is finite.
     """
 
     kind: str
@@ -326,6 +332,7 @@ class PayoffSpec:
     t_e: float | None = None
     T: float | None = None
     fixings: tuple[tuple[float, float], ...] = ()
+    schedule: tuple[tuple[float, float], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in _PAYOFF_KINDS:
@@ -339,41 +346,40 @@ class PayoffSpec:
                 raise DomainError(f"{self.kind} payoff needs t_e and T")
             if self.fixings:
                 raise DomainError(f"{self.kind} payoff takes no fixings")
-            if not 0.0 < self.t_e <= self.T:
-                raise DomainError("need 0 < t_e <= T")
+            if not 0.0 < self.t_e <= self.T < math.inf:
+                raise DomainError("need 0 < t_e <= T < inf")
             if self.kind == "vanilla" and self.t_e != self.T:
                 raise DomainError("vanilla means t_e = T; use early_exercise")
+            schedule = ((float(self.t_e), float(self.T)),)
         else:
             if self.t_e is not None or self.T is not None:
                 raise DomainError("asian_prompt takes a fixing schedule, not t_e/T")
-            fixings = tuple((float(t), float(T)) for t, T in self.fixings)
-            if not fixings:
+            schedule = tuple((float(t), float(T)) for t, T in self.fixings)
+            if not schedule:
                 raise DomainError("asian_prompt needs at least one fixing")
-            times = [t for t, _ in fixings]
+            for fixing in schedule:
+                if not all(map(math.isfinite, fixing)):
+                    raise DomainError(f"fixing {fixing} has a date that is not finite")
+            times = [t for t, _ in schedule]
             if any(t <= 0.0 for t in times) or any(
                 b <= a for a, b in zip(times, times[1:])
             ):
                 raise DomainError("fixing times must be positive and ascending")
-            if any(T < t for t, T in fixings):
+            if any(T < t for t, T in schedule):
                 raise DomainError("each fixing settles at or after its fixing time")
-            object.__setattr__(self, "fixings", fixings)
+            object.__setattr__(self, "fixings", schedule)
+        object.__setattr__(self, "schedule", schedule)
 
     @property
     def expiry(self) -> float:
-        if self.kind == "asian_prompt":
-            return self.fixings[-1][0]
-        return self.t_e
+        return self.schedule[-1][0]
 
     @property
     def payment_time(self) -> float:
-        if self.kind == "asian_prompt":
-            return self.fixings[-1][1]
-        return self.T
+        return self.schedule[-1][1]
 
     def settlements(self) -> tuple[float, ...]:
-        if self.kind == "asian_prompt":
-            return tuple(sorted({T for _, T in self.fixings}))
-        return (self.T,)
+        return _dates(T for _, T in self.schedule)
 
 
 @dataclass(frozen=True)
@@ -420,7 +426,7 @@ def _grid_with_inserted(cfg: McConfig, required: tuple[float, ...]) -> np.ndarra
     extras = []
     for t in sorted(set(required)):
         if not 0.0 < t <= cfg.horizon + tol:
-            raise DomainError(f"time {t} outside the simulation horizon")
+            raise DomainError(f"time {t} lies outside the simulation horizon (0, {cfg.horizon}]")
         if np.min(np.abs(times - t)) > tol:
             extras.append(min(t, cfg.horizon))
     if extras:
@@ -461,8 +467,7 @@ def _simulate_forwards(
     if len({(p.rho, p.rho1, p.rho2) for p in ps}) > 1:
         raise DomainError("stacked parameter sets must share rho, rho1 and rho2")
     transform = factorize_correlation(ps[0])
-    settlements = tuple(sorted({float(T) for _, T, mode in observations
-                                if mode == "exact_per_T"}))
+    settlements = _dates(T for _, T, mode in observations if mode == "exact_per_T")
     at_node: dict[int, list[int]] = {}
     for j, (node, _, _) in enumerate(observations):
         at_node.setdefault(node, []).append(j)
@@ -563,14 +568,12 @@ def price_payoff(
 ) -> McEstimate:
     """Discounted Monte Carlo price of ``payoff`` with its standard error.
 
-    The option expiry and every Asian fixing date are inserted into the
-    time grid exactly.  With antithetic sampling the standard error is
-    computed over pair means.
+    Each fixing time of the payoff's schedule is inserted into the time
+    grid exactly; one past the horizon raises `DomainError`.  With
+    antithetic sampling the standard error is computed over pair means.
     """
     validate_params(p)
-    tol = 1e-9 * max(1.0, cfg.horizon)
-    if payoff.expiry > cfg.horizon + tol:
-        raise DomainError("payoff expiry lies beyond the simulation horizon")
+    times = _grid_with_inserted(cfg, tuple(t for t, _ in payoff.schedule))
     if cfg.drift_mode == "exact_per_T":
         tracked = set(cfg.exact_settlements)
         for T in payoff.settlements():
@@ -578,10 +581,8 @@ def price_payoff(
                 raise MissingSettlement(
                     f"settlement T={T} is not in exact_settlements"
                 )
-
-    fixings = payoff.fixings if payoff.kind == "asian_prompt" else ((payoff.t_e, payoff.T),)
-    times = _grid_with_inserted(cfg, tuple(t for t, _ in fixings))
-    observations = tuple((_nearest_node(times, t), T, cfg.drift_mode) for t, T in fixings)
+    observations = tuple((_nearest_node(times, t), T, cfg.drift_mode)
+                         for t, T in payoff.schedule)
 
     (forwards,) = _simulate_forwards(cfg, curves, (p,), times, observations)
     total = forwards[0]

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -76,9 +76,8 @@ class ModelParams:
     rho1, rho2 : float
         Correlations between each curve factor and the variance factor.
 
-    The initial variance ``v0`` is pinned to 1 by construction: the variance
-    factor is normalized so its stationary mean is 1, and the overall level
-    is carried by ``sigma``.
+    The variance factor starts at v(0) = 1, its stationary mean: the
+    overall level is carried by ``sigma``.
     """
 
     sigma: float
@@ -90,7 +89,6 @@ class ModelParams:
     alpha: float
     rho1: float
     rho2: float
-    v0: float = field(default=1.0, init=False)
 
     def correlation_matrix(self) -> np.ndarray:
         """Return the 3x3 correlation matrix of (dz1, dz2, dz3)."""

@@ -397,7 +397,8 @@ def _price_checked(slices, curve_values, ps, q: QuadratureConfig) -> list[list[S
         # Each slice's strike phases on this block, shared by every set.
         phases: dict[int, np.ndarray] = {}
         # The (set, slice) pairs whose snapshots came through, with the
-        # exponents A + B v0 of their characteristic functions stacked.
+        # exponents A + B v(0) = A + B of their characteristic functions
+        # stacked.
         priced, exponents = [], []
         for ((i, _), members), snapshots in zip(groups.items(), integrate_ab_rows(nodes, rows)):
             for index, snapshot in zip(members, snapshots):
@@ -410,7 +411,7 @@ def _price_checked(slices, curve_values, ps, q: QuadratureConfig) -> list[list[S
         if not priced:
             continue
         a_val, b_val = np.array(exponents).transpose(1, 0, 2)
-        exponent = a_val + b_val * np.array([ps[i].v0 for i, _ in priced])[:, None]
+        exponent = a_val + b_val
         # |f| <= 1 on real theta; a pass with too few steps for its set
         # can break that without tripping the |B| guard.  Such a row's
         # kernel is not formed, so that it cannot overflow.

@@ -191,7 +191,7 @@ class TestIntegrateAb:
         p = make(alpha=0.0)
         V = integrated_variance(0.0, 1.0, 2.0, p)
         for theta in (0.5, 1.0, 5.0, 20.0, 50.0):
-            a_val, b_val = integrate_ab(theta, 1.0, 2.0, p, n_steps=default_ab_steps(1.0))
+            a_val, b_val = integrate_ab(theta, 1.0, 2.0, p, n_steps=default_ab_steps(1.0, p))
             expected = -0.5 * (theta**2 + 1j * theta) * V
             assert abs((a_val + b_val) - expected) < 1e-8
 
@@ -227,13 +227,15 @@ class TestIntegrateAb:
         assert charfn_gap(got, converged) <= CONVERGED
 
     def test_default_step_count_floor(self, fig1):
-        # 3 a year without a set, and at least 20 up to 0.1 years, falling
-        # as 20 sqrt(0.1 / t_e) past it.
-        assert default_ab_steps(0.01) == 20
-        assert default_ab_steps(0.1) == 20
-        assert default_ab_steps(1.0) == 7
-        assert default_ab_steps(2.5) == 8
-        assert default_ab_steps(10.0) == 30
+        # At alpha = 0 only the decay term (3 + 4.5 kappa) t_e = 5.96 t_e
+        # on fig1 counts, and no count falls below 20 up to 0.1 years,
+        # nor below 20 sqrt(0.1 / t_e) past it.
+        gaussian = replace(fig1, alpha=0.0)
+        assert default_ab_steps(0.01, gaussian) == 20
+        assert default_ab_steps(0.1, gaussian) == 20
+        assert default_ab_steps(1.0, gaussian) == 7
+        assert default_ab_steps(2.5, gaussian) == 15
+        assert default_ab_steps(10.0, gaussian) == 60
         # Accuracy 41.22 alpha^1.1 sqrt(t_e sigma) + (3 + 4.5 kappa) t_e:
         # 26.07 + 5.96 = 32.03 on fig1 at t_e = 1, lag 0; stability
         # theta_top alpha max sigma_F + beta: 60 * 1 * 0.38987 + 0.5 =
@@ -255,24 +257,24 @@ class TestIntegrateAb:
 class TestSnapshots:
     def test_snapshot_matches_standalone_pass(self, fig1):
         thetas = _theta_grid(QuadratureConfig())[0]
-        short, full = integrate_ab_snapshots(thetas, 0.0, 0.005, [100, 400], fig1)
+        short, full = integrate_ab_snapshots(thetas, 0.0, [(2.0, 400)], [100, 400], fig1)
         assert charfn_gap(short, integrate_ab(thetas, 0.5, 0.5, fig1, n_steps=100)) <= 1e-14
         assert charfn_gap(full, integrate_ab(thetas, 2.0, 2.0, fig1, n_steps=400)) <= 1e-14
 
     def test_snapshots_follow_stops_order(self, fig1):
         thetas = np.array([0.5, 3.0])
-        late, early, again = integrate_ab_snapshots(thetas, 1.0, 0.01, [50, 20, 50], fig1)
+        late, early, again = integrate_ab_snapshots(thetas, 1.0, [(0.5, 50)], [50, 20, 50], fig1)
         assert np.array_equal(again[0], late[0]) and np.array_equal(again[1], late[1])
         assert charfn_gap(early, integrate_ab(thetas, 0.2, 1.2, fig1, n_steps=20)) <= 1e-15
 
     def test_zero_stop_is_zero(self, fig1):
-        ((a_val, b_val),) = integrate_ab_snapshots(np.array([1.0, 2.0]), 0.0, 0.01, [0], fig1)
+        ((a_val, b_val),) = integrate_ab_snapshots(np.array([1.0, 2.0]), 0.0, [(0.01, 1)], [0], fig1)
         assert np.all(a_val == 0j) and np.all(b_val == 0j)
 
     def test_divergence_fails_only_later_stops(self, fig1):
         p = replace(fig1, **LATE_DIVERGENCE)
         thetas = DIVERGENCE_THETAS
-        half, one, two = integrate_ab_snapshots(thetas, 0.0, 0.005, [100, 200, 400], p)
+        half, one, two = integrate_ab_snapshots(thetas, 0.0, [(2.0, 400)], [100, 200, 400], p)
         assert isinstance(two, NonConvergence)
         with pytest.raises(NonConvergence):
             integrate_ab(thetas, 2.0, 2.0, p, n_steps=400)
@@ -289,12 +291,12 @@ class TestSnapshots:
         # pass to step 1000.  The last row stops 969 steps before that.
         thetas = DIVERGENCE_THETAS
         rows = [
-            (0.0, 0.005, [100, 400], fig1),
-            (0.0, 0.005, [100, 200, 400], replace(fig1, **LATE_DIVERGENCE)),
-            (1.0, 0.01, [50, 20, 50], sec5),
-            (0.0, 0.01, [0], fig1),
-            (0.3, 0.002, [3, 1], replace(sec5, alpha=2.0)),
-            (0.0, 0.004, [500], fig1),
+            (0.0, [(2.0, 400)], [100, 400], fig1),
+            (0.0, [(2.0, 400)], [100, 200, 400], replace(fig1, **LATE_DIVERGENCE)),
+            (1.0, [(0.5, 50)], [50, 20, 50], sec5),
+            (0.0, [(0.01, 1)], [0], fig1),
+            (0.3, [(0.006, 3)], [3, 1], replace(sec5, alpha=2.0)),
+            (0.0, [(2.0, 500)], [500], fig1),
             (0.0, [(1.0, 200), (1.7, 340), (4.0, 800), (5.0, 1000)], [200, 340, 800, 1000],
              replace(fig1, **LATE_DIVERGENCE)),
             (0.5, [(0.1, 10), (0.31, 31)], [10, 31], sec5),
@@ -329,7 +331,7 @@ class TestSnapshots:
         diverged = charfn._diverged
         monkeypatch.setattr(charfn, "_diverged", counting)
         rows = [
-            (0.0, 0.05, [2], fig1),
+            (0.0, [(0.1, 2)], [2], fig1),
             (0.0, [(1.0, 200), (1.7, 340), (4.0, 800), (5.0, 1000)], [200, 1000],
              replace(fig1, **LATE_DIVERGENCE)),
         ]
@@ -389,11 +391,11 @@ class TestSnapshots:
             assert charfn_gap(got, want) <= 1e-14
 
     def test_one_piece_grid_is_the_uniform_step(self, fig1, sec5):
-        # Knots (t_e, n) make the grid of h = t_e / n, bit for bit; a row of
-        # two pieces reads its first knot as the one-piece row does.
+        # A row of two pieces reads its first knot as the one-piece row
+        # does, bit for bit.
         thetas = DIVERGENCE_THETAS
         for p, lag in ((fig1, 0.0), (sec5, 1.0)):
-            uniform = integrate_ab_snapshots(thetas, lag, 0.5 / 28, [14, 28], p)
+            uniform = integrate_ab_snapshots(thetas, lag, [(0.5, 28)], [14, 28], p)
             graded = integrate_ab_snapshots(thetas, lag, [(0.5, 28), (1.5, 60)], [14, 28], p)
             for a, b in zip(uniform, graded):
                 assert all(np.array_equal(x, y) for x, y in zip(a, b))
@@ -407,6 +409,14 @@ class TestSnapshots:
         with pytest.raises(DomainError):
             default_ab_steps([1.0, 0.5], fig1, 60.0)
 
+    def test_bare_step_grid_is_a_domain_error(self, fig1):
+        # A Riccati grid is its knots; a bare step h is not one.
+        thetas = np.array([1.0])
+        with pytest.raises(DomainError, match="knots"):
+            integrate_ab_snapshots(thetas, 0.0, 0.005, [100], fig1)
+        with pytest.raises(DomainError, match="knots"):
+            integrate_ab_rows(thetas, [(0.0, 0.005, [100], fig1)])
+
     def test_counts_one_vectorized_variance_before_expiry_call(self, fig1, monkeypatch):
         import fwdvol.charfn as charfn
 
@@ -417,7 +427,7 @@ class TestSnapshots:
             return variance_before_expiry(lag, tau, p)
 
         monkeypatch.setattr(charfn, "variance_before_expiry", counting)
-        integrate_ab_snapshots(np.array([1.0]), 0.0, 0.005, [100, 200, 400], fig1)
+        integrate_ab_snapshots(np.array([1.0]), 0.0, [(2.0, 400)], [100, 200, 400], fig1)
         assert calls == [801]
 
     def test_variance_table_matches_decimal_channel_sum(self, fig1, sec5):
@@ -471,6 +481,14 @@ class TestCharfnValue:
         theta = np.array([0.5, 2.0, 30.0])
         got = charfn_value(theta, 0.3, 2.0, 0.0, 1.0, make())
         np.testing.assert_array_equal(got, np.exp(1j * theta * 0.3))
+
+    def test_complex_theta_is_a_domain_error(self, fig1):
+        # Complex theta lies outside the Riccati pass: an array is not cut
+        # to its real part, and a scalar, or one at t_e = 0, raises the
+        # same typed error.
+        for theta, t_e in ((np.array([1 - 0.5j, 2.0]), 1.0), (1 - 0.5j, 1.0), (1j, 0.0)):
+            with pytest.raises(DomainError, match="real theta"):
+                charfn_value(theta, 0.0, 1.0, t_e, 1.0, fig1)
 
     def test_modulus_strictly_inside_unit_disk(self):
         assert abs(charfn_value(1.0, 0.0, 1.0, 1.0, 1.0, make())) < 1.0

@@ -156,6 +156,15 @@ class TestMcPriceCommand:
                     "--paths", 4000, "--steps", 20]) == 0
         assert "std_error" in capsys.readouterr().out
 
+    def test_nan_fixing_exits_2_naming_it(self, capsys, tmp_path):
+        schedule = tmp_path / "fixings.json"
+        schedule.write_text(json.dumps([[0.25, 0.5], [math.nan, 1.0]]))
+        assert run(["mc-price", "--payoff", "asian_prompt", "--strike", 0.9,
+                    "--fixings", schedule, "--paths", 4000, "--steps", 20]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid input: {schedule}: ")
+        assert "fixing (nan, 1.0) has a date that is not finite" in err
+
 
 class TestDriftStudyCommand:
     def test_csv_schema_and_exact_zero_row(self, tmp_path):

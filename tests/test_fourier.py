@@ -62,11 +62,11 @@ def uniform_panels(n_nodes, lo=0.0, hi=200.0):
     return (half * (x + 1.0) + edges[:-1, None]).ravel(), (half * w).ravel()
 
 
-def weighted_integrand(thetas, weights, ab, T, strikes, curves, p):
+def weighted_integrand(thetas, weights, ab, T, strikes, curves):
     """Each node's weighted share of the call integral, per strike, from
-    the exponents ``ab`` = (A, B) on ``thetas``."""
+    the exponents ``ab`` = (A, B) on ``thetas``, at v(0) = 1."""
     a_val, b_val = ab
-    kernel = np.exp(a_val + b_val * p.v0) / (thetas**2 + 1j * thetas)
+    kernel = np.exp(a_val + b_val) / (thetas**2 + 1j * thetas)
     phases = np.exp(-1j * np.outer(thetas, np.log(strikes / curves.forward(T))))
     return weights[:, None] * np.real(kernel[:, None] * phases)
 
@@ -105,7 +105,7 @@ def reference_call_prices(slices, curves, p, n_steps=None):
         for (index, _), ab in zip(members, reference_ab(thetas, t_e, T, p, n_longest, stops)):
             _, T, strikes = slices[index]
             strikes = np.asarray(strikes, dtype=float)
-            terms = weighted_integrand(thetas, weights, ab, T, strikes, curves, p)
+            terms = weighted_integrand(thetas, weights, ab, T, strikes, curves)
             tail = np.abs(terms[-n_nodes:].sum(axis=0))
             if np.max(tail) > _TAIL_TOLERANCE:
                 raise QuadratureTailError(f"reference tail {np.max(tail):.3e}")
@@ -638,7 +638,7 @@ class TestAgainstFixedGrid:
                 assert (t_e, n_steps) in knots
                 thetas, weights = uniform_panels(256, lo, top)
                 (ab,) = integrate_ab_snapshots(thetas, T - t_e, knots, [n_steps], p)
-                terms = weighted_integrand(thetas, weights, ab, T, strikes, curves, p)
+                terms = weighted_integrand(thetas, weights, ab, T, strikes, curves)
                 integral, lo = integral + terms.sum(axis=0), top
             uniform = prices_from(integral, T, strikes, curves)
             bound = 1e-12 * curves.discount(T) * curves.forward(T)
@@ -685,7 +685,7 @@ class TestAgainstFixedGrid:
         for (t_e, T, strikes), result, ab in zip(slices, results, passes):
             used = nodes[reach] < result.theta_stop
             terms = weighted_integrand(nodes[reach][used], weights[reach][used],
-                                       (ab[0][used], ab[1][used]), T, strikes, curves, p)
+                                       (ab[0][used], ab[1][used]), T, strikes, curves)
             reference = prices_from(terms.sum(axis=0), T, strikes, curves)
             bound = 1e-9 * curves.discount(T) * curves.forward(T)
             assert np.max(np.abs(result.prices - reference)) <= bound, (t_e, T)
@@ -713,7 +713,7 @@ class TestAgainstFixedGrid:
         for (t_e, T, strikes), result, ab in zip(slices, results, passes):
             used = nodes[reach] < result.theta_stop
             terms = weighted_integrand(nodes[reach][used], weights[reach][used],
-                                       (ab[0][used], ab[1][used]), T, strikes, curves, p)
+                                       (ab[0][used], ab[1][used]), T, strikes, curves)
             reference = prices_from(terms.sum(axis=0), T, strikes, curves)
             bound = 5.1e-10 * curves.discount(T) * curves.forward(T)
             assert np.max(np.abs(result.prices - reference)) <= bound, (t_e, T)

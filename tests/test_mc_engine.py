@@ -368,6 +368,35 @@ class TestPayoffSpec:
             PayoffSpec(kind="asian_prompt", strike=1.0, option="call",
                        fixings=((0.5, 0.25),))
 
+    @pytest.mark.parametrize("fixings", [((math.nan, 1.0),), ((0.5, math.nan),),
+                                         ((0.5, math.inf),), ((0.25, 0.5), (math.inf, math.inf))])
+    def test_asian_non_finite_fixing_rejected(self, fixings):
+        with pytest.raises(DomainError, match="not finite"):
+            PayoffSpec(kind="asian_prompt", strike=1.0, option="call", fixings=fixings)
+
+    @pytest.mark.parametrize("kind, t_e, T", [("early_exercise", 1.0, math.inf),
+                                              ("vanilla", math.inf, math.inf),
+                                              ("early_exercise", math.nan, 1.0),
+                                              ("early_exercise", 0.5, math.nan)])
+    def test_european_non_finite_dates_rejected(self, kind, t_e, T):
+        with pytest.raises(DomainError, match="T < inf"):
+            PayoffSpec(kind=kind, strike=1.0, option="call", t_e=t_e, T=T)
+
+    def test_schedule_of_each_kind(self):
+        # A European is a schedule of one (t_e, T) pair; expiry, payment
+        # time and settlements read the schedule.
+        vanilla = PayoffSpec(kind="vanilla", strike=1.0, t_e=1, T=1)
+        early = PayoffSpec(kind="early_exercise", strike=1.0, t_e=0.5, T=2.0)
+        asian = PayoffSpec(kind="asian_prompt", strike=1.0,
+                           fixings=[(0.25, 1.0), (0.5, 0.75), (0.75, 1.0)])
+        assert vanilla.schedule == ((1.0, 1.0),)
+        assert early.schedule == ((0.5, 2.0),)
+        assert asian.schedule == asian.fixings == ((0.25, 1.0), (0.5, 0.75), (0.75, 1.0))
+        for payoff in (vanilla, early, asian):
+            assert all(type(x) is float for pair in payoff.schedule for x in pair)
+        assert [(p.expiry, p.payment_time, p.settlements()) for p in (vanilla, early, asian)] == [
+            (1.0, 1.0, (1.0,)), (0.5, 2.0, (2.0,)), (0.75, 1.0, (0.75, 1.0))]
+
 
 class TestPricePayoff:
     def test_zero_strike_call_is_discounted_forward(self, curves):

@@ -53,9 +53,6 @@ class TestValidateParams:
         p = make()
         assert validate_params(p) is p
 
-    def test_v0_is_forced_to_one(self):
-        assert make().v0 == 1.0
-
     def test_correlation_out_of_range(self):
         with pytest.raises(InvalidModelParams) as err:
             validate_params(make(rho=1.5))
