@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, FwdVolError
+from .errors import DomainError, FwdVolError, _index
 from .model import (
     _PARAM_KEYS,
     MarketCurves,
@@ -305,6 +305,7 @@ def fit(
     objective, and each set priced counts as one evaluation.  Quotes are
     priced with the default `QuadratureConfig`.
     """
+    budget = _index(budget, "budget")
     if budget < 1:
         raise DomainError("budget must be >= 1")
     validate_params(initial)

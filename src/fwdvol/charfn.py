@@ -166,22 +166,13 @@ def _decay_rate(lag: float, p: ModelParams) -> float:
     return sum(w * c for w, c in weights) / sum(w for w, _ in weights)
 
 
-def _jacobian(lag: float, p: ModelParams, theta_top: float, vol) -> float:
-    """Bound of the Riccati Jacobian's modulus on nodes up to ``theta_top``
-    at distances to settlement >= ``lag``: theta alpha sigma_F + beta.
-    ``vol`` holds `_vol_bound` of ``p`` by lag (see `default_ab_steps`)."""
-    return theta_top * p.alpha * vol[lag] + p.beta
-
-
-def _accuracy_count(t_e: float, p: ModelParams, lag: float, vol, decay) -> float:
+def _accuracy_count(t_e: float, p: ModelParams, left: float, decay: float) -> float:
     """Steps that a pass from tau = 0 to t_e needs for accuracy, before
-    rounding up (see `default_ab_steps`)."""
+    rounding up, with ``left`` the share of sigma_F left at the pass's
+    lag and ``decay`` the decay rate of sigma_F^2 there (see
+    `default_ab_steps`)."""
     count = _DECAY_STEPS_PER_YEAR * t_e
-    # Only the sigma_F left past the lag has a decay to follow: 1 at lag 0,
-    # and the whole term where sigma_F vanishes at every distance.
-    top = vol[0.0]
-    left = vol[lag] / top if top > 0.0 else 1.0
-    count += _DECAY_STEPS_PER_RATE * left * decay[lag] * t_e
+    count += _DECAY_STEPS_PER_RATE * left * decay * t_e
     alpha_power = p.alpha * abs(p.alpha) ** (_ACCURACY_ALPHA_POWER - 1.0)
     return _ACCURACY * alpha_power * math.sqrt(t_e * p.sigma) + count
 
@@ -189,27 +180,6 @@ def _accuracy_count(t_e: float, p: ModelParams, lag: float, vol, decay) -> float
 def _steps(count: float) -> int:
     # Rounding keeps a count of 40.000000000000004 at 40 steps.
     return math.ceil(round(count, 9))
-
-
-def _first_steps(t_e: float, p: ModelParams, theta_top: float, lag: float, vol, decay) -> int:
-    """Steps of a pass to t_e alone, or of a row's first piece (see `default_ab_steps`)."""
-    count = max(_accuracy_count(t_e, p, lag, vol, decay),
-                _STEPS_PER_JACOBIAN * _jacobian(lag, p, theta_top, vol) * t_e)
-    floor = _MIN_STEPS * math.sqrt(_FLOOR_EXPIRY / max(t_e, _FLOOR_EXPIRY))
-    return max(_steps(floor), _steps(count))
-
-
-def _later_steps(a: float, b: float, p: ModelParams, theta_top: float, lag: float,
-                 vol, decay) -> int:
-    """Steps of a row's piece [a, b] past its first expiry (see `default_ab_steps`)."""
-    share = _PIECE_SHARE * b**-_PIECE_SHARE_POWER
-    # Far past fast reversion sigma_F^2 underflows to 0; the piece then
-    # keeps the whole share, which never takes fewer steps.
-    if vol[lag] > 0.0:
-        share *= vol[lag + a] / vol[lag]
-    rate = max(min(1.0, share) * _accuracy_count(b, p, 0.0, vol, decay) / b,
-               _PIECE_STEPS_PER_JACOBIAN * _jacobian(a, p, theta_top, vol))
-    return max(1, _steps((b - a) * rate))
 
 
 class _PerLag(dict):
@@ -252,14 +222,28 @@ def default_ab_steps(t_e, p: ModelParams, theta_top: float = 0.0, lag: float = 0
     takes 22 + 14 + 17 = 53 steps.
     """
     vol, decay = _PerLag(_vol_bound, p), _PerLag(_decay_rate, p)
-    if np.ndim(t_e) == 0:
-        return _first_steps(t_e, p, theta_top, lag, vol, decay)
-    counts = [_first_steps(t_e[0], p, theta_top, lag, vol, decay)]
-    for a, b in zip(t_e, t_e[1:]):
+    scalar = np.ndim(t_e) == 0
+    expiries = [t_e] if scalar else t_e
+    # Only the sigma_F left past the lag has a decay to follow: 1 at lag
+    # 0, and the whole term where sigma_F vanishes at every distance.
+    top, first = vol[0.0], expiries[0]
+    left = vol[lag] / top if top > 0.0 else 1.0
+    count = max(_accuracy_count(first, p, left, decay[lag]),
+                _STEPS_PER_JACOBIAN * (theta_top * p.alpha * vol[lag] + p.beta) * first)
+    floor = _MIN_STEPS * math.sqrt(_FLOOR_EXPIRY / max(first, _FLOOR_EXPIRY))
+    counts = [max(_steps(floor), _steps(count))]
+    for a, b in zip(expiries, expiries[1:]):
         if not b > a:
             raise DomainError("expiries of a row must ascend")
-        counts.append(counts[-1] + _later_steps(a, b, p, theta_top, lag, vol, decay))
-    return counts
+        share = _PIECE_SHARE * b**-_PIECE_SHARE_POWER
+        # Far past fast reversion sigma_F^2 underflows to 0; the piece then
+        # keeps the whole share, which never takes fewer steps.
+        if vol[lag] > 0.0:
+            share *= vol[lag + a] / vol[lag]
+        rate = max(min(1.0, share) * _accuracy_count(b, p, 1.0, decay[0.0]) / b,
+                   _PIECE_STEPS_PER_JACOBIAN * (theta_top * p.alpha * vol[a] + p.beta))
+        counts.append(counts[-1] + max(1, _steps((b - a) * rate)))
+    return counts[0] if scalar else counts
 
 
 def ab_ode_rhs(tau, a_val, b_val, theta, t_e: float, T: float, p: ModelParams):
@@ -395,6 +379,8 @@ def integrate_ab_rows(theta, rows):
     if theta.dtype.kind == "c":
         raise DomainError("a Riccati pass takes real theta only")
     theta = theta.astype(float, copy=False)
+    if not np.isfinite(theta).all():
+        raise DomainError("a Riccati pass takes finite theta only")
     # The pass runs on the nodes as a vector; snapshots take their shape.
     node_shape, theta = theta.shape, theta.ravel()
     checked = []
@@ -652,7 +638,10 @@ def integrate_ab(theta, t_e: float, T: float, p: ModelParams, n_steps: int | Non
     grid, stops = [], [0]
     if t_e > 0.0:
         if n_steps is None:
-            n_steps = default_ab_steps(t_e, p, float(np.abs(theta).max()), T - t_e)
+            theta_top = float(np.abs(theta).max())
+            if not theta_top < math.inf:
+                raise DomainError("a Riccati pass takes finite theta only")
+            n_steps = default_ab_steps(t_e, p, theta_top, T - t_e)
         if n_steps < 1:
             raise DomainError("n_steps must be >= 1")
         grid, stops = [(t_e, n_steps)], [n_steps]
@@ -665,13 +654,13 @@ def integrate_ab(theta, t_e: float, T: float, p: ModelParams, n_steps: int | Non
 def charfn_value(theta, x, v, t_e: float, T: float, p: ModelParams):
     """Conditional characteristic function exp(i theta x + A + B v).
 
-    ``v`` must be >= 0 and ``theta`` real.  This is then the
-    characteristic function of a genuine distribution, so its modulus
-    cannot exceed 1; a material violation indicates a broken integration
-    and raises.
+    ``x`` must be finite, ``v`` finite and >= 0, and ``theta`` real and
+    finite.  This is then the characteristic function of a genuine
+    distribution, so its modulus cannot exceed 1; a material violation
+    indicates a broken integration and raises.
     """
-    if v < 0.0:
-        raise DomainError("variance state v must be >= 0")
+    if not (0.0 <= v < math.inf and np.isfinite(x).all()):
+        raise DomainError("charfn_value requires finite x and v >= 0")
     a_val, b_val = integrate_ab(theta, t_e, T, p)
     exponent = 1j * np.multiply(theta, x) + a_val + b_val * v
     if np.any(np.real(exponent) > _MODULUS_TOLERANCE):

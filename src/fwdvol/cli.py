@@ -53,10 +53,9 @@ __all__ = ["main"]
 def _parse_file(path: str, what: str, build):
     """``build`` applied to the JSON in ``path``; an input error in it is
     reported as a `DomainError` that names the file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
     try:
-        return build(data)
+        with open(path, "r", encoding="utf-8") as handle:
+            return build(json.load(handle))
     except (NumericalError, NoArbitrageViolation):
         raise
     except FwdVolError as exc:

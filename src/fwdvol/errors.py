@@ -8,6 +8,7 @@ denominators) derive from ``ArithmeticError``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 __all__ = [
@@ -31,6 +32,15 @@ class FwdVolError(Exception):
 
 class DomainError(FwdVolError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
+
+
+def _index(value, name: str) -> int:
+    """A count or a seed as an int; `DomainError` for a non-integer, 2.0
+    included."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, not {value!r}") from None
 
 
 @dataclass(frozen=True)

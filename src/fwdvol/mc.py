@@ -30,13 +30,13 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .driftfactor import drift_factor
-from .errors import DomainError, MissingSettlement, NumericalError
+from .errors import DomainError, MissingSettlement, NumericalError, _index
 from .model import (
     MarketCurves,
     ModelParams,
@@ -95,6 +95,8 @@ class McConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("n_paths", "n_steps", "seed", "threads"):
+            object.__setattr__(self, name, _index(getattr(self, name), name))
         if self.n_paths < 1:
             raise DomainError("n_paths must be >= 1")
         if self.n_steps < 1:
@@ -152,6 +154,8 @@ def initial_state(n_paths: int, exact_settlements: tuple[float, ...] = ()) -> Pa
     """State of ``n_paths`` paths at t = 0: factors at zero, v at its
     long-run level 1, one zero drift row per distinct settlement."""
     settlements = _dates(exact_settlements)
+    if not all(map(math.isfinite, settlements)):
+        raise DomainError("settlements must be finite")
     drift = np.zeros((len(settlements), n_paths)) if settlements else None
     return PathState(t=0.0, u1=np.zeros(n_paths), u2=np.zeros(n_paths),
                      v_raw=np.ones(n_paths), int_w=np.zeros(n_paths),
@@ -193,8 +197,8 @@ def evolve_step(
     state, which differs from the input only in ``t``; copy the arrays
     first to keep them.
     """
-    if dt <= 0.0:
-        raise DomainError("dt must be > 0")
+    if not 0.0 < dt < math.inf:
+        raise DomainError("dt must be finite and > 0")
     z = np.asarray(normals, dtype=float)
     stacked = not isinstance(p, ModelParams)
     ps = tuple(p) if stacked else (p,)
@@ -273,16 +277,15 @@ def forward_reconstruct(
     mode: str = "exact_per_T",
     *,
     k: float | None = None,
-    variance_integral: float | None = None,
 ) -> float | np.ndarray:
     """Forward F(t, T) implied by the factor state.
 
     Exact mode reads the settlement's row of the drift accumulator;
     approximate mode rebuilds the integrated drift from its deterministic
-    part, ``integrated_variance(0, t, T, p)``, plus k(t, T) times the
-    integral of w.  A caller that reconstructs the same (t, T) block by
-    block passes ``k`` and ``variance_integral``, evaluated once, instead
-    of asking for them again per block.
+    part, ``integrated_variance(0, t, T, p)``, a closed form of a few
+    microseconds, plus k(t, T) times the integral of w.  A caller that
+    reconstructs the same (t, T) block by block passes ``k``, which can
+    take a numeric integral, evaluated once instead of per block.
     """
     if T < state.t:
         raise DomainError("settlement must not precede the state time")
@@ -293,9 +296,7 @@ def forward_reconstruct(
             )
         drift_integral = state.exact_drift[state.settlements.index(T)]
     elif mode == "approximate":
-        drift_integral = variance_integral
-        if drift_integral is None:
-            drift_integral = integrated_variance(0.0, state.t, T, p)
+        drift_integral = integrated_variance(0.0, state.t, T, p)
         if state.t > 0.0:
             if k is None:
                 k = drift_factor(state.t, T, p)
@@ -320,10 +321,7 @@ class PayoffSpec:
     forward over a fixing schedule given as (fixing time, settlement)
     pairs and settles at the last fixing's settlement date.  Strike 0 is
     allowed and turns a call into a position in the forward itself.
-
-    ``schedule`` holds the (fixing time, settlement) pairs the payoff
-    averages: an asian_prompt's fixings, or the one pair (t_e, T) of a
-    European.  Every date is finite.
+    Every date is finite.
     """
 
     kind: str
@@ -332,7 +330,6 @@ class PayoffSpec:
     t_e: float | None = None
     T: float | None = None
     fixings: tuple[tuple[float, float], ...] = ()
-    schedule: tuple[tuple[float, float], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in _PAYOFF_KINDS:
@@ -350,25 +347,29 @@ class PayoffSpec:
                 raise DomainError("need 0 < t_e <= T < inf")
             if self.kind == "vanilla" and self.t_e != self.T:
                 raise DomainError("vanilla means t_e = T; use early_exercise")
-            schedule = ((float(self.t_e), float(self.T)),)
         else:
             if self.t_e is not None or self.T is not None:
                 raise DomainError("asian_prompt takes a fixing schedule, not t_e/T")
-            schedule = tuple((float(t), float(T)) for t, T in self.fixings)
-            if not schedule:
+            fixings = tuple((float(t), float(T)) for t, T in self.fixings)
+            if not fixings:
                 raise DomainError("asian_prompt needs at least one fixing")
-            for fixing in schedule:
+            for fixing in fixings:
                 if not all(map(math.isfinite, fixing)):
                     raise DomainError(f"fixing {fixing} has a date that is not finite")
-            times = [t for t, _ in schedule]
+            times = [t for t, _ in fixings]
             if any(t <= 0.0 for t in times) or any(
                 b <= a for a, b in zip(times, times[1:])
             ):
                 raise DomainError("fixing times must be positive and ascending")
-            if any(T < t for t, T in schedule):
+            if any(T < t for t, T in fixings):
                 raise DomainError("each fixing settles at or after its fixing time")
-            object.__setattr__(self, "fixings", schedule)
-        object.__setattr__(self, "schedule", schedule)
+            object.__setattr__(self, "fixings", fixings)
+
+    @property
+    def schedule(self) -> tuple[tuple[float, float], ...]:
+        """The (fixing time, settlement) pairs the payoff averages: an
+        asian_prompt's fixings, or the one pair (t_e, T) of a European."""
+        return self.fixings or ((float(self.t_e), float(self.T)),)
 
     @property
     def expiry(self) -> float:
@@ -473,17 +474,15 @@ def _simulate_forwards(
         at_node.setdefault(node, []).append(j)
     dts = [float(dt) for dt in np.diff(times)]
     # State times as evolve_step sums them, so each approximate
-    # observation's deterministic drift integral and k(t, T), and each
-    # step's variance-rate integrals, are evaluated once per grid here
-    # rather than once per block in the workers.
+    # observation's k(t, T) and each step's variance-rate integrals are
+    # evaluated once per grid here rather than once per block in the
+    # workers.  The deterministic drift integral, one closed form, is
+    # left to each block's reconstruction.
     state_t = list(itertools.accumulate(dts, initial=0.0))
-    drift_terms = [
-        [(integrated_variance(0.0, state_t[node], T, p),
-          drift_factor(state_t[node], T, p) if state_t[node] > 0.0 else None)
-         if mode == "approximate" else (None, None)
-         for node, T, mode in observations]
-        for p in ps
-    ]
+    ks = [[drift_factor(state_t[node], T, p)
+           if mode == "approximate" and state_t[node] > 0.0 else None
+           for node, T, mode in observations]
+          for p in ps]
     rates = []
     for t, dt in zip(state_t, dts):
         pending = settlements[bisect.bisect_right(settlements, t):]
@@ -509,11 +508,8 @@ def _simulate_forwards(
             for j in at_node.get(node, ()):
                 _, T, mode = observations[j]
                 for i, p in enumerate(ps):
-                    variance_integral, k = drift_terms[i][j]
                     out[i, j, paths] = forward_reconstruct(
-                        _set_state(state, i), T, curves, p, mode,
-                        k=k, variance_integral=variance_integral,
-                    )
+                        _set_state(state, i), T, curves, p, mode, k=ks[i][j])
 
         observe(0)
         for n, dt in enumerate(dts):

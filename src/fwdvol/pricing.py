@@ -46,6 +46,7 @@ from .errors import (
     NoArbitrageViolation,
     NonConvergence,
     QuadratureTailError,
+    _index,
 )
 from .model import MarketCurves, ModelParams, validate_params
 
@@ -154,6 +155,7 @@ class QuadratureConfig:
     n_nodes: int = 12
 
     def __post_init__(self):
+        object.__setattr__(self, "n_nodes", _index(self.n_nodes, "n_nodes"))
         if not 0.0 < self.theta_max < math.inf:
             raise DomainError("theta_max must be finite and > 0")
         if self.n_nodes < 12:
@@ -180,8 +182,9 @@ def black76_price(F: float, K: float, total_variance: float, D: float, kind: str
     Zero (or negative, which is clipped) total variance returns discounted
     intrinsic value.
     """
-    if F <= 0.0 or K <= 0.0 or D <= 0.0:
-        raise DomainError("black76_price requires F, K, D > 0")
+    if not (0.0 < F < math.inf and 0.0 < K < math.inf and 0.0 < D < math.inf
+            and not math.isnan(total_variance)):
+        raise DomainError("black76_price requires finite F, K, D > 0 and a total variance")
     if kind not in ("call", "put"):
         raise DomainError("kind must be 'call' or 'put'")
     log_moneyness = math.log(F / K) if total_variance > 0.0 else 0.0
@@ -189,6 +192,8 @@ def black76_price(F: float, K: float, total_variance: float, D: float, kind: str
 
 
 def black76_vega(F: float, K: float, t_e: float, vol: float, D: float) -> float:
+    if not (0.0 < vol < math.inf and 0.0 < t_e < math.inf):
+        raise DomainError("black76_vega requires finite vol, t_e > 0")
     s = vol * math.sqrt(t_e)
     d1 = math.log(F / K) / s + 0.5 * s
     return D * F * math.sqrt(t_e) * _INV_SQRT_2PI * math.exp(-0.5 * d1 * d1)
@@ -434,7 +439,8 @@ def _price_checked(slices, curve_values, ps, q: QuadratureConfig) -> list[list[S
             integrals[i][index] += node_weights @ np.real(kernel[:, None] * phases[index])
             tail = float(node_weights[tail_panel] @ np.abs(kernel[tail_panel]))
             if tail <= _TAIL_TOLERANCE:
-                result = _prices_from_integral(strikes, integrals[i][index], F, D)
+                prices = D * (F - 0.5 * strikes - (strikes / math.pi) * integrals[i][index])
+                result = np.clip(prices, D * np.maximum(F - strikes, 0.0), D * F)
             elif at_cap:
                 result = QuadratureTailError(
                     f"last quadrature panel contributes up to {tail:.3e} > tail "
@@ -444,11 +450,6 @@ def _price_checked(slices, curve_values, ps, q: QuadratureConfig) -> list[list[S
                 continue
             out[i][index] = SliceResult(result, theta_top, tuple(steps[i][index]), block.stop)
     return out
-
-
-def _prices_from_integral(strikes, integral, F: float, D: float) -> np.ndarray:
-    prices = D * (F - 0.5 * strikes - (strikes / math.pi) * integral)
-    return np.clip(prices, D * np.maximum(F - strikes, 0.0), D * F)
 
 
 def call_prices(

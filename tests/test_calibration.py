@@ -389,6 +389,37 @@ class TestLevenbergMarquardt:
         assert len(values) == 9 and list(values) == sorted(values, reverse=True)
         assert values[-1] < 1e-3 * values[0]
 
+    @pytest.mark.parametrize("field, factor, fallbacks", [("beta2", 5.0, 1), ("sigma", 0.3, 0)])
+    def test_rejected_steps_and_plain_fallback(self, fig1, curves, monkeypatch, field,
+                                               factor, fallbacks):
+        # Far starts make the search reject steps, which leave its
+        # Jacobian as it was, and beta2 x 5 once drops the acceleration
+        # for the plain step; the fit still converges and never rises
+        # above its start.
+        import fwdvol.calibration as calibration
+
+        quotes = synthesize_quotes(fig1, curves)
+        start = replace(fig1, **{field: getattr(fig1, field) * factor})
+        calls, real = [], calibration._accelerated
+
+        def spy(step, J, lam, bend):
+            out = real(step, J, lam, bend)
+            calls.append((J, bend is not None and out is step))
+            return out
+
+        monkeypatch.setattr(calibration, "_accelerated", spy)
+        result = fit(quotes, start, curves, budget=400)
+        rejected = sum(a is b for (a, _), (b, _) in zip(calls, calls[1:]))
+        assert rejected >= 2
+        assert sum(plain for _, plain in calls) == fallbacks
+        assert result.converged
+        assert result.objective <= objective(start, quotes, curves)
+
+    def test_budget_must_be_an_integer(self, fig1, curves):
+        # 2.5 used to fail with a slicing TypeError.
+        with pytest.raises(DomainError, match="budget"):
+            fit(synthesize_quotes(fig1, curves, expiries=(1.0,)), fig1, curves, budget=2.5)
+
     def test_budget_four_is_one_stacked_pass(self, fig1, curves, monkeypatch):
         quotes = synthesize_quotes(fig1, curves)
         start = acceptance_start(fig1)

@@ -185,6 +185,18 @@ class TestIntegrateAb:
             a_val, b_val = integrate_ab(thetas, t_e, t_e + lag, p, n_steps=n_steps)
             assert np.all(np.abs(a_val + b_val - want) <= 1e-14 * np.abs(want))
 
+    @pytest.mark.parametrize("theta", [math.inf, math.nan, np.array([1.0, -math.inf]),
+                                       np.array([math.nan, 2.0])])
+    @pytest.mark.parametrize("n_steps", [None, 40])
+    def test_non_finite_theta_is_a_domain_error(self, fig1, theta, n_steps):
+        # Beside the complex-theta check: an infinite node used to raise a
+        # bare OverflowError in the step rule or overflow in the pass, and
+        # a NaN one to read as a diverged B.
+        with pytest.raises(DomainError, match="finite theta"):
+            integrate_ab(theta, 1.0, 2.0, fig1, n_steps=n_steps)
+        with pytest.raises(DomainError, match="finite theta"):
+            integrate_ab_rows(theta, [(1.0, [(1.0, 40)], [40], fig1)])
+
     def test_gaussian_limit_identity(self):
         # Without vol of vol the combined exponent is the deterministic
         # total variance times -(theta^2 + i theta)/2.
@@ -489,6 +501,13 @@ class TestCharfnValue:
         for theta, t_e in ((np.array([1 - 0.5j, 2.0]), 1.0), (1 - 0.5j, 1.0), (1j, 0.0)):
             with pytest.raises(DomainError, match="real theta"):
                 charfn_value(theta, 0.0, 1.0, t_e, 1.0, fig1)
+
+    @pytest.mark.parametrize("x, v", [(math.nan, 1.0), (math.inf, 1.0), (0.0, math.nan),
+                                      (0.0, math.inf), (np.array([0.0, math.nan]), 1.0)])
+    def test_non_finite_state_is_a_domain_error(self, fig1, x, v):
+        # A NaN x or v used to come back as a NaN value.
+        with pytest.raises(DomainError, match="finite x"):
+            charfn_value(np.array([0.5, 2.0]), x, v, 1.0, 1.0, fig1)
 
     def test_modulus_strictly_inside_unit_disk(self):
         assert abs(charfn_value(1.0, 0.0, 1.0, 1.0, 1.0, make())) < 1.0

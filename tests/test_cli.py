@@ -262,6 +262,27 @@ def test_malformed_input_file_is_input_error(argv, content, tmp_path, capsys):
     assert err.startswith(f"invalid input: {bad}: ")
 
 
+# Each input file's flag, after the arguments its command needs; --initial
+# is read before --quotes, so that file is never opened.
+FILE_FLAGS = {
+    "params": ["price", "--t-e", 1, "--strike", 1, "--params"],
+    "curves": ["price", "--t-e", 1, "--strike", 1, "--curves"],
+    "quotes": ["calibrate", "--quotes"],
+    "fixings": ["mc-price", "--payoff", "asian_prompt", "--fixings"],
+    "initial": ["calibrate", "--quotes", "unread.json", "--initial"],
+}
+
+
+@pytest.mark.parametrize("content", [b'{"sigma": 0.4, ', b'{"sigma": "\xff"}'],
+                         ids=["truncated", "not_utf8"])
+@pytest.mark.parametrize("argv", FILE_FLAGS.values(), ids=FILE_FLAGS.keys())
+def test_unparsable_input_file_is_input_error_naming_it(argv, content, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert run(argv + [bad]) == 2
+    assert capsys.readouterr().err.startswith(f"invalid input: {bad}: ")
+
+
 # Curve files whose NaN or infinite node passes every ordering and sign
 # check; each used to price as nan and exit 0.
 NON_FINITE_CURVES = {

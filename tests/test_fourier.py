@@ -134,8 +134,12 @@ class TestSpecs:
         for theta_max in (0.0, math.inf, math.nan):
             with pytest.raises(DomainError):
                 QuadratureConfig(theta_max=theta_max)
-        with pytest.raises(DomainError):
-            QuadratureConfig(n_nodes=8)
+        # 12.5 nodes used to fail in the Gauss-Legendre rule with a numpy
+        # TypeError.
+        for n_nodes in (8, 12.5):
+            with pytest.raises(DomainError, match="n_nodes"):
+                QuadratureConfig(n_nodes=n_nodes)
+        assert type(QuadratureConfig(n_nodes=np.int64(16)).n_nodes) is int
 
 
 class TestBlack76:
@@ -159,6 +163,22 @@ class TestBlack76:
         call = black76_price(F, K, tv, D, "call")
         put = black76_price(F, K, tv, D, "put")
         assert call - put == pytest.approx(D * (F - K), abs=1e-12)
+
+    @pytest.mark.parametrize("F, K, total_variance", [
+        (math.nan, 1.0, 0.04), (1.0, 1.0, math.nan), (1.0, math.inf, 0.04),
+        (math.inf, 1.0, 0.04),
+    ])
+    def test_non_finite_inputs_are_a_domain_error(self, F, K, total_variance):
+        # A NaN forward or variance used to price as NaN, and K = inf
+        # raised a bare "math domain error".
+        with pytest.raises(DomainError):
+            black76_price(F, K, total_variance, 1.0)
+
+    @pytest.mark.parametrize("vol, t_e", [(0.0, 1.0), (0.2, 0.0), (math.nan, 1.0)])
+    def test_vega_needs_a_positive_vol_and_expiry(self, vol, t_e):
+        # vol = 0 used to raise ZeroDivisionError.
+        with pytest.raises(DomainError):
+            black76_vega(1.0, 1.0, t_e, vol, 1.0)
 
     def test_matches_scipy_normal_oracle(self):
         from scipy.stats import norm
@@ -268,6 +288,21 @@ class TestImpliedVol:
     def test_price_below_intrinsic_rejected(self):
         with pytest.raises(NoArbitrageViolation):
             implied_vol(0.1, 1.3, 1.0, 1.0, 1.0)
+
+    def test_price_at_or_below_the_bracket_floor_returns_it(self):
+        # At the money, above intrinsic by more than the 1e-10 tolerance
+        # but at or below the price at vol 1e-6 (3.8e-7), the bracket's
+        # lower edge comes back.
+        floor = black76_price(1.0, 1.0, 1e-12, 0.95)
+        for price in (2e-10, floor):
+            assert implied_vol(price, 1.0, 1.0, 1.0, 0.95) == 1e-6
+
+    @pytest.mark.parametrize("K", [0.9, 1.0, 1.1])
+    def test_price_past_the_bracket_ceiling_raises(self, K):
+        ceiling = black76_price(1.0, K, 100.0, 0.95)
+        assert ceiling < 0.95
+        with pytest.raises(NoArbitrageViolation, match="above 10"):
+            implied_vol(0.5 * (ceiling + 0.95), 1.0, K, 1.0, 0.95)
 
     @staticmethod
     def newton_through_public_formulas(price, F, K, t_e, D, kind):

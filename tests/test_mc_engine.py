@@ -225,6 +225,18 @@ class TestMcConfig:
             McConfig(n_paths=10, n_steps=10, horizon=0.0, seed=0,
                      drift_mode="approximate")
 
+    @pytest.mark.parametrize("name, value", [("n_paths", 2000.0), ("n_steps", 10.0),
+                                             ("seed", 1.5), ("threads", 2.5)])
+    def test_counts_must_be_integers(self, name, value):
+        # seed 1.5 used to price bit for bit as seed 1 and threads 2.5 to
+        # be accepted; float path and step counts failed later in numpy.
+        counts = {"n_paths": 2000, "n_steps": 10, "seed": 1, "threads": 2}
+        with pytest.raises(DomainError, match=name):
+            McConfig(horizon=1.0, drift_mode="approximate", **{**counts, name: value})
+        cfg = McConfig(horizon=1.0, drift_mode="approximate",
+                       **{k: np.int64(n) for k, n in counts.items()})
+        assert all(type(getattr(cfg, k)) is int for k in counts)
+
     def test_antithetic_needs_even_paths(self):
         with pytest.raises(DomainError):
             McConfig(n_paths=11, n_steps=10, horizon=1.0, seed=0,
@@ -317,6 +329,21 @@ class TestEvolveStep:
         with pytest.raises(DomainError, match="shared by every set"):
             evolve_step(stacked, 0.1, np.zeros((len(ps), 3, 4)), ps)
 
+    @pytest.mark.parametrize("dt", [math.inf, math.nan])
+    @pytest.mark.parametrize("settlements", [(), (2.0,)])
+    def test_non_finite_step_is_a_domain_error(self, dt, settlements):
+        # An infinite step used to run the state to inf; a NaN one with no
+        # pending settlement returned t = NaN.
+        state = initial_state(4, settlements)
+        with pytest.raises(DomainError, match="dt"):
+            evolve_step(state, dt, np.zeros((3, 4)), make())
+        assert state.t == 0.0 and np.all(state.v_raw == 1.0)
+
+    @pytest.mark.parametrize("T", [math.nan, math.inf])
+    def test_initial_state_rejects_a_non_finite_settlement(self, T):
+        with pytest.raises(DomainError, match="finite"):
+            initial_state(4, (1.0, T))
+
     def test_variance_never_negative_in_coefficients(self):
         # Drive v far below zero; the truncated view must floor at 0.
         p = make5(alpha=3.0)
@@ -399,6 +426,11 @@ class TestPayoffSpec:
 
 
 class TestPricePayoff:
+    def test_mean_se_of_one_sample_has_no_stderr(self):
+        # One sample, or one antithetic pair, has a mean and no spread.
+        assert _mean_se(np.array([1.5]), False) == (1.5, 0.0)
+        assert _mean_se(np.array([1.0, 2.0]), True) == (1.5, 0.0)
+
     def test_zero_strike_call_is_discounted_forward(self, curves):
         est = price_payoff(
             PayoffSpec(kind="vanilla", strike=1e-12, option="call", t_e=1.0, T=1.0),
@@ -656,20 +688,20 @@ class TestStackedSets:
 
     @pytest.mark.parametrize("n_paths", [5_000, 20_000])
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_drift_integrals_are_tabulated_once_per_grid(self, curves, monkeypatch, n_paths,
-                                                         threads):
-        # Approximate mode reads integrated_variance(0, t, T) once per
-        # observation and set, however many blocks and workers run.
+    def test_drift_factor_runs_once_per_grid(self, curves, monkeypatch, n_paths, threads):
+        # Approximate mode reads k(t, T) once per observation and set,
+        # however many blocks and workers run: one numeric k^2 costs
+        # hundreds of microseconds.
         import fwdvol.mc as mc
 
         calls = []
-        real = mc.integrated_variance
+        real = mc.drift_factor
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(mc, "integrated_variance", counting)
+        monkeypatch.setattr(mc, "drift_factor", counting)
         ps = self.FAMILIES["distinct"]
         cfg, times, observations = self.strip_setup("approximate", n_paths=n_paths,
                                                      threads=threads)

@@ -261,6 +261,15 @@ class TestFactorizeCorrelation:
         L = factorize_correlation(p)
         np.testing.assert_allclose(L @ L.T, p.correlation_matrix(), atol=1e-12)
 
+    @pytest.mark.parametrize("rho", [1.0, -1.0])
+    def test_perfect_factor_correlation_zeroes_a_column(self, rho):
+        # rho = +-1 ties the second factor to the first: pivot 1 is 0, so
+        # its column is zeroed below the diagonal too.
+        p = make(rho=rho, rho1=0.3, rho2=0.3 * rho)
+        L = factorize_correlation(p)
+        assert L[1, 1] == 0.0 and L[2, 1] == 0.0
+        np.testing.assert_allclose(L @ L.T, p.correlation_matrix(), atol=1e-12)
+
     def test_raises_on_non_psd(self):
         p = ModelParams(**{**FIG1, "rho": -0.9, "rho1": 0.9, "rho2": 0.9})
         with pytest.raises(CorrelationMatrixNotPSD):
